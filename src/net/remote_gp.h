@@ -9,7 +9,7 @@
 // `rtr_cli gp-serve` process and wire() reports the real frames/bytes/
 // retries instead of zeros. DistributedTopK validates every remote record
 // byte-for-byte against the AP graph, so the two tiers are bit-checkable
-// against each other (tests/dist/remote_cluster_test.cc).
+// against each other (tests/dist/remote_parity_test.cc).
 
 #include <cstdint>
 #include <memory>

@@ -107,9 +107,10 @@ class TraceRecorder {
   // list [{"phase","depth","start_us","dur_us"}].
   std::string ToJson() const;
 
- private:
+  // The absolute steady_clock reading AddSpanAt takes as a span's end.
   int64_t NowNanos() const;
 
+ private:
   int64_t query_id_ = 0;
   int64_t epoch_nanos_ = 0;
   int32_t open_depth_ = 0;

@@ -21,57 +21,65 @@ const char* BackendName(Backend backend) {
   return "unknown";
 }
 
+namespace {
+
+// The single-generation store a fixed cluster is served from. Nothing
+// outside the service can reach it, so it never advances and the cluster
+// (possibly remote) is never restriped.
+std::shared_ptr<GraphStore> StoreOf(const dist::Cluster* cluster) {
+  CHECK(cluster != nullptr) << "a query service needs a cluster";
+  return std::make_shared<GraphStore>(cluster->graph_ptr(),
+                                      cluster->generation());
+}
+
+// Stripes the store's current generation eagerly so the first queries
+// don't all pile up on the striping mutex.
+std::shared_ptr<const dist::Cluster> StripeCurrent(const GraphStore* store,
+                                                   int num_gps) {
+  CHECK(store != nullptr) << "a query service needs a graph store";
+  PinnedGraph pinned = store->Pin();
+  return std::make_shared<const dist::Cluster>(pinned.graph, num_gps,
+                                               pinned.generation);
+}
+
+}  // namespace
+
 QueryService::QueryService(std::shared_ptr<const Graph> graph,
                            const ServiceOptions& options)
-    : QueryService(std::make_shared<GraphStore>(std::move(graph)), options) {}
+    : QueryService(std::make_shared<GraphStore>(std::move(graph)), nullptr,
+                   options) {}
 
 QueryService::QueryService(std::shared_ptr<GraphStore> store,
                            const ServiceOptions& options)
-    : store_(std::move(store)),
-      backend_(Backend::kLocal),
-      options_(options),
-      cache_(options.cache_capacity, options.cache_shards) {
-  CHECK(store_ != nullptr) << "a query service needs a graph store";
-  CHECK_GE(options_.num_workers, 1);
-  options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  last_seen_generation_.store(store_->generation(),
-                              std::memory_order_relaxed);
-  tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
-  RegisterMetrics();
-}
+    : QueryService(std::move(store), nullptr, options) {}
 
 QueryService::QueryService(std::shared_ptr<const dist::Cluster> cluster,
                            const ServiceOptions& options)
-    : cluster_(std::move(cluster)),
-      backend_(Backend::kDistributed),
-      options_(options),
-      cache_(options.cache_capacity, options.cache_shards) {
-  CHECK(cluster_ != nullptr) << "a query service needs a cluster";
-  CHECK_GE(options_.num_workers, 1);
-  options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  last_seen_generation_.store(cluster_->generation(),
-                              std::memory_order_relaxed);
-  tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
-  RegisterMetrics();
-}
+    : QueryService(StoreOf(cluster.get()), cluster, options) {}
 
 QueryService::QueryService(std::shared_ptr<GraphStore> store, int num_gps,
                            const ServiceOptions& options)
+    : QueryService(store, StripeCurrent(store.get(), num_gps), options) {}
+
+QueryService::QueryService(std::shared_ptr<GraphStore> store,
+                           std::shared_ptr<const dist::Cluster> cluster,
+                           const ServiceOptions& options)
     : store_(std::move(store)),
-      num_gps_(num_gps),
-      backend_(Backend::kDistributed),
+      cluster_(std::move(cluster)),
+      backend_(cluster_ != nullptr ? Backend::kDistributed : Backend::kLocal),
       options_(options),
+      admission_(options.scheduler),
       cache_(options.cache_capacity, options.cache_shards) {
   CHECK(store_ != nullptr) << "a query service needs a graph store";
-  CHECK_GE(num_gps_, 1);
   CHECK_GE(options_.num_workers, 1);
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  // Stripe the construction-time generation eagerly so the first queries
-  // don't all pile up on the striping mutex.
-  PinnedGraph pinned = store_->Pin();
-  cluster_ = std::make_shared<const dist::Cluster>(pinned.graph, num_gps_,
-                                                   pinned.generation);
-  last_seen_generation_.store(pinned.generation, std::memory_order_relaxed);
+  if (!admission_.enabled) {  // the FIFO configuration (see admission_)
+    admission_.batch_size = 1;
+    admission_.eps_max = 0.0;
+  }
+  admission_.batch_size = std::max<size_t>(1, admission_.batch_size);
+  last_seen_generation_.store(store_->generation(),
+                              std::memory_order_relaxed);
   tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
   RegisterMetrics();
 }
@@ -107,7 +115,7 @@ void QueryService::RegisterMetrics() {
   registrations_.push_back(registry.RegisterCallbackGauge(
       "rtr_serve_queue_depth", labels, [this] {
         std::lock_guard<std::mutex> lock(mu_);
-        return static_cast<double>(queue_.size() + sched_queue_.size());
+        return static_cast<double>(queue_.size());
       }));
   registrations_.push_back(registry.RegisterCounter(
       "rtr_sched_shed_overflow_total", labels, &shed_overflow_));
@@ -157,7 +165,7 @@ void QueryService::RegisterMetrics() {
   // Per-shard traffic series. The callbacks fold in traffic retired by
   // dist-live restripes (dist_retired_*) so the counters stay monotone
   // across generations; cluster_mu_ nests inside the registry mutex.
-  const int num_gps = num_gps_ > 0 ? num_gps_ : cluster_->num_gps();
+  const int num_gps = cluster_->num_gps();
   dist_retired_requests_.assign(static_cast<size_t>(num_gps), 0);
   dist_retired_records_.assign(static_cast<size_t>(num_gps), 0);
   dist_retired_bytes_.assign(static_cast<size_t>(num_gps), 0);
@@ -269,11 +277,10 @@ void QueryService::Shutdown() {
   workers_.clear();
   // Never-started services have no workers to drain the queue: complete the
   // admitted requests here so every accepted callback fires exactly once.
-  std::deque<Task> orphaned;
+  std::vector<Task> orphaned;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    orphaned.swap(queue_);
-    while (!sched_queue_.empty()) orphaned.push_back(sched_queue_.Pop());
+    while (!queue_.empty()) orphaned.push_back(queue_.Pop());
     if (started_ && frozen_elapsed_seconds_ < 0.0) {
       frozen_elapsed_seconds_ = uptime_.ElapsedSeconds();
     }
@@ -290,25 +297,16 @@ void QueryService::Shutdown() {
   }
 }
 
-std::shared_ptr<const Graph> QueryService::AdmissionGraph() {
-  if (store_ != nullptr) return store_->Current();
-  std::lock_guard<std::mutex> lock(cluster_mu_);
-  return cluster_->graph_ptr();
-}
-
 Status QueryService::SubmitAsync(ServeRequest request, DoneCallback done) {
-  const SchedulerOptions& sched = options_.scheduler;
   Task task;
   task.request = std::move(request);
   task.done = std::move(done);
-  task.effective_epsilon = task.request.params.epsilon;
   // Admission-time cost estimate against the currently published
   // generation: two offset subtractions per query node, no allocation.
   // Execution may pin a newer generation — the estimate is a scheduling
   // hint, not a contract.
-  task.features =
-      CostFeaturesOf(*AdmissionGraph(), task.request.query,
-                     task.request.params);
+  task.features = CostFeaturesOf(*store_->Current(), task.request.query,
+                                 task.request.params);
   task.predicted_millis = cost_model_.PredictMillis(task.features);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -316,7 +314,7 @@ Status QueryService::SubmitAsync(ServeRequest request, DoneCallback done) {
       rejected_.Increment();
       return Status::Unavailable("service is shutting down");
     }
-    const size_t depth = sched.enabled ? sched_queue_.size() : queue_.size();
+    const size_t depth = queue_.size();
     if (depth >= options_.queue_capacity) {
       rejected_.Increment();
       shed_overflow_.Increment();
@@ -331,35 +329,32 @@ Status QueryService::SubmitAsync(ServeRequest request, DoneCallback done) {
             : 0.9 * mean_predicted_millis_ + 0.1 * task.predicted_millis;
     task.cost_class =
         ClassifyCost(task.predicted_millis, mean_predicted_millis_);
-    if (sched.enabled) {
-      if (task.request.deadline_millis > 0.0) {
-        const double completion = PredictedCompletionMillis(
-            sched_queue_.total_predicted_millis(), options_.num_workers,
-            task.predicted_millis);
-        if (completion > task.request.deadline_millis) {
-          rejected_.Increment();
-          shed_predicted_.Increment();
-          return Status::Unavailable(
-              "predicted completion " + std::to_string(completion) +
-              "ms exceeds deadline " +
-              std::to_string(task.request.deadline_millis) + "ms");
-        }
+    if (admission_.enabled && task.request.deadline_millis > 0.0) {
+      const double completion = PredictedCompletionMillis(
+          queue_.total_predicted_millis(), options_.num_workers,
+          task.predicted_millis);
+      if (completion > task.request.deadline_millis) {
+        rejected_.Increment();
+        shed_predicted_.Increment();
+        return Status::Unavailable(
+            "predicted completion " + std::to_string(completion) +
+            "ms exceeds deadline " +
+            std::to_string(task.request.deadline_millis) + "ms");
       }
-      task.effective_epsilon =
-          EffectiveEpsilon(task.request.params.epsilon, sched, depth,
-                           options_.queue_capacity);
-      if (task.effective_epsilon != task.request.params.epsilon) {
-        eps_widened_.Increment();
-      }
-      const double key =
-          PriorityKey(task.predicted_millis, arrival_clock_.ElapsedMillis(),
-                      sched.age_boost);
-      task.admitted.Restart();
-      sched_queue_.Push(key, task.predicted_millis, std::move(task));
-    } else {
-      task.admitted.Restart();
-      queue_.push_back(std::move(task));
     }
+    task.effective_epsilon = EffectiveEpsilon(
+        task.request.params.epsilon, admission_, depth,
+        options_.queue_capacity);
+    if (task.effective_epsilon != task.request.params.epsilon) {
+      eps_widened_.Increment();
+    }
+    const double arrival = arrival_clock_.ElapsedMillis();
+    const double key =
+        admission_.enabled
+            ? PriorityKey(task.predicted_millis, arrival, admission_.age_boost)
+            : arrival;
+    task.admitted.Restart();
+    queue_.Push(key, task.predicted_millis, std::move(task));
     // Count inside the critical section so no observer ever sees a task
     // completed before it was accepted.
     accepted_.Increment();
@@ -384,81 +379,27 @@ StatusOr<ServeResponse> QueryService::Call(const ServeRequest& request) {
 }
 
 void QueryService::WorkerLoop() {
-  if (options_.scheduler.enabled) {
-    SchedWorkerLoop();
-    return;
-  }
   // The worker's reusable query arena: sized on the first query, then
   // allocation-free for the rest of the worker's life (DESIGN.md §7).
   core::QueryWorkspace workspace;
   // The worker's trace recorder, reused across queries; only wired into
   // the workspace while tracing is on.
   obs::TraceRecorder trace;
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    ServeResponse response;
-    response.queue_millis = task.admitted.ElapsedMillis();
-    response.effective_epsilon = task.request.params.epsilon;
-    class_queue_wait_[static_cast<size_t>(task.cost_class)].Record(
-        response.queue_millis);
-    const bool traced = tracing_.load(std::memory_order_relaxed);
-    if (traced) {
-      trace.BeginQuery(static_cast<int64_t>(
-          next_query_id_.fetch_add(1, std::memory_order_relaxed)));
-      trace.AddSpan(obs::Phase::kQueueWait,
-                    static_cast<int64_t>(response.queue_millis * 1e6));
-      workspace.trace = &trace;
-    } else {
-      workspace.trace = nullptr;
-    }
-    Execute(task.request, &response, &workspace);
-    response.total_millis = task.admitted.ElapsedMillis();
-    if (traced) {
-      workspace.trace = nullptr;
-      RecordTrace(trace, response.total_millis);
-    }
-    latencies_.Record(response.total_millis);
-    if (response.total_millis > options_.slo_millis) {
-      slo_violations_.Increment();
-    }
-    if (!response.status.ok()) {
-      failed_.Increment();
-    }
-    completed_.Increment();
-    if (task.done) task.done(response);
-  }
-}
-
-void QueryService::SchedWorkerLoop() {
-  core::QueryWorkspace workspace;
-  obs::TraceRecorder trace;
   std::vector<Task> batch;
-  batch.reserve(std::max<size_t>(1, options_.scheduler.batch_size));
+  batch.reserve(admission_.batch_size);
   for (;;) {
     batch.clear();
     {
       std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock,
-                     [this] { return stopping_ || !sched_queue_.empty(); });
-      if (sched_queue_.empty()) return;  // stopping and fully drained
+      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping and fully drained
       // Fair drain: take up to batch_size, but leave work behind for idle
       // peers — a worker only batches beyond one query when the queue is
       // deeper than the pool could cover one-each.
-      const size_t workers =
-          static_cast<size_t>(std::max(options_.num_workers, 1));
-      const size_t take =
-          std::min(std::max<size_t>(1, options_.scheduler.batch_size),
-                   1 + (sched_queue_.size() - 1) / workers);
-      while (batch.size() < take && !sched_queue_.empty()) {
-        batch.push_back(sched_queue_.Pop());
-      }
+      const size_t workers = static_cast<size_t>(options_.num_workers);
+      const size_t take = std::min(admission_.batch_size,
+                                   1 + (queue_.size() - 1) / workers);
+      while (batch.size() < take) batch.push_back(queue_.Pop());
     }
     // One generation pin, observe-generation cache walk, and (in dist-live
     // mode) restripe check amortized over the whole batch; the workspace
@@ -469,22 +410,27 @@ void QueryService::SchedWorkerLoop() {
     PinnedGraph pinned = PinForQuery(&cluster);
     const double pin_millis = pin_timer.ElapsedMillis();
     ObserveGeneration(pinned.generation);
-    batches_.Increment();
-    batched_queries_.Add(batch.size());
+    if (admission_.enabled) {
+      batches_.Increment();
+      batched_queries_.Add(batch.size());
+    }
     for (Task& task : batch) {
-      RunScheduledTask(task, pinned, cluster, pin_millis, &workspace, &trace);
+      RunTask(task, pinned, cluster.get(), pin_millis, &workspace, &trace);
     }
   }
 }
 
-void QueryService::RunScheduledTask(
-    Task& task, const PinnedGraph& pinned,
-    const std::shared_ptr<const dist::Cluster>& cluster, double pin_millis,
-    core::QueryWorkspace* workspace, obs::TraceRecorder* trace) {
+void QueryService::RunTask(Task& task, const PinnedGraph& pinned,
+                           const dist::Cluster* cluster, double pin_millis,
+                           core::QueryWorkspace* workspace,
+                           obs::TraceRecorder* trace) {
   ServeResponse response;
-  response.queue_millis = task.admitted.ElapsedMillis();
+  // The batch pin ran after this task left the queue and is traced as its
+  // own phase, so it is not part of the wait.
+  response.queue_millis =
+      std::max(0.0, task.admitted.ElapsedMillis() - pin_millis);
   response.effective_epsilon = task.effective_epsilon;
-  response.predicted_millis = task.predicted_millis;
+  if (admission_.enabled) response.predicted_millis = task.predicted_millis;
   response.generation = pinned.generation;
   class_queue_wait_[static_cast<size_t>(task.cost_class)].Record(
       response.queue_millis);
@@ -492,10 +438,13 @@ void QueryService::RunScheduledTask(
   if (traced) {
     trace->BeginQuery(static_cast<int64_t>(
         next_query_id_.fetch_add(1, std::memory_order_relaxed)));
-    trace->AddSpan(obs::Phase::kSchedWait,
-                   static_cast<int64_t>(response.queue_millis * 1e6));
-    trace->AddSpan(obs::Phase::kGenerationPin,
-                   static_cast<int64_t>(pin_millis * 1e6));
+    // Wait, then pin, laid end to end up to now.
+    const int64_t pin_nanos = static_cast<int64_t>(pin_millis * 1e6);
+    const int64_t now = trace->NowNanos();
+    trace->AddSpanAt(
+        admission_.enabled ? obs::Phase::kSchedWait : obs::Phase::kQueueWait,
+        now - pin_nanos, static_cast<int64_t>(response.queue_millis * 1e6));
+    trace->AddSpanAt(obs::Phase::kGenerationPin, now, pin_nanos);
     workspace->trace = trace;
   } else {
     workspace->trace = nullptr;
@@ -506,8 +455,8 @@ void QueryService::RunScheduledTask(
   core::TopKParams effective_params = task.request.params;
   effective_params.epsilon = task.effective_epsilon;
   double engine_millis = -1.0;
-  ExecutePinned(task.request.query, effective_params, pinned, cluster.get(),
-                &response, workspace, &engine_millis);
+  Execute(task.request.query, effective_params, pinned, cluster, &response,
+          workspace, &engine_millis);
   response.total_millis = task.admitted.ElapsedMillis();
   if (traced) {
     workspace->trace = nullptr;
@@ -529,22 +478,16 @@ void QueryService::RunScheduledTask(
   if (task.done) task.done(response);
 }
 
-void QueryService::ExecutePinned(const Query& query,
-                                 const core::TopKParams& params,
-                                 const PinnedGraph& pinned,
-                                 const dist::Cluster* cluster,
-                                 ServeResponse* response,
-                                 core::QueryWorkspace* workspace,
-                                 double* engine_millis) {
-  if (!options_.enable_cache) {
-    WallTimer engine_timer;
-    response->status = RunEngine(query, params, *pinned.graph, cluster,
-                                 &response->topk, workspace);
-    *engine_millis = engine_timer.ElapsedMillis();
-    return;
-  }
-  CacheKey key = CacheKey::Of(query, params, pinned.generation);
-  {
+void QueryService::Execute(const Query& query, const core::TopKParams& params,
+                           const PinnedGraph& pinned,
+                           const dist::Cluster* cluster,
+                           ServeResponse* response,
+                           core::QueryWorkspace* workspace,
+                           double* engine_millis) {
+  CacheKey key;
+  if (options_.enable_cache) {
+    key = CacheKey::Of(query, params, pinned.generation);
+    // The deep copy into the response happens here, outside the shard lock.
     obs::ScopedSpan span(workspace->trace, obs::Phase::kCacheLookup);
     if (std::shared_ptr<const core::TopKResult> hit = cache_.Lookup(key)) {
       response->topk = *hit;
@@ -553,42 +496,50 @@ void QueryService::ExecutePinned(const Query& query,
     }
   }
   WallTimer engine_timer;
-  response->status = RunEngine(query, params, *pinned.graph, cluster,
-                               &response->topk, workspace);
+  if (backend_ == Backend::kLocal) {
+    // Engine output lands directly in the response's result object; all
+    // O(num_nodes) scratch comes from the worker's arena.
+    response->status = core::TopKRoundTripRank(*pinned.graph, query, params,
+                                               *workspace, &response->topk);
+  } else {
+    StatusOr<dist::DistributedTopKResult> result =
+        dist::DistributedTopK(*cluster, query, params, workspace);
+    response->status = result.status();
+    if (result.ok()) response->topk = std::move(result->topk);
+  }
   *engine_millis = engine_timer.ElapsedMillis();
-  if (response->status.ok()) cache_.Insert(key, response->topk);
+  if (options_.enable_cache && response->status.ok()) {
+    cache_.Insert(key, response->topk);
+  }
 }
 
 PinnedGraph QueryService::PinForQuery(
     std::shared_ptr<const dist::Cluster>* cluster) {
-  if (backend_ == Backend::kLocal) return store_->Pin();
-  if (num_gps_ == 0) {
-    // Fixed cluster: cluster_ never changes after construction.
-    *cluster = cluster_;
-    return PinnedGraph{cluster_->graph_ptr(), cluster_->generation()};
-  }
-  // Dist-live: serve from a cluster striped off the store's current
-  // generation. The first worker to pin a new generation restripes while
-  // holding cluster_mu_ (an O(graph) rebuild — later generations' queries
-  // briefly queue on the mutex, while queries already holding the retired
+  PinnedGraph pinned = store_->Pin();
+  if (backend_ == Backend::kLocal) return pinned;
+  // Serve from a cluster striped off the store's current generation. A
+  // fixed cluster's store never advances, so only dist-live restripes: the
+  // first worker to pin a new generation restripes while holding
+  // cluster_mu_ (an O(graph) rebuild — later generations' queries briefly
+  // queue on the mutex, while queries already holding the retired
   // cluster's shared_ptr keep draining untouched). If another worker
   // already striped a generation NEWER than our pin, serve from that: a
   // query must never run on a cluster older than the generation key it
   // caches under.
-  PinnedGraph pinned = store_->Pin();
   std::lock_guard<std::mutex> lock(cluster_mu_);
   if (cluster_->generation() < pinned.generation) {
     // Fold the retired cluster's traffic into the retained totals so the
     // per-GP callback counters stay monotone across restripes.
-    for (int gp = 0; gp < cluster_->num_gps(); ++gp) {
+    const int num_gps = cluster_->num_gps();
+    for (int gp = 0; gp < num_gps; ++gp) {
       const size_t g = static_cast<size_t>(gp);
       dist_retired_requests_[g] += cluster_->fetch_requests(gp);
       dist_retired_records_[g] += cluster_->records_served(gp);
       dist_retired_bytes_[g] += cluster_->bytes_served(gp);
     }
     LOG(INFO) << "restriping generation " << pinned.generation << " across "
-              << num_gps_ << " graph processors";
-    cluster_ = std::make_shared<const dist::Cluster>(pinned.graph, num_gps_,
+              << num_gps << " graph processors";
+    cluster_ = std::make_shared<const dist::Cluster>(pinned.graph, num_gps,
                                                      pinned.generation);
   } else if (cluster_->generation() > pinned.generation) {
     pinned = PinnedGraph{cluster_->graph_ptr(), cluster_->generation()};
@@ -610,55 +561,6 @@ void QueryService::ObserveGeneration(uint64_t generation) {
       return;
     }
   }
-}
-
-void QueryService::Execute(const ServeRequest& request,
-                           ServeResponse* response,
-                           core::QueryWorkspace* workspace) {
-  std::shared_ptr<const dist::Cluster> cluster;
-  PinnedGraph pinned = [&] {
-    obs::ScopedSpan span(workspace->trace, obs::Phase::kGenerationPin);
-    return PinForQuery(&cluster);
-  }();
-  ObserveGeneration(pinned.generation);
-  response->generation = pinned.generation;
-  if (!options_.enable_cache) {
-    response->status = RunEngine(request.query, request.params, *pinned.graph,
-                                 cluster.get(), &response->topk, workspace);
-    return;
-  }
-  CacheKey key = CacheKey::Of(request.query, request.params,
-                              pinned.generation);
-  // The deep copy into the response happens here, outside the shard lock.
-  {
-    obs::ScopedSpan span(workspace->trace, obs::Phase::kCacheLookup);
-    if (std::shared_ptr<const core::TopKResult> hit = cache_.Lookup(key)) {
-      response->topk = *hit;
-      response->cache_hit = true;
-      return;
-    }
-  }
-  response->status = RunEngine(request.query, request.params, *pinned.graph,
-                               cluster.get(), &response->topk, workspace);
-  if (response->status.ok()) cache_.Insert(key, response->topk);
-}
-
-Status QueryService::RunEngine(const Query& query,
-                               const core::TopKParams& params,
-                               const Graph& graph,
-                               const dist::Cluster* cluster,
-                               core::TopKResult* topk,
-                               core::QueryWorkspace* workspace) const {
-  if (backend_ == Backend::kLocal) {
-    // Engine output lands directly in the response's result object; all
-    // O(num_nodes) scratch comes from the worker's arena.
-    return core::TopKRoundTripRank(graph, query, params, *workspace, topk);
-  }
-  StatusOr<dist::DistributedTopKResult> result =
-      dist::DistributedTopK(*cluster, query, params, workspace);
-  if (!result.ok()) return result.status();
-  *topk = std::move(result->topk);
-  return Status::OK();
 }
 
 ServiceStats QueryService::stats() const {

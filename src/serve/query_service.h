@@ -20,7 +20,7 @@
 // instantiated per worker.
 //
 // Live updates (DESIGN.md §8): a service constructed over a
-// graph::GraphStore pins the store's current generation per query
+// graph::GraphStore pins the store's current generation per worker batch
 // (GraphStore::Pin — a refcount bump, never a graph copy), so a writer
 // publishing new generations through GraphStore::Apply/Publish swaps the
 // served graph without stopping the pool: in-flight queries drain on the
@@ -33,7 +33,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -93,8 +92,9 @@ struct ServiceOptions {
   MapMode map_mode = MapMode::kAuto;
   // Cost-model admission scheduling (serve/scheduler.h, DESIGN.md §11):
   // priority queue ordered by predicted cost, batched worker drains,
-  // deadline shedding, adaptive epsilon. Disabled by default — the FIFO
-  // deque path is preserved byte for byte.
+  // deadline shedding, adaptive epsilon. Disabled by default, which runs
+  // the same queue as FIFO: arrival order, one query per drain, no
+  // shedding, no widening.
   SchedulerOptions scheduler;
 };
 
@@ -104,7 +104,7 @@ struct ServeRequest {
   // Optional completion budget, measured from admission. With the
   // scheduler on, admission rejects (kUnavailable, counted in
   // shed_predicted) requests whose predicted completion exceeds this; 0
-  // means no deadline. The FIFO path ignores it.
+  // means no deadline. FIFO admission ignores it.
   double deadline_millis = 0.0;
 };
 
@@ -125,8 +125,8 @@ struct ServeResponse {
   // epsilon unless the scheduler widened it under load — clients can tell
   // precision was degraded instead of availability.
   double effective_epsilon = 0.0;
-  // The cost model's admission-time latency estimate (scheduler mode; 0 on
-  // the FIFO path).
+  // The cost model's admission-time latency estimate (scheduler mode; 0
+  // under FIFO admission).
   double predicted_millis = 0.0;
 };
 
@@ -187,7 +187,9 @@ struct ServiceStats {
 // callback exactly once. The destructor calls Shutdown.
 //
 // Ownership: every constructor shares ownership of its graph source via
-// shared_ptr — there is no "must outlive the service" contract.
+// shared_ptr — there is no "must outlive the service" contract. Every mode
+// serves from a GraphStore: the fixed-graph and fixed-cluster constructors
+// wrap their graph in a single-generation store that nothing advances.
 class QueryService {
  public:
   // Serves a fixed graph from the local engine (wrapped in an internal
@@ -198,7 +200,8 @@ class QueryService {
   // GraphStore::Apply/Publish swap new graph versions in mid-stream.
   QueryService(std::shared_ptr<GraphStore> store,
                const ServiceOptions& options);
-  // Serves a fixed cluster through the distributed AP/GP replay.
+  // Serves a fixed cluster through the distributed AP/GP replay (never
+  // restriped: its single-generation store is private to the service).
   QueryService(std::shared_ptr<const dist::Cluster> cluster,
                const ServiceOptions& options);
   // Live distributed serving: queries pin the store's current generation,
@@ -223,8 +226,6 @@ class QueryService {
 
   Backend backend() const { return backend_; }
   const ServiceOptions& options() const { return options_; }
-  // The live store, or nullptr for the fixed-cluster mode.
-  const std::shared_ptr<GraphStore>& store() const { return store_; }
 
   // Spawns the worker pool. Fails with kFailedPrecondition if already
   // started (including after Shutdown — services are not restartable).
@@ -283,61 +284,57 @@ class QueryService {
     CostClass cost_class = CostClass::kModerate;
   };
 
+  // Every public constructor delegates here. A null cluster serves the
+  // local engine; otherwise `cluster` is restriped whenever the store
+  // publishes a newer generation than it was built from.
+  QueryService(std::shared_ptr<GraphStore> store,
+               std::shared_ptr<const dist::Cluster> cluster,
+               const ServiceOptions& options);
+
+  // Drains batches from queue_, pinning the generation once per batch.
   // Each worker owns one core::QueryWorkspace (the per-query arena of
   // DESIGN.md §7) for its whole lifetime, so steady-state cache misses run
   // the engine without O(num_nodes) allocation or zeroing.
   void WorkerLoop();
-  // Scheduler-mode worker loop: drains cost-ordered batches from
-  // sched_queue_, pinning the generation once per batch.
-  void SchedWorkerLoop();
-  // Runs one scheduled task on an already-pinned generation. pin_millis is
-  // the batch's (amortized) pin duration, attributed to each traced query.
-  void RunScheduledTask(Task& task, const PinnedGraph& pinned,
-                        const std::shared_ptr<const dist::Cluster>& cluster,
-                        double pin_millis, core::QueryWorkspace* workspace,
-                        obs::TraceRecorder* trace);
-  // Cache lookup + engine dispatch against a pre-pinned generation, with
-  // the caller's (possibly widened) params. Sets *engine_millis to the
-  // measured engine time, or leaves it negative on a cache hit.
-  void ExecutePinned(const Query& query, const core::TopKParams& params,
-                     const PinnedGraph& pinned, const dist::Cluster* cluster,
-                     ServeResponse* response, core::QueryWorkspace* workspace,
-                     double* engine_millis);
-  // The currently published graph, for admission-time feature extraction
-  // (degree lookups). Never blocks on a restripe.
-  std::shared_ptr<const Graph> AdmissionGraph();
+  // Serves one dequeued task on its batch's pinned generation and fires
+  // its callback. pin_millis is the batch's pin duration, traced as its
+  // own phase and left out of the task's queue wait.
+  void RunTask(Task& task, const PinnedGraph& pinned,
+               const dist::Cluster* cluster, double pin_millis,
+               core::QueryWorkspace* workspace, obs::TraceRecorder* trace);
+  // Cache lookup + backend dispatch against a pinned generation, with the
+  // task's (possibly widened) params. Sets *engine_millis to the measured
+  // engine time, or leaves it negative on a cache hit.
+  void Execute(const Query& query, const core::TopKParams& params,
+               const PinnedGraph& pinned, const dist::Cluster* cluster,
+               ServeResponse* response, core::QueryWorkspace* workspace,
+               double* engine_millis);
   // Registers this service's series with the default metrics registry;
-  // called once from every non-delegating constructor.
+  // called once, from the delegated-to constructor.
   void RegisterMetrics();
   // Folds one traced query into the per-phase histograms and the
   // slowest-trace ring.
   void RecordTrace(const obs::TraceRecorder& trace, double total_millis);
-  // Cache lookup + engine dispatch; fills everything but the timing fields.
-  void Execute(const ServeRequest& request, ServeResponse* response,
-               core::QueryWorkspace* workspace);
   // Resolves the graph generation (and, for kDistributed, the cluster)
-  // this query runs on. In dist-live mode this is where a new generation's
+  // a batch runs on. In dist-live mode this is where a new generation's
   // cluster gets striped.
   PinnedGraph PinForQuery(std::shared_ptr<const dist::Cluster>* cluster);
   // Raises the observed-generation watermark; the winning caller reclaims
   // cache entries of retired generations.
   void ObserveGeneration(uint64_t generation);
-  // Backend dispatch for one cache miss, on the pinned generation.
-  Status RunEngine(const Query& query, const core::TopKParams& params,
-                   const Graph& graph, const dist::Cluster* cluster,
-                   core::TopKResult* topk,
-                   core::QueryWorkspace* workspace) const;
 
-  // Graph source. store_ is non-null in every mode except dist-static
-  // (fixed cluster); cluster_ is the fixed cluster in dist-static mode and
-  // the most recently striped generation's cluster in dist-live mode
-  // (guarded by cluster_mu_ there, immutable otherwise).
+  // Graph source. store_ is never null; cluster_ is null for the local
+  // backend, else the most recently striped generation's cluster (guarded
+  // by cluster_mu_).
   std::shared_ptr<GraphStore> store_;
   std::shared_ptr<const dist::Cluster> cluster_;
   std::mutex cluster_mu_;
-  int num_gps_ = 0;  // > 0 iff dist-live
   Backend backend_;
   ServiceOptions options_;
+  // options_.scheduler resolved at construction. Scheduler off is the
+  // FIFO configuration: arrival-order key, batch_size 1, no deadline
+  // shedding (enabled stays false), eps_max 0 (no widening).
+  SchedulerOptions admission_;
   ResultCache cache_;
   LatencyHistogram latencies_;
   // Highest generation any query has pinned; raised with a CAS so exactly
@@ -348,11 +345,8 @@ class QueryService {
   // Held for the whole of Shutdown; see the comment there.
   std::mutex shutdown_mu_;
   std::condition_variable queue_cv_;
-  // Exactly one of these holds queued work: the FIFO deque (scheduler
-  // off — the original admission path, untouched) or the cost-ordered
-  // priority queue (scheduler on). Both under mu_.
-  std::deque<Task> queue_;
-  AdmissionQueue<Task> sched_queue_;
+  // Admitted, not yet dequeued tasks, ordered by admission_. Under mu_.
+  AdmissionQueue<Task> queue_;
   // Decayed mean of admission-time predictions; anchors the
   // cheap/moderate/heavy class split. Under mu_.
   double mean_predicted_millis_ = 0.0;
@@ -377,7 +371,7 @@ class QueryService {
   obs::Counter slo_violations_;
   // Scheduler series (rtr_sched_*): split rejection reasons, widened-
   // epsilon queries, batch drains. shed_overflow_ also counts FIFO-mode
-  // queue-full rejections so the reason split covers both paths.
+  // queue-full rejections so the reason split covers both modes.
   obs::Counter shed_overflow_;
   obs::Counter shed_predicted_;
   obs::Counter eps_widened_;

@@ -4,8 +4,10 @@
 // Cost-model admission scheduling for the serve path (DESIGN.md §11).
 //
 // This header holds the scheduling *policy* — pure, allocation-light,
-// deterministically testable pieces — and the priority admission queue that
-// replaces QueryService's FIFO deque when SchedulerOptions::enabled is set:
+// deterministically testable pieces — and the admission queue that
+// QueryService runs in both modes. With SchedulerOptions::enabled off the
+// service configures it as FIFO (arrival-order key, batches of one, no
+// deadline shedding, no widening); with it on:
 //
 //  * PriorityKey: shortest-predicted-job-first with an age-based
 //    anti-starvation boost. The trick is that the key is computed once at
@@ -32,7 +34,7 @@
 //  * AdmissionQueue<TaskT>: a min-key binary heap with FIFO sequence
 //    tie-break and a running sum of queued predicted cost (the backlog
 //    input to deadline shedding). Externally synchronized — QueryService
-//    operates it under the same mutex that guarded the FIFO deque.
+//    operates it under its admission mutex.
 
 #include <algorithm>
 #include <cstddef>
@@ -43,8 +45,9 @@
 namespace rtr::serve {
 
 struct SchedulerOptions {
-  // Master switch. Off preserves QueryService's FIFO admission path byte
-  // for byte — every pre-scheduler test pins the old behavior.
+  // Master switch. Off runs QueryService's admission queue as FIFO:
+  // arrival-order key, batch_size 1, no deadline shedding, no widening
+  // (the fields below are ignored).
   bool enabled = false;
   // Most queued requests one worker drains into a single workspace-warm
   // batch (one generation pin + cache-evict check amortized across them).

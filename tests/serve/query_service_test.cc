@@ -529,6 +529,47 @@ TEST(QueryServiceTest, DistLiveBackendRestripesOnSwap) {
   service.Shutdown();
 }
 
+// A scheduled batch pins its generation once, and that pin is its own
+// phase: it must not also be counted inside the batch's wait. A dist-live
+// restripe makes the pin large enough that a double count shows up as a
+// phase sum above the query's wall time.
+TEST(QueryServiceTest, ScheduledRestripePinIsTracedOnce) {
+  auto store = std::make_shared<GraphStore>(SharedGraphPtr());
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.enable_cache = false;
+  options.enable_tracing = true;
+  options.scheduler.enabled = true;
+  QueryService service(store, /*num_gps=*/2, options);
+  ASSERT_TRUE(service.Start().ok());
+
+  NodeId query = 0;
+  while (store->Current()->out_degree(query) == 0) ++query;
+  ASSERT_TRUE(service.Call({{query}, DefaultParams()}).ok());
+
+  auto phase_sum = [&service] {
+    double sum = 0.0;
+    for (size_t p = 0; p < obs::kNumPhases; ++p) {
+      sum += service.phase_latencies(static_cast<obs::Phase>(p)).SumMillis();
+    }
+    return sum;
+  };
+  const double phases_before = phase_sum();
+  const double latency_before = service.latencies().SumMillis();
+
+  ASSERT_TRUE(
+      store->Apply(GrowthDelta(0, store->Current()->num_nodes(), 17)).ok());
+  StatusOr<ServeResponse> restriped = service.Call({{query}, DefaultParams()});
+  ASSERT_TRUE(restriped.ok());
+  ASSERT_TRUE(restriped->status.ok());
+  EXPECT_EQ(restriped->generation, 1u);
+
+  // Same slack per query as TracedPhasesSumToAtMostTotalLatency.
+  EXPECT_LE(phase_sum() - phases_before,
+            service.latencies().SumMillis() - latency_before + 0.05);
+  service.Shutdown();
+}
+
 // Swap-under-load stress (the serve-side TSan target): a writer publishes
 // generations while 4 workers drain a query stream; every response must be
 // bit-identical to a serial run on the generation it reports.

@@ -255,6 +255,38 @@ TEST(SchedulerServiceTest, SchedulerOffMatchesSerialEngine) {
   EXPECT_EQ(class_total, stream.size());
 }
 
+// FIFO runs through the scheduler's task runner, so its engine runs train
+// the cost model that splits its queue waits by class, while its
+// scheduler-only observables stay off.
+TEST(SchedulerServiceTest, FifoEngineRunsTrainTheCostModel) {
+  const Graph& graph = SharedNet().graph();
+  core::TopKParams params = DefaultParams();
+  std::vector<NodeId> stream = QueryStream(graph, 10, 20, 29);
+
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = stream.size();
+  options.enable_tracing = true;
+  QueryService service(SharedGraphPtr(), options);
+  ASSERT_TRUE(service.Start().ok());
+  for (NodeId q : stream) {
+    StatusOr<ServeResponse> response = service.Call({{q}, params});
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response->status.ok());
+    EXPECT_EQ(response->predicted_millis, 0.0);
+  }
+  service.Shutdown();
+
+  ServiceStats stats = service.stats();
+  EXPECT_GT(stats.cache_misses, 0u);
+  EXPECT_GT(service.cost_model().observations(), 0u);
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(stats.batched_queries, 0u);
+  EXPECT_EQ(service.phase_latencies(obs::Phase::kQueueWait).Count(),
+            stream.size());
+  EXPECT_EQ(service.phase_latencies(obs::Phase::kSchedWait).Count(), 0u);
+}
+
 // Deadline shedding is deterministic: any positive prediction blows a
 // sub-microsecond deadline, and the FIFO path never sheds on deadlines.
 TEST(SchedulerServiceTest, DeadlineShedsAtAdmissionWithDistinctCounter) {

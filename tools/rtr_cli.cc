@@ -814,7 +814,13 @@ int CmdServe(const Flags& flags) {
 
   std::string backend = flags.GetString(
       "backend", gp_endpoints.empty() ? "local" : "remote");
-  auto store = std::make_shared<rtr::GraphStore>(graph_sp, generation);
+  // The in-process backends serve (and --delta advances) this store. A
+  // remote cluster is served from the service's own single-generation
+  // store, so a second one here would duplicate the rtr_store_* series.
+  std::shared_ptr<rtr::GraphStore> store;
+  if (backend != "remote") {
+    store = std::make_shared<rtr::GraphStore>(graph_sp, generation);
+  }
   std::unique_ptr<rtr::serve::QueryService> service;
   // Kept past service construction so the end-of-run wire summary can read
   // the remote sources' traffic.
