@@ -94,60 +94,21 @@ void BM_TRankPowerIteration(benchmark::State& state) {
 BENCHMARK(BM_TRankPowerIteration);
 
 // The gather-multiply-accumulate kernel itself, over the shared graph's
-// whole in-column per iteration. Arg 0: 0 = portable forced, 1 = the
-// host's best ISA (AVX2 when available). Arg 1: 0 = exact f64 probs,
-// 1 = f32 probs widened in-register.
+// whole in-column per iteration.
 void BM_GatherDot(benchmark::State& state) {
-  Graph g = SharedGraph();  // copy: the f32 column is bench-local
-  g.PopulateF32Probs();
-  const bool want_simd = state.range(0) != 0;
-  const bool f32 = state.range(1) != 0;
-  const bool saved = rtr::util::SimdEnabled();
-  rtr::util::SetSimdEnabled(want_simd);
+  const Graph& g = SharedGraph();
   std::vector<double> x(g.num_nodes(), 1.0);
   const uint32_t* idx = g.in_sources().data();
+  const double* probs = g.in_probs().data();
   const size_t n = g.in_sources().size();
   for (auto _ : state) {
-    double sum = f32 ? rtr::util::GatherDotF32(idx, g.in_probs_f32().data(),
-                                               n, x.data())
-                     : rtr::util::GatherDotF64(idx, g.in_probs().data(), n,
-                                               x.data());
+    double sum = rtr::util::GatherDot(idx, probs, n, x.data());
     benchmark::DoNotOptimize(sum);
   }
-  rtr::util::SetSimdEnabled(saved);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
-  state.SetLabel(std::string(want_simd ? rtr::util::DenseKernelIsa()
-                                       : "portable") +
-                 (f32 ? "/f32" : "/f64"));
 }
-BENCHMARK(BM_GatherDot)
-    ->ArgsProduct({{0, 1}, {0, 1}});
-
-// End-to-end power iteration across the kernel variants. Arg 0 toggles
-// SIMD, arg 1 the f32 probability column (both restored afterwards).
-void BM_FRankKernels(benchmark::State& state) {
-  static const Graph* g32 = [] {
-    Graph* g = new Graph(SharedGraph());
-    g->PopulateF32Probs();
-    return g;
-  }();
-  const bool saved_simd = rtr::util::SimdEnabled();
-  const bool saved_f32 = rtr::util::F32KernelsEnabled();
-  rtr::util::SetSimdEnabled(state.range(0) != 0);
-  rtr::util::SetF32Kernels(state.range(1) != 0);
-  rtr::ranking::WalkParams params;
-  params.tolerance = 1e-10;
-  for (auto _ : state) {
-    std::vector<double> f = rtr::ranking::FRank(*g32, {0}, params);
-    benchmark::DoNotOptimize(f.data());
-  }
-  rtr::util::SetSimdEnabled(saved_simd);
-  rtr::util::SetF32Kernels(saved_f32);
-  state.counters["threads"] = rtr::util::NumThreads();
-}
-BENCHMARK(BM_FRankKernels)
-    ->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_GatherDot);
 
 void BM_BcaProcessBest(benchmark::State& state) {
   const Graph& g = SharedGraph();

@@ -72,24 +72,17 @@ void StepForwardInto(const Graph& g, const std::vector<double>& dist,
   const size_t chunks = util::BalancedChunkBounds(
       g.in_offsets().data(), g.num_nodes(), kArcGrain, bounds);
   std::vector<double>& out = *next;
-  // Gather-dot kernels over the hoisted (source, prob) columns; the f32
-  // column is used when present and opted in (see util/dense_kernels.h).
+  // Gather-dot kernel over the hoisted (source, prob) columns (see
+  // util/dense_kernels.h).
   const size_t* off = g.in_offsets().data();
   const NodeId* src = g.in_sources().data();
   const double* probs = g.in_probs().data();
-  const float* probs32 = util::F32KernelsEnabled() && g.has_f32_probs()
-                             ? g.in_probs_f32().data()
-                             : nullptr;
   util::ParallelForChunks(
       bounds, chunks, [&](size_t, size_t begin, size_t end) {
         for (size_t v = begin; v < end; ++v) {
           const size_t row = off[v];
           const size_t deg = off[v + 1] - row;
-          out[v] = probs32 != nullptr
-                       ? util::GatherDotF32(src + row, probs32 + row, deg,
-                                            dist.data())
-                       : util::GatherDotF64(src + row, probs + row, deg,
-                                            dist.data());
+          out[v] = util::GatherDot(src + row, probs + row, deg, dist.data());
         }
       });
 }
@@ -106,19 +99,12 @@ void StepBackwardInto(const Graph& g, const std::vector<double>& prob,
   const size_t* off = g.out_offsets().data();
   const NodeId* tgt = g.out_targets().data();
   const double* probs = g.out_probs().data();
-  const float* probs32 = util::F32KernelsEnabled() && g.has_f32_probs()
-                             ? g.out_probs_f32().data()
-                             : nullptr;
   util::ParallelForChunks(
       bounds, chunks, [&](size_t, size_t begin, size_t end) {
         for (size_t v = begin; v < end; ++v) {
           const size_t row = off[v];
           const size_t deg = off[v + 1] - row;
-          out[v] = probs32 != nullptr
-                       ? util::GatherDotF32(tgt + row, probs32 + row, deg,
-                                            prob.data())
-                       : util::GatherDotF64(tgt + row, probs + row, deg,
-                                            prob.data());
+          out[v] = util::GatherDot(tgt + row, probs + row, deg, prob.data());
         }
       });
 }

@@ -355,9 +355,6 @@ class DeltaOps {
     }
 
     g.RebindViews();
-    // A base carrying the optional f32 columns hands them down so the
-    // capability survives delta catch-up (exact casts of the new probs).
-    if (base.has_f32_probs()) g.PopulateF32Probs();
     return g;
   }
 };

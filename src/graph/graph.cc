@@ -17,8 +17,6 @@ void Graph::RebindViews() {
   in_sources_view_ = in_sources_;
   in_arc_weights_view_ = in_arc_weights_;
   in_probs_view_ = in_probs_;
-  out_probs_f32_view_ = out_probs_f32_;
-  in_probs_f32_view_ = in_probs_f32_;
 }
 
 void Graph::RebindOwnedViews() {
@@ -32,8 +30,6 @@ void Graph::RebindOwnedViews() {
   if (!in_sources_.empty()) in_sources_view_ = in_sources_;
   if (!in_arc_weights_.empty()) in_arc_weights_view_ = in_arc_weights_;
   if (!in_probs_.empty()) in_probs_view_ = in_probs_;
-  if (!out_probs_f32_.empty()) out_probs_f32_view_ = out_probs_f32_;
-  if (!in_probs_f32_.empty()) in_probs_f32_view_ = in_probs_f32_;
 }
 
 Graph::Graph(const Graph& other)
@@ -48,8 +44,6 @@ Graph::Graph(const Graph& other)
       in_sources_(other.in_sources_),
       in_arc_weights_(other.in_arc_weights_),
       in_probs_(other.in_probs_),
-      out_probs_f32_(other.out_probs_f32_),
-      in_probs_f32_(other.in_probs_f32_),
       node_types_view_(other.node_types_view_),
       out_offsets_view_(other.out_offsets_view_),
       out_targets_view_(other.out_targets_view_),
@@ -60,9 +54,6 @@ Graph::Graph(const Graph& other)
       in_sources_view_(other.in_sources_view_),
       in_arc_weights_view_(other.in_arc_weights_view_),
       in_probs_view_(other.in_probs_view_),
-      out_probs_f32_view_(other.out_probs_f32_view_),
-      in_probs_f32_view_(other.in_probs_f32_view_),
-      has_f32_probs_(other.has_f32_probs_),
       mapping_(other.mapping_) {
   // Borrowed views (into `mapping_`, shared above) carry over verbatim;
   // views over `other`'s vectors must re-anchor on this copy's vectors.
@@ -92,27 +83,8 @@ Graph Graph::MaterializeOwning() const {
   g.in_arc_weights_.assign(in_arc_weights_view_.begin(),
                            in_arc_weights_view_.end());
   g.in_probs_.assign(in_probs_view_.begin(), in_probs_view_.end());
-  g.out_probs_f32_.assign(out_probs_f32_view_.begin(),
-                          out_probs_f32_view_.end());
-  g.in_probs_f32_.assign(in_probs_f32_view_.begin(), in_probs_f32_view_.end());
-  g.has_f32_probs_ = has_f32_probs_;
   g.RebindViews();
   return g;
-}
-
-void Graph::PopulateF32Probs() {
-  if (has_f32_probs_) return;
-  out_probs_f32_.resize(out_probs_view_.size());
-  for (size_t i = 0; i < out_probs_view_.size(); ++i) {
-    out_probs_f32_[i] = static_cast<float>(out_probs_view_[i]);
-  }
-  in_probs_f32_.resize(in_probs_view_.size());
-  for (size_t i = 0; i < in_probs_view_.size(); ++i) {
-    in_probs_f32_[i] = static_cast<float>(in_probs_view_[i]);
-  }
-  out_probs_f32_view_ = out_probs_f32_;
-  in_probs_f32_view_ = in_probs_f32_;
-  has_f32_probs_ = true;
 }
 
 double Graph::TransitionProb(NodeId u, NodeId v) const {
@@ -156,8 +128,6 @@ size_t Graph::MemoryBytes() const {
            sizeof(double);
   bytes += (out_probs_view_.size() + in_probs_view_.size()) * sizeof(double);
   bytes += out_weights_view_.size() * sizeof(double);
-  bytes += (out_probs_f32_view_.size() + in_probs_f32_view_.size()) *
-           sizeof(float);
   return bytes;
 }
 

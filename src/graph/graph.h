@@ -50,9 +50,7 @@ class MappedSnapshot;  // graph/snapshot.h: RAII mmap of an rtr-snap file.
 // function is const and touches only the frozen columns. Any number of
 // threads may therefore share one Graph with no synchronization — the
 // contract the serving layer (serve::QueryService) relies on to run one
-// graph under a worker pool. (PopulateF32Probs() is the one exception: it
-// backfills the optional f32 column and must finish before the graph is
-// shared.)
+// graph under a worker pool.
 class Graph {
  public:
   Graph() = default;
@@ -137,24 +135,6 @@ class Graph {
   std::span<const double> in_arc_weights() const {
     return in_arc_weights_view_;
   }
-
-  // Optional single-precision transition-probability columns (snapshot v3,
-  // or backfilled by PopulateF32Probs). Element i is exactly
-  // static_cast<float>(probs()[i]); empty spans when absent.
-  bool has_f32_probs() const { return has_f32_probs_; }
-  std::span<const float> out_probs_f32() const { return out_probs_f32_view_; }
-  std::span<const float> in_probs_f32() const { return in_probs_f32_view_; }
-  std::span<const float> out_probs_f32(NodeId v) const {
-    DCHECK_LT(v, num_nodes());
-    return {out_probs_f32_view_.data() + out_offsets_view_[v], out_degree(v)};
-  }
-  std::span<const float> in_probs_f32(NodeId v) const {
-    DCHECK_LT(v, num_nodes());
-    return {in_probs_f32_view_.data() + in_offsets_view_[v], in_degree(v)};
-  }
-  // Backfills the f32 prob columns from the f64 ones (no-op when already
-  // present). Not thread-safe: call before the graph is shared.
-  void PopulateF32Probs();
 
   // True when the columns borrow from a MappedSnapshot instead of owning
   // vectors. The spans stay valid for this Graph's lifetime either way.
@@ -241,9 +221,6 @@ class Graph {
   std::vector<double> in_arc_weights_;    // column: raw arc weight
   std::vector<double> in_probs_;          // column: M[source][this]
 
-  std::vector<float> out_probs_f32_;      // optional f32 twin of out_probs_
-  std::vector<float> in_probs_f32_;       // optional f32 twin of in_probs_
-
   // Column views: alias the vectors above, or borrow from `mapping_`.
   std::span<const NodeTypeId> node_types_view_;
   std::span<const size_t> out_offsets_view_;
@@ -255,10 +232,6 @@ class Graph {
   std::span<const NodeId> in_sources_view_;
   std::span<const double> in_arc_weights_view_;
   std::span<const double> in_probs_view_;
-  std::span<const float> out_probs_f32_view_;
-  std::span<const float> in_probs_f32_view_;
-
-  bool has_f32_probs_ = false;
   // Keeps the mmap alive while any view borrows from it; null for graphs
   // that own all their columns.
   std::shared_ptr<const MappedSnapshot> mapping_;

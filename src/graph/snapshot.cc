@@ -86,14 +86,6 @@ void AppendColumn(std::string* buf, std::span<const T> column) {
   AppendPadding(buf);
 }
 
-// The f32 prob columns are defined as exact casts of the f64 ones, so the
-// writer always derives them from the f64 column — byte-identical whether
-// or not the in-memory graph already carries an f32 twin.
-void AppendF32CastColumn(std::string* buf, std::span<const double> column) {
-  for (double v : column) AppendU<float>(buf, static_cast<float>(v));
-  AppendPadding(buf);
-}
-
 // Copies a column out of the payload into an owning vector (bulk loader).
 template <typename T>
 Status ReadColumn(std::string_view buf, size_t* pos, size_t count,
@@ -191,7 +183,7 @@ class SnapshotCodec {
  public:
   // Everything after the 64-byte header. Reads through the column views, so
   // mapped graphs serialize the same as owning ones.
-  static std::string SerializePayload(const Graph& g, bool f32_probs) {
+  static std::string SerializePayload(const Graph& g) {
     std::string payload;
     payload.reserve(g.MemoryBytes() + 64 * g.type_names().size());
     for (const std::string& name : g.type_names()) {
@@ -209,10 +201,6 @@ class SnapshotCodec {
     AppendColumn(&payload, g.in_sources());
     AppendColumn(&payload, g.in_arc_weights());
     AppendColumn(&payload, g.in_probs());
-    if (f32_probs) {
-      AppendF32CastColumn(&payload, g.out_probs());
-      AppendF32CastColumn(&payload, g.in_probs());
-    }
     return payload;
   }
 
@@ -244,7 +232,7 @@ class SnapshotCodec {
 
   static StatusOr<Graph> Deserialize(uint64_t num_types, uint64_t num_nodes,
                                      uint64_t num_arcs,
-                                     uint64_t type_block_bytes, bool has_f32,
+                                     uint64_t type_block_bytes,
                                      std::string_view payload) {
     Graph g;
     RTR_RETURN_IF_ERROR(
@@ -271,13 +259,6 @@ class SnapshotCodec {
                                    &g.in_arc_weights_, "in weights"));
     RTR_RETURN_IF_ERROR(
         ReadColumn(payload, &pos, num_arcs, &g.in_probs_, "in probs"));
-    if (has_f32) {
-      RTR_RETURN_IF_ERROR(ReadColumn(payload, &pos, num_arcs,
-                                     &g.out_probs_f32_, "out probs f32"));
-      RTR_RETURN_IF_ERROR(ReadColumn(payload, &pos, num_arcs,
-                                     &g.in_probs_f32_, "in probs f32"));
-      g.has_f32_probs_ = true;
-    }
     if (pos != payload.size()) {
       return Status::IoError("snapshot has trailing garbage");
     }
@@ -291,7 +272,7 @@ class SnapshotCodec {
   // type names are copied out (owned strings).
   static StatusOr<Graph> DeserializeBorrowed(
       uint64_t num_types, uint64_t num_nodes, uint64_t num_arcs,
-      uint64_t type_block_bytes, bool has_f32, std::string_view payload,
+      uint64_t type_block_bytes, std::string_view payload,
       std::shared_ptr<const MappedSnapshot> mapping) {
     Graph g;
     RTR_RETURN_IF_ERROR(
@@ -320,15 +301,6 @@ class SnapshotCodec {
                                      &g.in_arc_weights_view_, "in weights"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
                                      &g.in_probs_view_, "in probs"));
-    if (has_f32) {
-      RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                       &g.out_probs_f32_view_,
-                                       "out probs f32"));
-      RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                       &g.in_probs_f32_view_,
-                                       "in probs f32"));
-      g.has_f32_probs_ = true;
-    }
     if (pos != payload.size()) {
       return Status::IoError("snapshot has trailing garbage");
     }
@@ -339,22 +311,20 @@ class SnapshotCodec {
 };
 
 Status SaveGraphSnapshot(const Graph& g, std::ostream& out,
-                         const SnapshotWriteOptions& options) {
-  const std::string payload =
-      SnapshotCodec::SerializePayload(g, options.f32_probs);
+                         uint64_t generation) {
+  const std::string payload = SnapshotCodec::SerializePayload(g);
 
   std::string header;
   header.reserve(kHeaderBytes);
   AppendRaw(&header, kSnapshotMagic, sizeof(kSnapshotMagic));
-  AppendU<uint32_t>(&header,
-                    options.f32_probs ? kSnapshotF32Version : kSnapshotVersion);
+  AppendU<uint32_t>(&header, kSnapshotVersion);
   AppendU<uint32_t>(&header, static_cast<uint32_t>(kHeaderBytes));
   AppendU<uint64_t>(&header, g.type_names().size());
   AppendU<uint64_t>(&header, g.num_nodes());
   AppendU<uint64_t>(&header, g.num_arcs());
   AppendU<uint64_t>(&header, SnapshotCodec::TypeBlockBytes(g));
   AppendU<uint64_t>(&header, Fnv1a64Words(payload.data(), payload.size()));
-  AppendU<uint64_t>(&header, options.generation);
+  AppendU<uint64_t>(&header, generation);
   DCHECK_EQ(header.size(), kHeaderBytes);
 
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
@@ -363,25 +333,11 @@ Status SaveGraphSnapshot(const Graph& g, std::ostream& out,
   return Status::OK();
 }
 
-Status SaveGraphSnapshot(const Graph& g, std::ostream& out,
-                         uint64_t generation) {
-  SnapshotWriteOptions options;
-  options.generation = generation;
-  return SaveGraphSnapshot(g, out, options);
-}
-
-Status SaveGraphSnapshotToFile(const Graph& g, const std::string& path,
-                               const SnapshotWriteOptions& options) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  return SaveGraphSnapshot(g, out, options);
-}
-
 Status SaveGraphSnapshotToFile(const Graph& g, const std::string& path,
                                uint64_t generation) {
-  SnapshotWriteOptions options;
-  options.generation = generation;
-  return SaveGraphSnapshotToFile(g, path, options);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IoError("cannot open for write: " + path);
+  return SaveGraphSnapshot(g, out, generation);
 }
 
 namespace {
@@ -389,6 +345,9 @@ namespace {
 struct SnapshotHeader {
   SnapshotFileInfo info;
   uint64_t type_block_bytes = 0;
+  // Size of a v3 file's two trailing f32 sections: counted by the size
+  // check and the checksum, never loaded.
+  uint64_t skipped_bytes = 0;
   Status status = Status::OK();
 };
 
@@ -424,7 +383,6 @@ SnapshotHeader ParseSnapshotHeader(std::string_view buf) {
   h.info.num_arcs = fields[2];
   h.type_block_bytes = fields[3];
   h.info.payload_checksum = fields[4];
-  h.info.has_f32_probs = version >= kSnapshotF32Version;
   // v1 wrote a zeroed reserved word where v2 keeps the generation id; either
   // way the value is the generation the file represents.
   h.info.generation = fields[5];
@@ -435,7 +393,8 @@ SnapshotHeader ParseSnapshotHeader(std::string_view buf) {
 }
 
 // Header parse + range checks + exact-size check, shared by the bulk and
-// mapped loaders. On OK, `payload` views everything after the header.
+// mapped loaders. On OK, `payload` views everything after the header
+// (the checksummed bytes, including any v3 sections to skip).
 Status CheckSnapshotShape(std::string_view buf, SnapshotHeader* header,
                           std::string_view* payload) {
   *header = ParseSnapshotHeader(buf);
@@ -468,9 +427,10 @@ Status CheckSnapshotShape(std::string_view buf, SnapshotHeader* header,
       2 * Padded(num_arcs * sizeof(NodeId)) +        // targets + sources
       4 * (num_arcs * sizeof(double)) +              // arc weights + probs
       num_nodes * sizeof(double);                    // per-node out-weights
-  if (header->info.has_f32_probs) {
-    expected_payload += 2 * Padded(num_arcs * sizeof(float));
+  if (header->info.version == 3) {
+    header->skipped_bytes = 2 * Padded(num_arcs * sizeof(float));
   }
+  expected_payload += header->skipped_bytes;
   if (buf.size() - kHeaderBytes != expected_payload) {
     return Status::IoError(
         buf.size() - kHeaderBytes < expected_payload
@@ -493,7 +453,8 @@ StatusOr<Graph> LoadGraphSnapshotBuffer(std::string_view buf,
   }
   StatusOr<Graph> g = SnapshotCodec::Deserialize(
       header.info.num_types, header.info.num_nodes, header.info.num_arcs,
-      header.type_block_bytes, header.info.has_f32_probs, payload);
+      header.type_block_bytes,
+      payload.substr(0, payload.size() - header.skipped_bytes));
   if (g.ok() && generation != nullptr) *generation = header.info.generation;
   return g;
 }
@@ -584,7 +545,8 @@ StatusOr<Graph> LoadGraphMapped(const std::string& path,
   }
   StatusOr<Graph> g = SnapshotCodec::DeserializeBorrowed(
       header.info.num_types, header.info.num_nodes, header.info.num_arcs,
-      header.type_block_bytes, header.info.has_f32_probs, payload,
+      header.type_block_bytes,
+      payload.substr(0, payload.size() - header.skipped_bytes),
       std::move(mapping));
   if (g.ok() && generation != nullptr) *generation = header.info.generation;
   return g;

@@ -12,7 +12,7 @@
 
 namespace rtr {
 
-// Binary graph snapshots ("rtr-snap" versions 2 and 3).
+// Binary graph snapshots ("rtr-snap" version 2).
 //
 // A snapshot freezes a Graph's columnar CSR arrays verbatim so a process can
 // come up without replaying text parsing + GraphBuilder sorting/merging. Two
@@ -25,7 +25,7 @@ namespace rtr {
 //
 //   header (64 bytes):
 //     char[8]  magic            "rtr-snap"
-//     u32      version          2 (or 3 when the f32 columns are present)
+//     u32      version          2
 //     u32      header_bytes     64
 //     u64      num_types
 //     u64      num_nodes
@@ -45,9 +45,8 @@ namespace rtr {
 //     in_sources                num_arcs x u32, padded
 //     in_arc_weights            num_arcs x f64
 //     in_probs                  num_arcs x f64
-//   v3 only (appended; SnapshotWriteOptions.f32_probs):
-//     out_probs_f32             num_arcs x f32, padded
-//     in_probs_f32              num_arcs x f32, padded
+//   v3 only (read and skipped):
+//     two sections of num_arcs x f32, padded
 //
 // The bulk loader validates the magic, version, exact file size (truncated
 // or oversized/trailing-garbage files are rejected), checksum, offset
@@ -61,39 +60,26 @@ namespace rtr {
 // checksum pass on mapped loads too.
 //
 // Versioning: v2 records the graph's generation id (graph/store.h) where v1
-// had a zeroed reserved field; v3 appends the two optional f32 transition-
-// probability columns (exact casts of the f64 ones, for the single-precision
-// SIMD kernels in util/dense_kernels.h). The loader accepts v1..v3; the
-// writer emits v2 unless f32 columns are requested. Together with delta
-// files (graph/delta.h) this is the on-disk story for live graphs: one base
-// snapshot per epoch plus a chain of deltas to catch up from.
+// had a zeroed reserved field. Older writers could emit v3, which appended
+// f32 copies of the two prob columns; the loader still accepts v1..v3, and
+// for v3 it counts the two f32 sections in the exact-size check and the
+// checksum, then skips them, so a v3 file loads to the same Graph as its v2
+// twin. The writer emits v2 only. Together with delta files (graph/delta.h)
+// this is the on-disk story for live graphs: one base snapshot per epoch
+// plus a chain of deltas to catch up from.
 
 inline constexpr char kSnapshotMagic[8] = {'r', 't', 'r', '-',
                                            's', 'n', 'a', 'p'};
-// Version written by default (no f32 columns).
+// Version the writer emits.
 inline constexpr uint32_t kSnapshotVersion = 2;
-// Version written when the optional f32 prob columns are included.
-inline constexpr uint32_t kSnapshotF32Version = 3;
 // Version range the loader reads.
 inline constexpr uint32_t kMinSnapshotVersion = 1;
 inline constexpr uint32_t kMaxSnapshotVersion = 3;
 
-struct SnapshotWriteOptions {
-  uint64_t generation = 0;
-  // Append the f32 transition-probability columns (writes a v3 file). The
-  // columns are taken from the graph when present (Graph::has_f32_probs)
-  // and derived by casting the f64 probs otherwise.
-  bool f32_probs = false;
-};
-
 Status SaveGraphSnapshot(const Graph& g, std::ostream& out,
                          uint64_t generation = 0);
-Status SaveGraphSnapshot(const Graph& g, std::ostream& out,
-                         const SnapshotWriteOptions& options);
 Status SaveGraphSnapshotToFile(const Graph& g, const std::string& path,
                                uint64_t generation = 0);
-Status SaveGraphSnapshotToFile(const Graph& g, const std::string& path,
-                               const SnapshotWriteOptions& options);
 
 // `generation` (optional) receives the header's generation id (0 for v1
 // files) when the load succeeds.
@@ -164,8 +150,6 @@ struct SnapshotFileInfo {
   uint64_t num_nodes = 0;
   uint64_t num_arcs = 0;
   uint64_t payload_checksum = 0;
-  // True for v3 files carrying the f32 prob columns.
-  bool has_f32_probs = false;
 };
 StatusOr<SnapshotFileInfo> ReadSnapshotFileInfo(const std::string& path);
 

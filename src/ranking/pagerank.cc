@@ -80,24 +80,17 @@ void FRankInto(const Graph& g, const Query& query, const WalkParams& params,
                std::vector<double>* out, std::vector<double>* scratch) {
   CheckQuery(g, query, out, scratch);
   // Hot loop: streams only the (source, prob) columns through the
-  // gather-dot kernels (util/dense_kernels.h). Column pointers are hoisted
-  // once; the f32 prob column is used only when both the graph carries it
-  // and the process opted in.
+  // gather-dot kernel (util/dense_kernels.h). Column pointers are hoisted
+  // once.
   const size_t* off = g.in_offsets().data();
   const NodeId* src = g.in_sources().data();
   const double* probs = g.in_probs().data();
-  const float* probs32 = util::F32KernelsEnabled() && g.has_f32_probs()
-                             ? g.in_probs_f32().data()
-                             : nullptr;
   PowerIterate(g, query, params, g.in_offsets(), out, scratch,
                [=](const std::vector<double>& x, NodeId v) {
                  const size_t begin = off[v];
                  const size_t deg = off[v + 1] - begin;
-                 return probs32 != nullptr
-                            ? util::GatherDotF32(src + begin, probs32 + begin,
-                                                 deg, x.data())
-                            : util::GatherDotF64(src + begin, probs + begin,
-                                                 deg, x.data());
+                 return util::GatherDot(src + begin, probs + begin, deg,
+                                        x.data());
                });
 }
 
@@ -107,18 +100,12 @@ void TRankInto(const Graph& g, const Query& query, const WalkParams& params,
   const size_t* off = g.out_offsets().data();
   const NodeId* tgt = g.out_targets().data();
   const double* probs = g.out_probs().data();
-  const float* probs32 = util::F32KernelsEnabled() && g.has_f32_probs()
-                             ? g.out_probs_f32().data()
-                             : nullptr;
   PowerIterate(g, query, params, g.out_offsets(), out, scratch,
                [=](const std::vector<double>& x, NodeId v) {
                  const size_t begin = off[v];
                  const size_t deg = off[v + 1] - begin;
-                 return probs32 != nullptr
-                            ? util::GatherDotF32(tgt + begin, probs32 + begin,
-                                                 deg, x.data())
-                            : util::GatherDotF64(tgt + begin, probs + begin,
-                                                 deg, x.data());
+                 return util::GatherDot(tgt + begin, probs + begin, deg,
+                                        x.data());
                });
 }
 

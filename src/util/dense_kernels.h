@@ -4,60 +4,39 @@
 #include <cstddef>
 #include <cstdint>
 
-// Vectorized gather-multiply-accumulate primitives for the dense pull
-// kernels (ranking::FRankInto / TRankInto and the power-iteration steps in
+// Gather-multiply-accumulate primitive for the dense pull kernels
+// (ranking::FRankInto / TRankInto and the power-iteration steps in
 // core/round_trip_rank.cc). One CSR row's contribution is
 //
 //   sum_i probs[i] * x[idx[i]]       for i in [0, n)
 //
-// — a bandwidth-bound gather-dot. Two implementations exist: a portable
-// scalar one and an AVX2 one (vpgatherdpd + mul + add), selected once at
-// startup by CPU detection and switchable at runtime.
+// — a bandwidth-bound gather-dot.
 //
-// Bit-identity contract: every implementation uses the SAME fixed 4-lane
-// summation — the main loop accumulates products into four independent lane
-// accumulators (lane j takes the products at indices i+j), the scalar tail
-// adds element i into lane i&3, and the final combine is
-// (l0 + l1) + (l2 + l3). No implementation may use FMA (the AVX2
-// translation unit is compiled with -mavx2 only, never -mfma, so the
-// compiler cannot contract the mul+add either). Under IEEE-754 the portable
-// and AVX2 paths therefore return bit-identical doubles, which is what lets
-// the f64 rank tests assert exact equality across {scalar, SIMD}.
-//
-// The f32 variant reads a float prob column (snapshot v3 /
-// Graph::PopulateF32Probs), converts each prob to double and accumulates in
-// f64 with the same 4-lane shape: f32-scalar and f32-AVX2 are bit-identical
-// to each other, and differ from the f64 kernels only by the one
-// float-cast of each prob (the documented bounded-delta path).
-//
-// Indices are u32 and gathered with signed-32 addressing on AVX2: callers
-// guarantee idx[i] < 2^31, which Graph enforces a fortiori (node counts are
-// far below kInvalidNode).
+// Fixed association: the main loop accumulates products into four
+// independent lane accumulators (lane j takes the products at indices i+j),
+// the scalar tail adds element i into lane i&3, and the final combine is
+// (l0 + l1) + (l2 + l3). The result is therefore a pure function of the
+// inputs, whatever the thread count or row partitioning, which is what lets
+// the rank tests assert exact equality across 1 vs N threads and owning vs
+// mapped storage. No -mfma or -ffast-math is set, so on x86-64 the
+// compiler can neither contract the mul + add pairs nor reorder the sums.
 
 namespace rtr::util {
 
 // sum over i<n of probs[i] * x[idx[i]], fixed 4-lane association.
-double GatherDotF64(const uint32_t* idx, const double* probs, size_t n,
-                    const double* x);
-// Same, reading f32 probs (each cast to double before the multiply).
-double GatherDotF32(const uint32_t* idx, const float* probs, size_t n,
-                    const double* x);
-
-// "avx2" or "portable": the implementation GatherDot* currently dispatches
-// to (reflects both CPU support and SetSimdEnabled).
-const char* DenseKernelIsa();
-
-// Runtime switch for the vector path. Defaults to on when the CPU supports
-// AVX2; RTR_SIMD=off (or 0/false) in the environment forces portable.
-bool SimdEnabled();
-void SetSimdEnabled(bool enabled);
-
-// Opt-in for the f32 prob columns on the dense path. Defaults to off (the
-// exact f64 kernels); RTR_F32_KERNELS=1 in the environment opts in. Callers
-// must still check Graph::has_f32_probs() — this flag only expresses
-// intent.
-bool F32KernelsEnabled();
-void SetF32Kernels(bool enabled);
+inline double GatherDot(const uint32_t* idx, const double* probs, size_t n,
+                        const double* x) {
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lanes[0] += probs[i] * x[idx[i]];
+    lanes[1] += probs[i + 1] * x[idx[i + 1]];
+    lanes[2] += probs[i + 2] * x[idx[i + 2]];
+    lanes[3] += probs[i + 3] * x[idx[i + 3]];
+  }
+  for (; i < n; ++i) lanes[i & 3] += probs[i] * x[idx[i]];
+  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
 
 // Read-prefetch hint with low temporal locality; no-op where unsupported.
 // Used by the Stage-II refinement sweeps to hide the adjacency-column
@@ -70,24 +49,6 @@ inline void PrefetchRead(const void* p) {
 #endif
 }
 
-namespace internal {
-
-using GatherF64Fn = double (*)(const uint32_t*, const double*, size_t,
-                               const double*);
-using GatherF32Fn = double (*)(const uint32_t*, const float*, size_t,
-                               const double*);
-
-struct GatherKernels {
-  GatherF64Fn f64;
-  GatherF32Fn f32;
-};
-
-// Defined in dense_kernels_avx2.cc (the only TU compiled with -mavx2);
-// returns null when AVX2 code was not compiled in. The caller still gates
-// on runtime CPU detection.
-const GatherKernels* Avx2Kernels();
-
-}  // namespace internal
 }  // namespace rtr::util
 
 #endif  // RTR_UTIL_DENSE_KERNELS_H_

@@ -70,6 +70,16 @@ check "missing operands exit 2" 2 $?
 "$CLI" convert "$TMP/g.txt" > /dev/null 2>&1
 check "missing output operand exits 2" 2 $?
 
+# The retired --probs flag must fail loudly, not quietly write a v2 file.
+rm -f "$TMP/probs.rtrsnap"
+"$CLI" convert "$TMP/g.txt" "$TMP/probs.rtrsnap" --probs=f32 \
+  > /dev/null 2> "$TMP/probs.err"
+check "removed --probs=f32 flag exits 2" 2 $?
+grep -q "usage: rtr convert <in> <out>" "$TMP/probs.err"
+check "removed --probs=f32 flag prints the usage line" 0 $?
+[ ! -e "$TMP/probs.rtrsnap" ]
+check "removed --probs=f32 flag writes no output" 0 $?
+
 "$CLI" convert "$TMP/does-not-exist" "$TMP/x" > /dev/null 2>&1
 check "nonexistent input exits 1" 1 $?
 

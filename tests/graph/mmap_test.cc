@@ -1,8 +1,9 @@
 // Zero-copy mapped snapshot loading: bit-identity against the owning
-// loader, MapMode resolution, bulk-read fallback (with its counter), the
-// v3 f32 columns, and the copy-on-write contract of delta application on
-// a mapped base generation.
+// loader, MapMode resolution, bulk-read fallback (with its counter),
+// read-and-skip of legacy v3 files, and the copy-on-write contract of delta
+// application on a mapped base generation.
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -84,17 +85,12 @@ void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
   ExpectColumnsEq(a.in_sources(), b.in_sources());
   ExpectColumnsEq(a.in_arc_weights(), b.in_arc_weights());
   ExpectColumnsEq(a.in_probs(), b.in_probs());
-  ASSERT_EQ(a.has_f32_probs(), b.has_f32_probs());
-  if (a.has_f32_probs()) {
-    ExpectColumnsEq(a.out_probs_f32(), b.out_probs_f32());
-    ExpectColumnsEq(a.in_probs_f32(), b.in_probs_f32());
-  }
 }
 
 std::string WriteSnapshot(const Graph& g, const std::string& name,
-                          const SnapshotWriteOptions& options = {}) {
+                          uint64_t generation = 0) {
   const std::string path = testing::TempDir() + "/" + name;
-  EXPECT_TRUE(SaveGraphSnapshotToFile(g, path, options).ok());
+  EXPECT_TRUE(SaveGraphSnapshotToFile(g, path, generation).ok());
   return path;
 }
 
@@ -143,10 +139,8 @@ TEST(MmapTest, PerNodeSpansMatchOnDanglingAndParallelNodes) {
 }
 
 TEST(MmapTest, GenerationComesFromTheHeader) {
-  SnapshotWriteOptions options;
-  options.generation = 41;
   const std::string path =
-      WriteSnapshot(TrickyGraph(), "mmap_gen.rtrsnap", options);
+      WriteSnapshot(TrickyGraph(), "mmap_gen.rtrsnap", /*generation=*/41);
   uint64_t generation = 0;
   StatusOr<Graph> mapped = LoadGraphMapped(path, &generation);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -274,46 +268,95 @@ TEST(MmapTest, CopyOfMappedGraphSharesTheMapping) {
   ExpectGraphsIdentical(TrickyGraph(), copy);
 }
 
-TEST(MmapTest, V3SnapshotRoundTripsTheF32Columns) {
-  Graph g = RandomGraph(9, 64);
-  SnapshotWriteOptions options;
-  options.f32_probs = true;
-  const std::string path = WriteSnapshot(g, "mmap_v3.rtrsnap", options);
+// TrickyGraph() at generation 3 as written by the v3 writer (before the
+// f32 columns were retired): the v2 layout plus two padded f32 prob
+// sections, covered by the checksum.
+constexpr unsigned char kTrickyV3Snapshot[] = {
+    0x72, 0x74, 0x72, 0x2d, 0x73, 0x6e, 0x61, 0x70, 0x03, 0x00, 0x00, 0x00,
+    0x40, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x72, 0x7e, 0x42, 0xd2, 0xd3, 0x49, 0x08, 0x78, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x75, 0x6e, 0x74, 0x79,
+    0x70, 0x65, 0x64, 0x05, 0x00, 0x00, 0x00, 0x70, 0x61, 0x70, 0x65, 0x72,
+    0x06, 0x00, 0x00, 0x00, 0x61, 0x75, 0x74, 0x68, 0x6f, 0x72, 0x00, 0x00,
+    0x01, 0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1c, 0x40, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xc0, 0x3f, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f,
+    0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xe3, 0x3f, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xf0, 0x3f, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f,
+    0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xe5, 0x3f, 0x04, 0xf7, 0x11, 0xdc,
+    0x47, 0x70, 0xef, 0x3f, 0x70, 0x1f, 0xc1, 0x7d, 0x04, 0xf7, 0x91, 0x3f,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x40, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x80, 0x1c, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1c, 0x40,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+    0x04, 0xf7, 0x11, 0xdc, 0x47, 0x70, 0xef, 0x3f, 0x9a, 0x99, 0x99, 0x99,
+    0x99, 0x99, 0xd9, 0x3f, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f,
+    0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xe3, 0x3f, 0x70, 0x1f, 0xc1, 0x7d,
+    0x04, 0xf7, 0x91, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+    0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xe5, 0x3f, 0xcd, 0xcc, 0xcc, 0x3e,
+    0x9a, 0x99, 0x19, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0xab, 0xaa, 0xaa, 0x3e,
+    0xab, 0xaa, 0x2a, 0x3f, 0x3f, 0x82, 0x7b, 0x3f, 0x24, 0xb8, 0x8f, 0x3c,
+    0x00, 0x00, 0x00, 0x00, 0x3f, 0x82, 0x7b, 0x3f, 0xcd, 0xcc, 0xcc, 0x3e,
+    0xab, 0xaa, 0xaa, 0x3e, 0x9a, 0x99, 0x19, 0x3f, 0x24, 0xb8, 0x8f, 0x3c,
+    0x00, 0x00, 0x80, 0x3f, 0xab, 0xaa, 0x2a, 0x3f, 0x00, 0x00, 0x00, 0x00};
 
-  StatusOr<SnapshotFileInfo> info = ReadSnapshotFileInfo(path);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, kSnapshotF32Version);
-  EXPECT_TRUE(info->has_f32_probs);
-
-  for (Graph loaded : {LoadGraphSnapshotFromFile(path).value(),
-                       LoadGraphMapped(path).value()}) {
-    ASSERT_TRUE(loaded.has_f32_probs());
-    ASSERT_EQ(loaded.out_probs_f32().size(), g.out_probs().size());
-    ASSERT_EQ(loaded.in_probs_f32().size(), g.in_probs().size());
-    for (size_t i = 0; i < g.out_probs().size(); ++i) {
-      // Element-exact cast of the f64 column, per the v3 contract.
-      EXPECT_EQ(loaded.out_probs_f32()[i],
-                static_cast<float>(g.out_probs()[i]));
-    }
-    for (size_t i = 0; i < g.in_probs().size(); ++i) {
-      EXPECT_EQ(loaded.in_probs_f32()[i],
-                static_cast<float>(g.in_probs()[i]));
-    }
+// A legacy v3 file still loads, through both loaders, to exactly the graph
+// its v2 twin loads to: the f32 sections are size-checked and skipped.
+TEST(MmapTest, V3SnapshotLoadsLikeItsV2Twin) {
+  const std::string v3_path = testing::TempDir() + "/mmap_legacy_v3.rtrsnap";
+  {
+    std::FILE* f = std::fopen(v3_path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(kTrickyV3Snapshot, 1, sizeof(kTrickyV3Snapshot), f),
+              sizeof(kTrickyV3Snapshot));
+    std::fclose(f);
   }
-}
+  StatusOr<SnapshotFileInfo> info = ReadSnapshotFileInfo(v3_path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->version, 3u);
 
-TEST(MmapTest, PopulateF32ProbsMatchesTheV3Columns) {
-  Graph g = RandomGraph(11, 64);
-  SnapshotWriteOptions options;
-  options.f32_probs = true;
-  const std::string path = WriteSnapshot(g, "mmap_populate.rtrsnap", options);
-  Graph from_file = LoadGraphSnapshotFromFile(path).value();
+  const std::string v2_path =
+      WriteSnapshot(TrickyGraph(), "mmap_twin_v2.rtrsnap", /*generation=*/3);
+  StatusOr<Graph> v2 = LoadGraphSnapshotFromFile(v2_path);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
 
-  EXPECT_FALSE(g.has_f32_probs());
-  g.PopulateF32Probs();
-  ASSERT_TRUE(g.has_f32_probs());
-  ExpectColumnsEq(g.out_probs_f32(), from_file.out_probs_f32());
-  ExpectColumnsEq(g.in_probs_f32(), from_file.in_probs_f32());
+  uint64_t bulk_generation = 0;
+  uint64_t mapped_generation = 0;
+  StatusOr<Graph> bulk = LoadGraphSnapshotFromFile(v3_path, &bulk_generation);
+  ASSERT_TRUE(bulk.ok()) << bulk.status().ToString();
+  StatusOr<Graph> mapped = LoadGraphMapped(v3_path, &mapped_generation);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_TRUE(mapped->is_mapped());
+  EXPECT_EQ(bulk_generation, 3u);
+  EXPECT_EQ(mapped_generation, 3u);
+  ExpectGraphsIdentical(*v2, *bulk);
+  ExpectGraphsIdentical(*v2, *mapped);
+  EXPECT_EQ(bulk->MemoryBytes(), v2->MemoryBytes());
 }
 
 // The copy-on-write regression of the satellite list: applying a delta to
@@ -322,9 +365,8 @@ TEST(MmapTest, PopulateF32ProbsMatchesTheV3Columns) {
 // rebuild byte for byte.
 TEST(MmapTest, StoreApplyOnMappedBaseCopiesOnWrite) {
   const Graph base = RandomGraph(21, 100);
-  SnapshotWriteOptions options;
-  options.generation = 7;
-  const std::string path = WriteSnapshot(base, "mmap_cow.rtrsnap", options);
+  const std::string path =
+      WriteSnapshot(base, "mmap_cow.rtrsnap", /*generation=*/7);
 
   StatusOr<std::unique_ptr<GraphStore>> store =
       GraphStore::Open(path, MapMode::kRequire);
@@ -364,33 +406,6 @@ TEST(MmapTest, StoreApplyOnMappedBaseCopiesOnWrite) {
   StatusOr<Graph> from_scratch = ApplyDelta(owning_base, delta);
   ASSERT_TRUE(from_scratch.ok()) << from_scratch.status().ToString();
   ExpectGraphsIdentical(*from_scratch, *current);
-}
-
-// A v3 mapped base hands the f32 capability down through delta catch-up.
-TEST(MmapTest, ApplyOnMappedV3BaseKeepsF32Probs) {
-  const Graph base = RandomGraph(31, 60);
-  SnapshotWriteOptions options;
-  options.generation = 1;
-  options.f32_probs = true;
-  const std::string path = WriteSnapshot(base, "mmap_cow_f32.rtrsnap",
-                                         options);
-  StatusOr<std::unique_ptr<GraphStore>> store =
-      GraphStore::Open(path, MapMode::kRequire);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Current()->has_f32_probs());
-
-  GraphDelta delta;
-  delta.base_generation = 1;
-  delta.added_arcs.push_back({2, 9, 4.0});
-  ASSERT_TRUE((*store)->Apply(delta).ok());
-
-  std::shared_ptr<const Graph> next = (*store)->Current();
-  ASSERT_TRUE(next->has_f32_probs());
-  EXPECT_FALSE(next->is_mapped());
-  for (size_t i = 0; i < next->out_probs().size(); ++i) {
-    EXPECT_EQ(next->out_probs_f32()[i],
-              static_cast<float>(next->out_probs()[i]));
-  }
 }
 
 }  // namespace

@@ -1,26 +1,13 @@
-// The vectorized gather-multiply-accumulate kernels: the portable and
-// AVX2 paths must be bit-identical (same fixed 4-lane association, no
-// FMA), the f32 kernels must match their documented widening semantics,
-// and the f32 ranking error must stay within the bounded delta the top-K
-// epsilon slack absorbs.
+// The gather-multiply-accumulate kernel: it must reproduce the documented
+// fixed 4-lane association exactly, at every tail length and with repeated
+// gather indices.
 #include "util/dense_kernels.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <set>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/round_trip_rank.h"
-#include "core/twosbound.h"
-#include "datasets/bibnet.h"
-#include "graph/graph.h"
-#include "ranking/pagerank.h"
 #include "util/random.h"
 
 namespace rtr {
@@ -28,20 +15,19 @@ namespace {
 
 // Reference implementation of the documented accumulation order: four
 // independent lane accumulators over i+0..i+3, scalar tail into lane
-// (i & 3), combined as (l0 + l1) + (l2 + l3). Both kernel variants must
-// reproduce these exact doubles.
-template <typename Prob>
-double ReferenceGatherDot(const uint32_t* idx, const Prob* probs, size_t n,
+// (i & 3), combined as (l0 + l1) + (l2 + l3). The kernel must reproduce
+// these exact doubles.
+double ReferenceGatherDot(const uint32_t* idx, const double* probs, size_t n,
                           const double* x) {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     for (size_t j = 0; j < 4; ++j) {
-      lanes[j] += static_cast<double>(probs[i + j]) * x[idx[i + j]];
+      lanes[j] += probs[i + j] * x[idx[i + j]];
     }
   }
   for (; i < n; ++i) {
-    lanes[i & 3] += static_cast<double>(probs[i]) * x[idx[i]];
+    lanes[i & 3] += probs[i] * x[idx[i]];
   }
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
@@ -49,7 +35,6 @@ double ReferenceGatherDot(const uint32_t* idx, const Prob* probs, size_t n,
 struct GatherFixture {
   std::vector<uint32_t> idx;
   std::vector<double> probs;
-  std::vector<float> probs32;
   std::vector<double> x;
 };
 
@@ -60,62 +45,21 @@ GatherFixture MakeFixture(uint64_t seed, size_t n, size_t num_nodes = 97) {
   for (double& v : f.x) v = rng.NextDouble() * 2.0 - 1.0;
   f.idx.resize(n);
   f.probs.resize(n);
-  f.probs32.resize(n);
   for (size_t i = 0; i < n; ++i) {
     f.idx[i] = static_cast<uint32_t>(rng.NextUint64(num_nodes));
     f.probs[i] = rng.NextDouble();
-    f.probs32[i] = static_cast<float>(f.probs[i]);
   }
   return f;
 }
-
-// Restores the dispatch switches on scope exit so one test's toggles never
-// leak into another.
-struct KernelSwitchGuard {
-  bool simd = util::SimdEnabled();
-  bool f32 = util::F32KernelsEnabled();
-  ~KernelSwitchGuard() {
-    util::SetSimdEnabled(simd);
-    util::SetF32Kernels(f32);
-  }
-};
 
 TEST(DenseKernelsTest, MatchesReferenceAtEveryLength) {
   // Lengths straddling the 4-wide main loop and its tail: the association
   // contract has to hold for every tail shape.
   for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 16u, 31u, 100u}) {
     GatherFixture f = MakeFixture(/*seed=*/n + 1, n);
-    EXPECT_EQ(util::GatherDotF64(f.idx.data(), f.probs.data(), n, f.x.data()),
+    EXPECT_EQ(util::GatherDot(f.idx.data(), f.probs.data(), n, f.x.data()),
               ReferenceGatherDot(f.idx.data(), f.probs.data(), n, f.x.data()))
         << "n=" << n;
-    EXPECT_EQ(
-        util::GatherDotF32(f.idx.data(), f.probs32.data(), n, f.x.data()),
-        ReferenceGatherDot(f.idx.data(), f.probs32.data(), n, f.x.data()))
-        << "n=" << n;
-  }
-}
-
-TEST(DenseKernelsTest, PortableAndSimdAreBitIdentical) {
-  KernelSwitchGuard guard;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    GatherFixture f = MakeFixture(seed, /*n=*/257);
-    util::SetSimdEnabled(false);
-    ASSERT_STREQ(util::DenseKernelIsa(), "portable");
-    const double portable_f64 =
-        util::GatherDotF64(f.idx.data(), f.probs.data(), f.idx.size(),
-                           f.x.data());
-    const double portable_f32 =
-        util::GatherDotF32(f.idx.data(), f.probs32.data(), f.idx.size(),
-                           f.x.data());
-    util::SetSimdEnabled(true);
-    // On a non-AVX2 host re-enabling keeps the portable path; the equality
-    // below then holds trivially.
-    const double simd_f64 = util::GatherDotF64(
-        f.idx.data(), f.probs.data(), f.idx.size(), f.x.data());
-    const double simd_f32 = util::GatherDotF32(
-        f.idx.data(), f.probs32.data(), f.idx.size(), f.x.data());
-    EXPECT_EQ(portable_f64, simd_f64) << "seed=" << seed;
-    EXPECT_EQ(portable_f32, simd_f32) << "seed=" << seed;
   }
 }
 
@@ -126,129 +70,8 @@ TEST(DenseKernelsTest, DuplicateIndicesGatherCorrectly) {
   std::vector<double> probs = {0.1, 0.2, 0.3, 0.4, 0.5};
   std::vector<double> x(8, 0.0);
   x[3] = 2.0;
-  EXPECT_EQ(util::GatherDotF64(idx.data(), probs.data(), idx.size(), x.data()),
+  EXPECT_EQ(util::GatherDot(idx.data(), probs.data(), idx.size(), x.data()),
             ReferenceGatherDot(idx.data(), probs.data(), idx.size(), x.data()));
-}
-
-TEST(DenseKernelsTest, IsaReportsTheActiveDispatch) {
-  KernelSwitchGuard guard;
-  util::SetSimdEnabled(false);
-  EXPECT_STREQ(util::DenseKernelIsa(), "portable");
-  util::SetSimdEnabled(true);
-  const std::string isa = util::DenseKernelIsa();
-  EXPECT_TRUE(isa == "avx2" || isa == "portable") << isa;
-}
-
-datasets::BibNetConfig SmallBibNetConfig() {
-  datasets::BibNetConfig config;
-  config.num_areas = 2;
-  config.topics_per_area = 3;
-  config.num_authors = 300;
-  config.num_papers = 1200;
-  config.terms_per_topic = 20;
-  config.shared_terms = 60;
-  return config;
-}
-
-TEST(DenseKernelsTest, FRankIsBitIdenticalAcrossSimdToggle) {
-  KernelSwitchGuard guard;
-  util::SetF32Kernels(false);
-  const datasets::BibNet net =
-      datasets::BibNet::Generate(SmallBibNetConfig()).value();
-  const Graph& g = net.graph();
-  const Query query = {0, 42};
-
-  std::vector<double> scalar_f, scalar_t, scratch;
-  util::SetSimdEnabled(false);
-  ranking::FRankInto(g, query, {}, &scalar_f, &scratch);
-  ranking::TRankInto(g, query, {}, &scalar_t, &scratch);
-
-  std::vector<double> simd_f, simd_t;
-  util::SetSimdEnabled(true);
-  ranking::FRankInto(g, query, {}, &simd_f, &scratch);
-  ranking::TRankInto(g, query, {}, &simd_t, &scratch);
-
-  ASSERT_EQ(scalar_f.size(), simd_f.size());
-  for (size_t v = 0; v < scalar_f.size(); ++v) {
-    EXPECT_EQ(scalar_f[v], simd_f[v]) << "f-rank node " << v;
-    EXPECT_EQ(scalar_t[v], simd_t[v]) << "t-rank node " << v;
-  }
-}
-
-// The f32 columns perturb each transition probability by at most one
-// float ulp (relative ~6e-8); after a convergent power iteration the
-// per-node score error stays far below the top-K epsilon slack. This test
-// pins the bound the DESIGN doc promises.
-TEST(DenseKernelsTest, F32RankDeltaIsBounded) {
-  KernelSwitchGuard guard;
-  const datasets::BibNet net =
-      datasets::BibNet::Generate(SmallBibNetConfig()).value();
-  Graph g = net.graph();
-  g.PopulateF32Probs();
-  const Query query = {7};
-
-  std::vector<double> exact, approx, scratch;
-  util::SetF32Kernels(false);
-  ranking::FRankInto(g, query, {}, &exact, &scratch);
-  util::SetF32Kernels(true);
-  ranking::FRankInto(g, query, {}, &approx, &scratch);
-
-  ASSERT_EQ(exact.size(), approx.size());
-  double max_abs = 0.0;
-  for (size_t v = 0; v < exact.size(); ++v) {
-    max_abs = std::max(max_abs, std::abs(exact[v] - approx[v]));
-  }
-  // The F-Rank vector sums to 1; a 1e-6 absolute ceiling leaves the
-  // eps=0.01 top-K slack four orders of magnitude of headroom.
-  EXPECT_LT(max_abs, 1e-6);
-  EXPECT_GT(max_abs, 0.0);  // the f32 path really ran
-}
-
-// Permutation stability: at eps in {0.01, 0.03}, swapping the f64 kernels
-// for f32 may only permute the top-K among near-ties — every node the f32
-// run returns must have an exact (f64) score within the epsilon band of
-// the exact run's k-th score.
-TEST(DenseKernelsTest, F32TopKIsPermutationStableAtEps) {
-  KernelSwitchGuard guard;
-  const datasets::BibNet net =
-      datasets::BibNet::Generate(SmallBibNetConfig()).value();
-  Graph g = net.graph();
-  g.PopulateF32Probs();
-
-  auto scorer = std::make_shared<ranking::FTScorer>(g);
-  auto measure = core::MakeRoundTripRankMeasure(scorer);
-
-  for (double eps : {0.01, 0.03}) {
-    core::TopKParams params;
-    params.k = 10;
-    params.epsilon = eps;
-    for (NodeId q : {NodeId{3}, NodeId{250}, NodeId{900}}) {
-      util::SetF32Kernels(false);
-      StatusOr<core::TopKResult> exact =
-          core::TopKRoundTripRank(g, {q}, params);
-      const std::vector<double> scores = measure->Score({q});
-      util::SetF32Kernels(true);
-      StatusOr<core::TopKResult> approx =
-          core::TopKRoundTripRank(g, {q}, params);
-      ASSERT_TRUE(exact.ok() && approx.ok());
-      ASSERT_EQ(exact->entries.size(), approx->entries.size());
-
-      // Exact score of the weakest member of the exact top-K.
-      double kth = std::numeric_limits<double>::infinity();
-      std::set<NodeId> exact_nodes;
-      for (const core::TopKEntry& e : exact->entries) {
-        exact_nodes.insert(e.node);
-        kth = std::min(kth, scores[e.node]);
-      }
-      for (const core::TopKEntry& e : approx->entries) {
-        if (exact_nodes.count(e.node) > 0) continue;
-        // A swapped-in node must be an epsilon-near-tie of the k-th exact
-        // score (1e-9 absorbs the f32 cast noise itself).
-        EXPECT_GE(scores[e.node], kth / (1.0 + eps) - 1e-9)
-            << "eps=" << eps << " q=" << q << " node=" << e.node;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // rtr — command-line interface to the RoundTripRank library.
 //
 //   rtr generate    --dataset bibnet|qlog [--seed N] [--out graph.txt]
-//   rtr convert     <in> <out> [--probs=f32]
+//   rtr convert     <in> <out>
 //   rtr info        <graph-or-delta-file>        (also: --graph graph.txt)
 //   rtr diff        <base> <next> <out.rtrdelta>
 //   rtr apply-delta <base> <delta> [<delta> ...] <out.rtrsnap>
@@ -23,13 +23,12 @@
 // Every --graph flag accepts either the text format of graph/io.h or the
 // binary snapshot format of graph/snapshot.h, auto-detected by magic;
 // `convert` translates between the two (a text input becomes a snapshot and
-// vice versa; `--probs=f32` writes a v3 snapshot that also carries float32
-// probability columns for the vectorized kernels). `serve --mmap` loads a
-// snapshot graph zero-copy via mmap (MapMode::kPrefer, with a logged
-// bulk-read fallback); without the flag, the RTR_GRAPH_MMAP env var decides. `generate` emits the synthetic datasets used by the
-// benchmark suite. `info` on a binary snapshot or delta file prints the
-// header (format version, generation, counts, checksum) without loading the
-// payload. `diff` computes the delta between two append-only graph
+// vice versa). `serve --mmap` loads a snapshot graph zero-copy via mmap
+// (MapMode::kPrefer, with a logged bulk-read fallback); without the flag,
+// the RTR_GRAPH_MMAP env var decides. `generate` emits the synthetic
+// datasets used by the benchmark suite. `info` on a binary snapshot or
+// delta file prints the header (format version, generation, counts,
+// checksum) without loading the payload. `diff` computes the delta between two append-only graph
 // versions; `apply-delta` replays delta files onto a base through a
 // graph::GraphStore and writes the resulting generation as a v2 snapshot.
 // `serve` replays a synthetic QLog query stream (or random queries on a
@@ -221,37 +220,12 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-// `rtr convert <in> <out> [--probs=f32]`: translates between the text and
-// binary snapshot graph formats. The input format is auto-detected by magic;
-// the output is written in the other format. `--probs=f32` asks for a v3
-// snapshot carrying the derived float32 probability columns alongside the
-// exact f64 ones (see graph/snapshot.h); it only applies when the output is
-// a snapshot.
+// `rtr convert <in> <out>`: translates between the text and binary snapshot
+// graph formats. The input format is auto-detected by magic; the output is
+// written in the other format.
 int CmdConvert(int argc, char** argv) {
-  bool f32_probs = false;
-  int positional = argc;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--probs=f32") {
-      f32_probs = true;
-    } else if (arg == "--probs" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value == "f32") {
-        f32_probs = true;
-      } else if (value != "f64") {
-        std::fprintf(stderr, "unknown --probs value '%s' (want f32 or f64)\n",
-                     value.c_str());
-        return 2;
-      }
-    } else if (arg == "--probs=f64") {
-      f32_probs = false;
-    } else {
-      positional = i;
-      break;
-    }
-  }
-  if (argc != 4 && (positional != argc || argc < 4)) {
-    std::fprintf(stderr, "usage: rtr convert <in> <out> [--probs=f32]\n");
+  if (argc != 4) {
+    std::fprintf(stderr, "usage: rtr convert <in> <out>\n");
     return 2;
   }
   const std::string in_path = argv[2];
@@ -262,13 +236,6 @@ int CmdConvert(int argc, char** argv) {
                  is_snapshot.status().ToString().c_str());
     return 1;
   }
-  if (*is_snapshot && f32_probs) {
-    std::fprintf(stderr,
-                 "--probs=f32 needs a snapshot output (input %s is already a "
-                 "snapshot, so the output is text)\n",
-                 in_path.c_str());
-    return 2;
-  }
   rtr::StatusOr<Graph> graph = *is_snapshot
                                    ? rtr::LoadGraphSnapshotFromFile(in_path)
                                    : rtr::LoadGraphFromFile(in_path);
@@ -277,11 +244,9 @@ int CmdConvert(int argc, char** argv) {
                  graph.status().ToString().c_str());
     return 1;
   }
-  rtr::SnapshotWriteOptions options;
-  options.f32_probs = f32_probs;
-  rtr::Status status =
-      *is_snapshot ? rtr::SaveGraphToFile(*graph, out_path)
-                   : rtr::SaveGraphSnapshotToFile(*graph, out_path, options);
+  rtr::Status status = *is_snapshot
+                           ? rtr::SaveGraphToFile(*graph, out_path)
+                           : rtr::SaveGraphSnapshotToFile(*graph, out_path);
   if (!status.ok()) {
     std::fprintf(stderr, "cannot write graph: %s\n",
                  status.ToString().c_str());
@@ -290,8 +255,7 @@ int CmdConvert(int argc, char** argv) {
   std::printf("%s -> %s: %zu nodes, %zu arcs (%s -> %s)\n", in_path.c_str(),
               out_path.c_str(), graph->num_nodes(), graph->num_arcs(),
               *is_snapshot ? "snapshot" : "text",
-              *is_snapshot ? "text" : f32_probs ? "snapshot v3 (f64+f32 probs)"
-                                                : "snapshot");
+              *is_snapshot ? "text" : "snapshot");
   return 0;
 }
 
@@ -360,7 +324,6 @@ int CmdInfoPath(const std::string& path) {
                 static_cast<unsigned long long>(info->num_types),
                 static_cast<unsigned long long>(info->num_nodes),
                 static_cast<unsigned long long>(info->num_arcs));
-    std::printf("probs: %s\n", info->has_f32_probs ? "f64 + f32" : "f64");
     std::printf("payload checksum: %016llx\n",
                 static_cast<unsigned long long>(info->payload_checksum));
     return 0;
@@ -1126,11 +1089,8 @@ void PrintUsage(std::FILE* out) {
   std::fprintf(out,
                "usage: rtr <generate|convert|info|diff|apply-delta|rank|"
                "topk|serve|gp-serve> [--flag value ...]\n"
-               "       rtr convert <in> <out> [--probs=f32]\n"
-               "                                (text <-> binary snapshot, "
-               "auto-detected;\n"
-               "                                 --probs=f32 writes a v3 "
-               "snapshot with f32 columns)\n"
+               "       rtr convert <in> <out>   (text <-> binary snapshot, "
+               "auto-detected)\n"
                "       rtr info <file>          (snapshot/delta header, or "
                "text graph summary)\n"
                "       rtr diff <base> <next> <out.rtrdelta>\n"
