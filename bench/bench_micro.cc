@@ -268,8 +268,8 @@ BENCHMARK(BM_TopKNaiveExact);
 
 // Steady-state allocation audit (the CI gate). Runs a fixed query set once
 // to warm the arena, then replays it and demands zero operator-new calls.
-// Audited on owning AND mapped storage: the span accessors must not hide
-// an allocation on the zero-copy path either.
+// Audited on built AND mapped graphs: the span accessors must not hide an
+// allocation on the zero-copy path either.
 bool AuditSteadyStateAllocsOn(const Graph& g, const char* label) {
   rtr::core::TopKParams params;
   params.k = 10;
@@ -309,9 +309,9 @@ bool AuditSteadyStateAllocsOn(const Graph& g, const char* label) {
 
 bool AuditSteadyStateAllocs() {
   const Graph g = MakeGraph(2000, 8000, 13);
-  if (!AuditSteadyStateAllocsOn(g, "owning")) return false;
+  if (!AuditSteadyStateAllocsOn(g, "built")) return false;
 
-  // Same audit over the zero-copy loader's borrowed columns.
+  // Same audit over the zero-copy loader's file-backed columns.
   namespace fs = std::filesystem;
   const fs::path path =
       fs::temp_directory_path() / "rtr_bench_micro_alloc_audit.rtrsnap";
@@ -321,7 +321,7 @@ bool AuditSteadyStateAllocs() {
   }
   rtr::StatusOr<Graph> mapped = rtr::LoadGraphMapped(path.string());
   if (!mapped.ok()) {
-    // No mmap on this platform: the owning audit already passed.
+    // No mmap on this platform: the built-graph audit already passed.
     std::printf("alloc audit: mapped-graph leg skipped (%s)\n",
                 mapped.status().ToString().c_str());
     return true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace rtr {
 
@@ -69,52 +70,49 @@ StatusOr<Graph> GraphBuilder::Build() const {
     }
   }
 
-  Graph g;
-  g.node_types_ = node_types_;
-  g.type_names_ = type_names_;
+  Graph::Columns c;
+  c.node_types = node_types_;
 
   // Out-CSR columns with transition probabilities.
-  g.out_offsets_.assign(n + 1, 0);
-  for (const StagedArc& arc : merged) g.out_offsets_[arc.source + 1]++;
-  std::partial_sum(g.out_offsets_.begin(), g.out_offsets_.end(),
-                   g.out_offsets_.begin());
-  g.out_weights_.assign(n, 0.0);
-  for (const StagedArc& arc : merged) g.out_weights_[arc.source] += arc.weight;
+  c.out_offsets.assign(n + 1, 0);
+  for (const StagedArc& arc : merged) c.out_offsets[arc.source + 1]++;
+  std::partial_sum(c.out_offsets.begin(), c.out_offsets.end(),
+                   c.out_offsets.begin());
+  c.out_weights.assign(n, 0.0);
+  for (const StagedArc& arc : merged) c.out_weights[arc.source] += arc.weight;
 
-  g.out_targets_.resize(merged.size());
-  g.out_arc_weights_.resize(merged.size());
-  g.out_probs_.resize(merged.size());
+  c.out_targets.resize(merged.size());
+  c.out_arc_weights.resize(merged.size());
+  c.out_probs.resize(merged.size());
   {
-    std::vector<size_t> cursor(g.out_offsets_.begin(),
-                               g.out_offsets_.end() - 1);
+    std::vector<size_t> cursor(c.out_offsets.begin(), c.out_offsets.end() - 1);
     for (const StagedArc& arc : merged) {
       size_t slot = cursor[arc.source]++;
-      g.out_targets_[slot] = arc.target;
-      g.out_arc_weights_[slot] = arc.weight;
-      g.out_probs_[slot] = arc.weight / g.out_weights_[arc.source];
+      c.out_targets[slot] = arc.target;
+      c.out_arc_weights[slot] = arc.weight;
+      c.out_probs[slot] = arc.weight / c.out_weights[arc.source];
     }
   }
 
   // In-CSR columns mirroring the same probabilities.
-  g.in_offsets_.assign(n + 1, 0);
-  for (const StagedArc& arc : merged) g.in_offsets_[arc.target + 1]++;
-  std::partial_sum(g.in_offsets_.begin(), g.in_offsets_.end(),
-                   g.in_offsets_.begin());
-  g.in_sources_.resize(merged.size());
-  g.in_arc_weights_.resize(merged.size());
-  g.in_probs_.resize(merged.size());
+  c.in_offsets.assign(n + 1, 0);
+  for (const StagedArc& arc : merged) c.in_offsets[arc.target + 1]++;
+  std::partial_sum(c.in_offsets.begin(), c.in_offsets.end(),
+                   c.in_offsets.begin());
+  c.in_sources.resize(merged.size());
+  c.in_arc_weights.resize(merged.size());
+  c.in_probs.resize(merged.size());
   {
-    std::vector<size_t> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
+    std::vector<size_t> cursor(c.in_offsets.begin(), c.in_offsets.end() - 1);
     for (const StagedArc& arc : merged) {
       size_t slot = cursor[arc.target]++;
-      g.in_sources_[slot] = arc.source;
-      g.in_arc_weights_[slot] = arc.weight;
-      g.in_probs_[slot] = arc.weight / g.out_weights_[arc.source];
+      c.in_sources[slot] = arc.source;
+      c.in_arc_weights[slot] = arc.weight;
+      c.in_probs[slot] = arc.weight / c.out_weights[arc.source];
     }
   }
 
-  g.RebindViews();
-  return g;
+  return Graph::Bind(type_names_, std::move(c));
 }
 
 }  // namespace rtr

@@ -134,23 +134,22 @@ class DeltaOps {
       in_dirty[op.target] = 1;
     }
 
-    // The output generation always owns its columns: every base read below
-    // goes through the accessor spans, so a mapped base (columns borrowed
-    // from a read-only mmap) is copied-on-write here rather than aliased or
-    // — worse — read through its empty owning vectors.
-    Graph g;
-    g.type_names_ = base.type_names();
-    g.type_names_.insert(g.type_names_.end(), delta.added_type_names.begin(),
-                         delta.added_type_names.end());
-    g.node_types_.assign(base.node_types().begin(), base.node_types().end());
-    g.node_types_.insert(g.node_types_.end(), delta.added_node_types.begin(),
-                         delta.added_node_types.end());
+    // The base is read only through its accessor spans and never written:
+    // the next generation's columns are assembled here and bound as a fresh
+    // Columns, whatever backs the base (built, bulk-loaded or mapped).
+    std::vector<std::string> type_names = base.type_names();
+    type_names.insert(type_names.end(), delta.added_type_names.begin(),
+                      delta.added_type_names.end());
+    Graph::Columns c;
+    c.node_types.assign(base.node_types().begin(), base.node_types().end());
+    c.node_types.insert(c.node_types.end(), delta.added_node_types.begin(),
+                        delta.added_node_types.end());
 
     // ---- Out-CSR. Merge each touched source's base row with its op run;
     // untouched rows are block-copied with their probabilities intact
     // (their weight total is unchanged, so the derived values still hold).
-    g.out_offsets_.assign(n + 1, 0);
-    g.out_weights_.assign(n, 0.0);
+    c.out_offsets.assign(n + 1, 0);
+    c.out_weights.assign(n, 0.0);
 
     // Per-source merged rows for touched sources, stored flat. The merge
     // mirrors GraphBuilder exactly: rows sorted by target, parallel inserts
@@ -202,41 +201,41 @@ class DeltaOps {
             merged_weights.push_back(w);
           }
         }
-        g.out_offsets_[v + 1] =
+        c.out_offsets[v + 1] =
             merged_targets.size() - merged_row_begin[v];  // degree, for now
       }
       merged_row_begin[n] = merged_targets.size();
     }
     for (NodeId v = 0; v < n; ++v) {
       if (!out_touched[v]) {
-        g.out_offsets_[v + 1] = v < old_n ? base.out_degree(v) : 0;
+        c.out_offsets[v + 1] = v < old_n ? base.out_degree(v) : 0;
       }
     }
     for (size_t v = 0; v < n; ++v) {
-      g.out_offsets_[v + 1] += g.out_offsets_[v];
+      c.out_offsets[v + 1] += c.out_offsets[v];
     }
-    const size_t num_arcs = g.out_offsets_[n];
+    const size_t num_arcs = c.out_offsets[n];
 
-    g.out_targets_.resize(num_arcs);
-    g.out_arc_weights_.resize(num_arcs);
-    g.out_probs_.resize(num_arcs);
+    c.out_targets.resize(num_arcs);
+    c.out_arc_weights.resize(num_arcs);
+    c.out_probs.resize(num_arcs);
     for (NodeId v = 0; v < n; ++v) {
-      const size_t dst = g.out_offsets_[v];
-      const size_t deg = g.out_offsets_[v + 1] - dst;
+      const size_t dst = c.out_offsets[v];
+      const size_t deg = c.out_offsets[v + 1] - dst;
       if (!out_touched[v]) {
         if (deg == 0) {
           // Dangling (or brand-new) node: builder leaves the weight at 0.
           continue;
         }
         const size_t src = base.out_offsets()[v];
-        std::memcpy(g.out_targets_.data() + dst,
+        std::memcpy(c.out_targets.data() + dst,
                     base.out_targets().data() + src, deg * sizeof(NodeId));
-        std::memcpy(g.out_arc_weights_.data() + dst,
+        std::memcpy(c.out_arc_weights.data() + dst,
                     base.out_arc_weights().data() + src,
                     deg * sizeof(double));
-        std::memcpy(g.out_probs_.data() + dst, base.out_probs().data() + src,
+        std::memcpy(c.out_probs.data() + dst, base.out_probs().data() + src,
                     deg * sizeof(double));
-        g.out_weights_[v] = base.out_weight(v);
+        c.out_weights[v] = base.out_weight(v);
         continue;
       }
       const size_t row = merged_row_begin[v];
@@ -245,11 +244,11 @@ class DeltaOps {
       // derived from it) is bit-identical to a from-scratch build.
       double total = 0.0;
       for (size_t i = 0; i < deg; ++i) total += merged_weights[row + i];
-      g.out_weights_[v] = total;
+      c.out_weights[v] = total;
       for (size_t i = 0; i < deg; ++i) {
-        g.out_targets_[dst + i] = merged_targets[row + i];
-        g.out_arc_weights_[dst + i] = merged_weights[row + i];
-        g.out_probs_[dst + i] = merged_weights[row + i] / total;
+        c.out_targets[dst + i] = merged_targets[row + i];
+        c.out_arc_weights[dst + i] = merged_weights[row + i];
+        c.out_probs[dst + i] = merged_weights[row + i] / total;
       }
       // Every arc leaving a touched source carries a re-derived probability;
       // its target's in-row copy must be refreshed too.
@@ -259,7 +258,7 @@ class DeltaOps {
     // ---- In-CSR. Dirty rows are rebuilt by consulting the NEW out-rows
     // (the in-columns mirror them entry for entry); clean rows are
     // block-copied.
-    g.in_offsets_.assign(n + 1, 0);
+    c.in_offsets.assign(n + 1, 0);
     // Candidate sources for each dirty in-row: the base row's sources plus
     // every op source targeting it. Collect op sources per target.
     std::vector<Op> by_target = std::move(ops);
@@ -291,8 +290,8 @@ class DeltaOps {
         // The arc (s, t) exists in the next generation iff the new out-row
         // of s still carries it.
         std::span<const NodeId> row{
-            g.out_targets_.data() + g.out_offsets_[s],
-            g.out_offsets_[s + 1] - g.out_offsets_[s]};
+            c.out_targets.data() + c.out_offsets[s],
+            c.out_offsets[s + 1] - c.out_offsets[s]};
         if (FindArcSlot(row, t) != std::string::npos) {
           out_sources->push_back(s);
         }
@@ -310,30 +309,30 @@ class DeltaOps {
     }
     for (NodeId t = 0; t < n; ++t) {
       if (!in_dirty[t]) {
-        g.in_offsets_[t + 1] = t < old_n ? base.in_degree(t) : 0;
+        c.in_offsets[t + 1] = t < old_n ? base.in_degree(t) : 0;
       } else {
         build_dirty_row(t, dirty_op_begin[t], dirty_op_begin[t + 1],
                         &row_sources);
-        g.in_offsets_[t + 1] = row_sources.size();
+        c.in_offsets[t + 1] = row_sources.size();
       }
     }
-    for (size_t t = 0; t < n; ++t) g.in_offsets_[t + 1] += g.in_offsets_[t];
-    DCHECK_EQ(g.in_offsets_[n], num_arcs);
+    for (size_t t = 0; t < n; ++t) c.in_offsets[t + 1] += c.in_offsets[t];
+    DCHECK_EQ(c.in_offsets[n], num_arcs);
 
-    g.in_sources_.resize(num_arcs);
-    g.in_arc_weights_.resize(num_arcs);
-    g.in_probs_.resize(num_arcs);
+    c.in_sources.resize(num_arcs);
+    c.in_arc_weights.resize(num_arcs);
+    c.in_probs.resize(num_arcs);
     for (NodeId t = 0; t < n; ++t) {
-      const size_t dst = g.in_offsets_[t];
-      const size_t deg = g.in_offsets_[t + 1] - dst;
+      const size_t dst = c.in_offsets[t];
+      const size_t deg = c.in_offsets[t + 1] - dst;
       if (!in_dirty[t]) {
         if (deg == 0) continue;
         const size_t src = base.in_offsets()[t];
-        std::memcpy(g.in_sources_.data() + dst,
+        std::memcpy(c.in_sources.data() + dst,
                     base.in_sources().data() + src, deg * sizeof(NodeId));
-        std::memcpy(g.in_arc_weights_.data() + dst,
+        std::memcpy(c.in_arc_weights.data() + dst,
                     base.in_arc_weights().data() + src, deg * sizeof(double));
-        std::memcpy(g.in_probs_.data() + dst, base.in_probs().data() + src,
+        std::memcpy(c.in_probs.data() + dst, base.in_probs().data() + src,
                     deg * sizeof(double));
         continue;
       }
@@ -343,19 +342,18 @@ class DeltaOps {
       for (size_t i = 0; i < deg; ++i) {
         const NodeId s = row_sources[i];
         std::span<const NodeId> row{
-            g.out_targets_.data() + g.out_offsets_[s],
-            g.out_offsets_[s + 1] - g.out_offsets_[s]};
-        const size_t slot = g.out_offsets_[s] + FindArcSlot(row, t);
+            c.out_targets.data() + c.out_offsets[s],
+            c.out_offsets[s + 1] - c.out_offsets[s]};
+        const size_t slot = c.out_offsets[s] + FindArcSlot(row, t);
         // Mirror the out-side entry verbatim — bitwise the same weight and
         // probability a from-scratch build would store here.
-        g.in_sources_[dst + i] = s;
-        g.in_arc_weights_[dst + i] = g.out_arc_weights_[slot];
-        g.in_probs_[dst + i] = g.out_probs_[slot];
+        c.in_sources[dst + i] = s;
+        c.in_arc_weights[dst + i] = c.out_arc_weights[slot];
+        c.in_probs[dst + i] = c.out_probs[slot];
       }
     }
 
-    g.RebindViews();
-    return g;
+    return Graph::Bind(std::move(type_names), std::move(c));
   }
 };
 
@@ -483,6 +481,12 @@ std::string SerializeDeltaPayload(const GraphDelta& delta) {
   return payload;
 }
 
+// The writer zero-fills every pad, and a nonzero pad byte means a header
+// count (outside the checksum) no longer matches the payload behind it.
+bool IsZeroPadding(std::string_view pad) {
+  return std::all_of(pad.begin(), pad.end(), [](char c) { return c == 0; });
+}
+
 struct DeltaHeader {
   DeltaFileInfo info;
   Status status = Status::OK();
@@ -570,17 +574,24 @@ StatusOr<GraphDelta> LoadGraphDeltaBuffer(const std::string& buf) {
     delta.added_type_names.emplace_back(payload.data() + pos, len);
     pos += len;
   }
-  if (type_block_bytes - pos >= 8) {
+  if (type_block_bytes - pos >= 8 ||
+      !IsZeroPadding(payload.substr(pos, type_block_bytes - pos))) {
     return Status::IoError("delta type-name block has slack");
   }
   pos = type_block_bytes;
 
+  const size_t node_type_bytes = info.num_added_nodes * sizeof(NodeTypeId);
   delta.added_node_types.resize(info.num_added_nodes);
-  if (info.num_added_nodes > 0) {
+  if (node_type_bytes > 0) {
     std::memcpy(delta.added_node_types.data(), payload.data() + pos,
-                info.num_added_nodes * sizeof(NodeTypeId));
+                node_type_bytes);
   }
-  pos += Padded(info.num_added_nodes * sizeof(NodeTypeId));
+  if (!IsZeroPadding(payload.substr(pos + node_type_bytes,
+                                    Padded(node_type_bytes) -
+                                        node_type_bytes))) {
+    return Status::IoError("delta node-type block has nonzero padding");
+  }
+  pos += Padded(node_type_bytes);
 
   delta.removed_arcs.resize(info.num_removed_arcs);
   for (ArcRemove& r : delta.removed_arcs) {

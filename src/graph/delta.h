@@ -128,9 +128,11 @@ StatusOr<GraphDelta> DiffGraphs(const Graph& base, const Graph& next);
 //     added arcs                num_added_arcs x (u32 source, u32 target,
 //                               f64 weight)
 //
-// The loader validates magic, version, exact file size and checksum, so
-// truncated or corrupt delta files are rejected before application. All
-// failures are Status::IoError.
+// The loader validates magic, version, exact file size, checksum and zero
+// padding, so truncated or corrupt delta files are rejected before
+// application. All failures are Status::IoError. The checksum does not
+// cover the header, so a count word that moves across trailing zero bytes
+// (untyped nodes, empty type names) still goes undetected.
 // --------------------------------------------------------------------------
 
 inline constexpr char kDeltaMagic[8] = {'r', 't', 'r', '-', 'd', 'e', 'l', 't'};

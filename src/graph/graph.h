@@ -12,8 +12,6 @@
 
 namespace rtr {
 
-class MappedSnapshot;  // graph/snapshot.h: RAII mmap of an rtr-snap file.
-
 // Immutable directed weighted graph in columnar (structure-of-arrays) CSR
 // form, with both out- and in-adjacency and precomputed row-stochastic
 // transition probabilities.
@@ -33,18 +31,17 @@ class MappedSnapshot;  // graph/snapshot.h: RAII mmap of an rtr-snap file.
 // frozen columns are also exactly what the binary snapshot format
 // (graph/snapshot.h) writes and reads verbatim.
 //
-// Storage polymorphism: every column is exposed through a std::span view.
-// A graph built by GraphBuilder (or bulk-loaded from a snapshot) owns its
-// columns in std::vectors and the views alias those vectors. A graph loaded
-// by LoadGraphMapped() instead borrows its views straight out of a
-// MappedSnapshot (a read-only mmap of the rtr-snap file); the owning vectors
-// stay empty and the mapping is kept alive by a shared_ptr held here, so
-// copies of a mapped Graph share one physical copy of the columns. Use
-// is_mapped() to tell the two apart and MaterializeOwning() to deep-copy a
-// mapped graph into owning storage (required before any code path that
-// assembles new columns in place, e.g. DeltaOps).
+// Storage: every column is a std::span over immutable bytes that a
+// shared_ptr keeps alive. GraphBuilder::Build() and delta application
+// (graph/delta.h) fill a Columns struct of vectors and move it behind that
+// pointer; the bulk snapshot loader binds the spans in place inside its
+// 8-aligned heap image of the file; LoadGraphMapped() binds them in place
+// inside a MappedSnapshot (a read-only mmap of the rtr-snap file). The
+// accessors cannot tell the three apart, and copying a Graph shares its
+// columns in O(1) whatever their origin. is_mapped() reports whether the
+// bytes are file-backed.
 //
-// Construct via GraphBuilder::Build() or LoadGraphSnapshot().
+// Construct via GraphBuilder::Build(), ApplyDelta() or a snapshot loader.
 //
 // Thread safety: a Graph never mutates after construction, and every member
 // function is const and touches only the frozen columns. Any number of
@@ -53,25 +50,13 @@ class MappedSnapshot;  // graph/snapshot.h: RAII mmap of an rtr-snap file.
 // graph under a worker pool.
 class Graph {
  public:
-  Graph() = default;
-
-  // Copies rebind every owning column's view onto the copy's own vectors;
-  // borrowed (mapped) columns stay borrowed and share the mapping.
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
-  // Moves are cheap and safe: vector heap buffers are stable under move, so
-  // the views transfer verbatim. The moved-from graph is only good for
-  // destruction or reassignment (its views are unspecified).
-  Graph(Graph&&) = default;
-  Graph& operator=(Graph&&) = default;
-
-  size_t num_nodes() const { return node_types_view_.size(); }
+  size_t num_nodes() const { return node_types_.size(); }
   // Number of directed arcs (an undirected edge counts twice).
-  size_t num_arcs() const { return out_targets_view_.size(); }
+  size_t num_arcs() const { return out_targets_.size(); }
 
   NodeTypeId node_type(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return node_types_view_[v];
+    return node_types_[v];
   }
 
   // Registered type names; index is the NodeTypeId.
@@ -83,11 +68,11 @@ class Graph {
 
   size_t out_degree(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return out_offsets_view_[v + 1] - out_offsets_view_[v];
+    return out_offsets_[v + 1] - out_offsets_[v];
   }
   size_t in_degree(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return in_offsets_view_[v + 1] - in_offsets_view_[v];
+    return in_offsets_[v + 1] - in_offsets_[v];
   }
 
   // Per-node column spans. Entries at the same index within a node's spans
@@ -95,59 +80,50 @@ class Graph {
   // source) within each node.
   std::span<const NodeId> out_targets(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return {out_targets_view_.data() + out_offsets_view_[v], out_degree(v)};
+    return {out_targets_.data() + out_offsets_[v], out_degree(v)};
   }
   std::span<const double> out_probs(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return {out_probs_view_.data() + out_offsets_view_[v], out_degree(v)};
+    return {out_probs_.data() + out_offsets_[v], out_degree(v)};
   }
   std::span<const double> out_arc_weights(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return {out_arc_weights_view_.data() + out_offsets_view_[v],
-            out_degree(v)};
+    return {out_arc_weights_.data() + out_offsets_[v], out_degree(v)};
   }
   std::span<const NodeId> in_sources(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return {in_sources_view_.data() + in_offsets_view_[v], in_degree(v)};
+    return {in_sources_.data() + in_offsets_[v], in_degree(v)};
   }
   std::span<const double> in_probs(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return {in_probs_view_.data() + in_offsets_view_[v], in_degree(v)};
+    return {in_probs_.data() + in_offsets_[v], in_degree(v)};
   }
   std::span<const double> in_arc_weights(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return {in_arc_weights_view_.data() + in_offsets_view_[v], in_degree(v)};
+    return {in_arc_weights_.data() + in_offsets_[v], in_degree(v)};
   }
 
   // Whole-graph column views (snapshot I/O, shard extraction, column-equality
   // assertions in tests). The offsets arrays have num_nodes()+1 entries.
-  std::span<const NodeTypeId> node_types() const { return node_types_view_; }
-  std::span<const size_t> out_offsets() const { return out_offsets_view_; }
-  std::span<const NodeId> out_targets() const { return out_targets_view_; }
-  std::span<const double> out_probs() const { return out_probs_view_; }
-  std::span<const double> out_arc_weights() const {
-    return out_arc_weights_view_;
-  }
-  std::span<const double> out_weights() const { return out_weights_view_; }
-  std::span<const size_t> in_offsets() const { return in_offsets_view_; }
-  std::span<const NodeId> in_sources() const { return in_sources_view_; }
-  std::span<const double> in_probs() const { return in_probs_view_; }
-  std::span<const double> in_arc_weights() const {
-    return in_arc_weights_view_;
-  }
+  std::span<const NodeTypeId> node_types() const { return node_types_; }
+  std::span<const size_t> out_offsets() const { return out_offsets_; }
+  std::span<const NodeId> out_targets() const { return out_targets_; }
+  std::span<const double> out_probs() const { return out_probs_; }
+  std::span<const double> out_arc_weights() const { return out_arc_weights_; }
+  std::span<const double> out_weights() const { return out_weights_; }
+  std::span<const size_t> in_offsets() const { return in_offsets_; }
+  std::span<const NodeId> in_sources() const { return in_sources_; }
+  std::span<const double> in_probs() const { return in_probs_; }
+  std::span<const double> in_arc_weights() const { return in_arc_weights_; }
 
-  // True when the columns borrow from a MappedSnapshot instead of owning
-  // vectors. The spans stay valid for this Graph's lifetime either way.
-  bool is_mapped() const { return mapping_ != nullptr; }
-
-  // Deep-copies every column into owning vectors and drops the mapping
-  // reference. Identity for graphs that already own their storage.
-  Graph MaterializeOwning() const;
+  // True when the columns are bound inside a MappedSnapshot. The spans stay
+  // valid for this Graph's lifetime whatever the backing.
+  bool is_mapped() const { return mapped_; }
 
   // Total outgoing weight of v (0 for dangling nodes).
   double out_weight(NodeId v) const {
     DCHECK_LT(v, num_nodes());
-    return out_weights_view_[v];
+    return out_weights_[v];
   }
 
   // Samples an out-neighbor of v by transition probability given one uniform
@@ -156,15 +132,15 @@ class Graph {
   // dangling. The inner loop of every Monte-Carlo walker in the repo.
   NodeId SampleOutNeighbor(NodeId v, double u) const {
     DCHECK_LT(v, num_nodes());
-    const size_t begin = out_offsets_view_[v];
-    const size_t end = out_offsets_view_[v + 1];
+    const size_t begin = out_offsets_[v];
+    const size_t end = out_offsets_[v + 1];
     if (begin == end) return kInvalidNode;
     double acc = 0.0;
     for (size_t i = begin; i < end; ++i) {
-      acc += out_probs_view_[i];
-      if (u < acc) return out_targets_view_[i];
+      acc += out_probs_[i];
+      if (u < acc) return out_targets_[i];
     }
-    return out_targets_view_[end - 1];
+    return out_targets_[end - 1];
   }
 
   // One-step transition probability M[u][v]; 0 if the arc does not exist.
@@ -176,7 +152,7 @@ class Graph {
 
   // Approximate resident size of the CSR structures in bytes; this is the
   // "snapshot size" metric of Fig. 12. For a mapped graph this counts the
-  // borrowed (file-backed) bytes, which are shared across processes.
+  // file-backed bytes, which are shared across processes.
   size_t MemoryBytes() const;
 
   // Average total degree (arcs / nodes), the D-bar of Sect. V-B1.
@@ -189,52 +165,46 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  // graph/snapshot.cc: reconstructs the frozen columns from a binary
-  // snapshot without a GraphBuilder replay, or points the views straight
-  // into a MappedSnapshot.
+  // graph/snapshot.cc: binds the spans in place inside a snapshot image
+  // (bulk-read or mapped) without a GraphBuilder replay.
   friend class SnapshotCodec;
   // graph/delta.cc: assembles the next generation's columns from the
   // previous generation plus a GraphDelta, touching only mutated rows.
   friend class DeltaOps;
 
-  // Points every view at its owning vector. Builders/codecs that fill the
-  // vectors directly must call this before handing the Graph out.
-  void RebindViews();
-  // Rebinds only the views whose owning vector is non-empty; borrowed
-  // (mapped or empty) columns keep the view they were copied with. Used by
-  // the copy constructor, where owning columns must re-anchor on the copy's
-  // own vectors.
-  void RebindOwnedViews();
+  // Freshly assembled columns, before Bind() moves them behind the
+  // keep-alive pointer.
+  struct Columns {
+    std::vector<NodeTypeId> node_types;
+    std::vector<size_t> out_offsets;
+    std::vector<NodeId> out_targets;
+    std::vector<double> out_arc_weights;
+    std::vector<double> out_probs;
+    std::vector<double> out_weights;
+    std::vector<size_t> in_offsets;
+    std::vector<NodeId> in_sources;
+    std::vector<double> in_arc_weights;
+    std::vector<double> in_probs;
+  };
+  static Graph Bind(std::vector<std::string> type_names, Columns columns);
 
-  // Owning storage. Empty for columns that borrow from `mapping_`.
-  std::vector<NodeTypeId> node_types_;
-  std::vector<std::string> type_names_;  // always owned
+  std::vector<std::string> type_names_;
 
-  std::vector<size_t> out_offsets_;       // size num_nodes()+1
-  std::vector<NodeId> out_targets_;       // column: arc target
-  std::vector<double> out_arc_weights_;   // column: raw arc weight
-  std::vector<double> out_probs_;         // column: M[source][target]
-  std::vector<double> out_weights_;       // per node: total out weight
+  std::span<const NodeTypeId> node_types_;
+  std::span<const size_t> out_offsets_;       // size num_nodes()+1
+  std::span<const NodeId> out_targets_;       // column: arc target
+  std::span<const double> out_arc_weights_;   // column: raw arc weight
+  std::span<const double> out_probs_;         // column: M[source][target]
+  std::span<const double> out_weights_;       // per node: total out weight
+  std::span<const size_t> in_offsets_;        // size num_nodes()+1
+  std::span<const NodeId> in_sources_;        // column: arc source
+  std::span<const double> in_arc_weights_;    // column: raw arc weight
+  std::span<const double> in_probs_;          // column: M[source][this]
 
-  std::vector<size_t> in_offsets_;        // size num_nodes()+1
-  std::vector<NodeId> in_sources_;        // column: arc source
-  std::vector<double> in_arc_weights_;    // column: raw arc weight
-  std::vector<double> in_probs_;          // column: M[source][this]
-
-  // Column views: alias the vectors above, or borrow from `mapping_`.
-  std::span<const NodeTypeId> node_types_view_;
-  std::span<const size_t> out_offsets_view_;
-  std::span<const NodeId> out_targets_view_;
-  std::span<const double> out_arc_weights_view_;
-  std::span<const double> out_probs_view_;
-  std::span<const double> out_weights_view_;
-  std::span<const size_t> in_offsets_view_;
-  std::span<const NodeId> in_sources_view_;
-  std::span<const double> in_arc_weights_view_;
-  std::span<const double> in_probs_view_;
-  // Keeps the mmap alive while any view borrows from it; null for graphs
-  // that own all their columns.
-  std::shared_ptr<const MappedSnapshot> mapping_;
+  // Owns the bytes every span above points into: a Columns, a bulk-read
+  // image or a MappedSnapshot. Shared by copies.
+  std::shared_ptr<const void> storage_;
+  bool mapped_ = false;
 };
 
 // Returns a copy of `g` with every arc's weight replaced by 1 (transition

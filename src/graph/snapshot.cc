@@ -30,9 +30,9 @@ namespace {
 
 // The format stores the size_t offset columns verbatim as u64 and writes
 // multi-byte values in native order; rtr targets 64-bit little-endian.
-static_assert(sizeof(size_t) == 8, "rtr-snap 1 assumes 64-bit size_t");
+static_assert(sizeof(size_t) == 8, "rtr-snap 2 assumes 64-bit size_t");
 static_assert(std::endian::native == std::endian::little,
-              "rtr-snap 1 assumes a little-endian host");
+              "rtr-snap 2 assumes a little-endian host");
 
 constexpr size_t kHeaderBytes = 64;
 // Far above any graph this system serves; keeps the size arithmetic below
@@ -86,25 +86,11 @@ void AppendColumn(std::string* buf, std::span<const T> column) {
   AppendPadding(buf);
 }
 
-// Copies a column out of the payload into an owning vector (bulk loader).
-template <typename T>
-Status ReadColumn(std::string_view buf, size_t* pos, size_t count,
-                  std::vector<T>* out, const char* what) {
-  const size_t bytes = count * sizeof(T);
-  if (bytes > buf.size() || *pos > buf.size() - bytes) {
-    return Status::IoError(std::string("snapshot truncated in ") + what);
-  }
-  out->resize(count);
-  if (bytes > 0) std::memcpy(out->data(), buf.data() + *pos, bytes);
-  *pos += Padded(bytes);
-  return Status::OK();
-}
-
-// Points a span at a column in place (mapped loader). Every section start
-// is 8-aligned within the payload and the mapping itself is page-aligned,
-// so the alignment check only fires on hand-corrupted inputs — but a
-// misaligned reinterpret_cast would be UB, so it is a hard error (the
-// caller falls back to the bulk loader).
+// Points a span at a column in place. Every section start is 8-aligned
+// within the payload and both backings (a page-aligned mapping, an 8-aligned
+// heap image) are 8-aligned too, so the alignment check only fires on
+// hand-corrupted inputs — but a misaligned reinterpret_cast would be UB, so
+// it is a hard error.
 template <typename T>
 Status BorrowColumn(std::string_view buf, size_t* pos, size_t count,
                     std::span<const T>* out, const char* what) {
@@ -176,13 +162,11 @@ Status ParseTypeNames(std::string_view payload, uint64_t num_types,
 
 }  // namespace
 
-// Friend of Graph: packs and unpacks the frozen columns without a
-// GraphBuilder replay, either copying them (Deserialize) or aliasing them
-// inside a MappedSnapshot (DeserializeBorrowed).
+// Friend of Graph: packs the frozen columns, and binds them back in place
+// inside a snapshot image for both loaders.
 class SnapshotCodec {
  public:
-  // Everything after the 64-byte header. Reads through the column views, so
-  // mapped graphs serialize the same as owning ones.
+  // Everything after the 64-byte header, read through the column spans.
   static std::string SerializePayload(const Graph& g) {
     std::string payload;
     payload.reserve(g.MemoryBytes() + 64 * g.type_names().size());
@@ -230,81 +214,44 @@ class SnapshotCodec {
     return Status::OK();
   }
 
-  static StatusOr<Graph> Deserialize(uint64_t num_types, uint64_t num_nodes,
-                                     uint64_t num_arcs,
-                                     uint64_t type_block_bytes,
-                                     std::string_view payload) {
-    Graph g;
-    RTR_RETURN_IF_ERROR(
-        ParseTypeNames(payload, num_types, type_block_bytes, &g.type_names_));
-    size_t pos = type_block_bytes;
-
-    RTR_RETURN_IF_ERROR(
-        ReadColumn(payload, &pos, num_nodes, &g.node_types_, "node types"));
-    RTR_RETURN_IF_ERROR(ReadColumn(payload, &pos, num_nodes + 1,
-                                   &g.out_offsets_, "out offsets"));
-    RTR_RETURN_IF_ERROR(
-        ReadColumn(payload, &pos, num_arcs, &g.out_targets_, "out targets"));
-    RTR_RETURN_IF_ERROR(ReadColumn(payload, &pos, num_arcs,
-                                   &g.out_arc_weights_, "out weights"));
-    RTR_RETURN_IF_ERROR(
-        ReadColumn(payload, &pos, num_arcs, &g.out_probs_, "out probs"));
-    RTR_RETURN_IF_ERROR(ReadColumn(payload, &pos, num_nodes, &g.out_weights_,
-                                   "node out-weights"));
-    RTR_RETURN_IF_ERROR(ReadColumn(payload, &pos, num_nodes + 1,
-                                   &g.in_offsets_, "in offsets"));
-    RTR_RETURN_IF_ERROR(
-        ReadColumn(payload, &pos, num_arcs, &g.in_sources_, "in sources"));
-    RTR_RETURN_IF_ERROR(ReadColumn(payload, &pos, num_arcs,
-                                   &g.in_arc_weights_, "in weights"));
-    RTR_RETURN_IF_ERROR(
-        ReadColumn(payload, &pos, num_arcs, &g.in_probs_, "in probs"));
-    if (pos != payload.size()) {
-      return Status::IoError("snapshot has trailing garbage");
-    }
-    g.RebindViews();
-    RTR_RETURN_IF_ERROR(ValidateGraph(g, num_types, num_nodes, num_arcs));
-    return g;
-  }
-
-  // Zero-copy twin of Deserialize: binds the column views straight into the
-  // mapped payload and stores `mapping` to keep the pages alive. Only the
-  // type names are copied out (owned strings).
-  static StatusOr<Graph> DeserializeBorrowed(
-      uint64_t num_types, uint64_t num_nodes, uint64_t num_arcs,
-      uint64_t type_block_bytes, std::string_view payload,
-      std::shared_ptr<const MappedSnapshot> mapping) {
+  // The column decoder of both loaders: binds every span straight into
+  // `payload` and makes `storage`, which owns those bytes, the graph's
+  // keep-alive. Only the type names are copied out (owned strings).
+  static StatusOr<Graph> Bind(uint64_t num_types, uint64_t num_nodes,
+                              uint64_t num_arcs, uint64_t type_block_bytes,
+                              std::string_view payload,
+                              std::shared_ptr<const void> storage,
+                              bool mapped) {
     Graph g;
     RTR_RETURN_IF_ERROR(
         ParseTypeNames(payload, num_types, type_block_bytes, &g.type_names_));
     size_t pos = type_block_bytes;
 
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_nodes,
-                                     &g.node_types_view_, "node types"));
+                                     &g.node_types_, "node types"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_nodes + 1,
-                                     &g.out_offsets_view_, "out offsets"));
+                                     &g.out_offsets_, "out offsets"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.out_targets_view_, "out targets"));
+                                     &g.out_targets_, "out targets"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.out_arc_weights_view_,
-                                     "out weights"));
+                                     &g.out_arc_weights_, "out weights"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.out_probs_view_, "out probs"));
+                                     &g.out_probs_, "out probs"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_nodes,
-                                     &g.out_weights_view_,
-                                     "node out-weights"));
+                                     &g.out_weights_, "node out-weights"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_nodes + 1,
-                                     &g.in_offsets_view_, "in offsets"));
+                                     &g.in_offsets_, "in offsets"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.in_sources_view_, "in sources"));
+                                     &g.in_sources_, "in sources"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.in_arc_weights_view_, "in weights"));
+                                     &g.in_arc_weights_, "in weights"));
     RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.in_probs_view_, "in probs"));
+                                     &g.in_probs_, "in probs"));
     if (pos != payload.size()) {
       return Status::IoError("snapshot has trailing garbage");
     }
-    g.mapping_ = std::move(mapping);
+    g.storage_ = std::move(storage);
+    g.mapped_ = mapped;
     RTR_RETURN_IF_ERROR(ValidateGraph(g, num_types, num_nodes, num_arcs));
     return g;
   }
@@ -442,28 +389,46 @@ Status CheckSnapshotShape(std::string_view buf, SnapshotHeader* header,
   return Status::OK();
 }
 
-StatusOr<Graph> LoadGraphSnapshotBuffer(std::string_view buf,
-                                        uint64_t* generation) {
+// Shape check, checksum and in-place binding, shared by both loaders.
+// `buf` is the whole file and lives inside `storage`.
+StatusOr<Graph> LoadSnapshotImage(std::string_view buf,
+                                  std::shared_ptr<const void> storage,
+                                  bool mapped, bool verify_checksum,
+                                  uint64_t* generation) {
   SnapshotHeader header;
   std::string_view payload;
   RTR_RETURN_IF_ERROR(CheckSnapshotShape(buf, &header, &payload));
-  if (Fnv1a64Words(payload.data(), payload.size()) !=
-      header.info.payload_checksum) {
+  if (verify_checksum && Fnv1a64Words(payload.data(), payload.size()) !=
+                             header.info.payload_checksum) {
     return Status::IoError("snapshot checksum mismatch");
   }
-  StatusOr<Graph> g = SnapshotCodec::Deserialize(
+  StatusOr<Graph> g = SnapshotCodec::Bind(
       header.info.num_types, header.info.num_nodes, header.info.num_arcs,
       header.type_block_bytes,
-      payload.substr(0, payload.size() - header.skipped_bytes));
+      payload.substr(0, payload.size() - header.skipped_bytes),
+      std::move(storage), mapped);
   if (g.ok() && generation != nullptr) *generation = header.info.generation;
   return g;
+}
+
+// The bulk loader's backing: an 8-aligned heap image of the file's `size`
+// bytes, in which the columns bind in place exactly as they do in a
+// mapping. Bulk loads always verify the payload checksum.
+StatusOr<Graph> LoadHeapImage(std::shared_ptr<std::vector<uint64_t>> image,
+                              size_t size, uint64_t* generation) {
+  const std::string_view buf(reinterpret_cast<const char*>(image->data()),
+                             size);
+  return LoadSnapshotImage(buf, std::move(image), /*mapped=*/false,
+                           /*verify_checksum=*/true, generation);
 }
 
 }  // namespace
 
 StatusOr<Graph> LoadGraphSnapshot(std::istream& in, uint64_t* generation) {
-  std::string buf(std::istreambuf_iterator<char>(in), {});
-  return LoadGraphSnapshotBuffer(buf, generation);
+  const std::string buf(std::istreambuf_iterator<char>(in), {});
+  auto image = std::make_shared<std::vector<uint64_t>>((buf.size() + 7) / 8);
+  if (!buf.empty()) std::memcpy(image->data(), buf.data(), buf.size());
+  return LoadHeapImage(std::move(image), buf.size(), generation);
 }
 
 StatusOr<Graph> LoadGraphSnapshotFromFile(const std::string& path,
@@ -475,13 +440,15 @@ StatusOr<Graph> LoadGraphSnapshotFromFile(const std::string& path,
     return Status::IoError("cannot determine snapshot size: " + path);
   }
   in.seekg(0);
-  // One bulk read of the whole file; the columns are then block-copied into
-  // place (see SnapshotCodec::Deserialize) with no per-arc work.
-  std::string buf(static_cast<size_t>(size), '\0');
-  if (size > 0 && !in.read(buf.data(), size)) {
+  // One bulk read of the whole file; the columns are then bound in place
+  // with no per-column copy and no per-arc work.
+  auto image = std::make_shared<std::vector<uint64_t>>(
+      (static_cast<size_t>(size) + 7) / 8);
+  if (size > 0 && !in.read(reinterpret_cast<char*>(image->data()), size)) {
     return Status::IoError("failed reading snapshot: " + path);
   }
-  return LoadGraphSnapshotBuffer(buf, generation);
+  return LoadHeapImage(std::move(image), static_cast<size_t>(size),
+                       generation);
 }
 
 MappedSnapshot::~MappedSnapshot() {
@@ -531,25 +498,12 @@ StatusOr<Graph> LoadGraphMapped(const std::string& path,
   RTR_RETURN_IF_ERROR(mapped.status());
   std::shared_ptr<const MappedSnapshot> mapping = std::move(mapped).value();
   const std::string_view buf(mapping->data(), mapping->size());
-  SnapshotHeader header;
-  std::string_view payload;
-  RTR_RETURN_IF_ERROR(CheckSnapshotShape(buf, &header, &payload));
   // The full checksum would fault in every page up front, defeating the
-  // zero-copy cold start; structural validation below still touches the
-  // header, offsets, endpoint and node-type pages. RTR_MMAP_VERIFY=1 forces
-  // the integrity pass for operators who want it.
-  if (EnvFlagSet("RTR_MMAP_VERIFY") &&
-      Fnv1a64Words(payload.data(), payload.size()) !=
-          header.info.payload_checksum) {
-    return Status::IoError("snapshot checksum mismatch");
-  }
-  StatusOr<Graph> g = SnapshotCodec::DeserializeBorrowed(
-      header.info.num_types, header.info.num_nodes, header.info.num_arcs,
-      header.type_block_bytes,
-      payload.substr(0, payload.size() - header.skipped_bytes),
-      std::move(mapping));
-  if (g.ok() && generation != nullptr) *generation = header.info.generation;
-  return g;
+  // zero-copy cold start; structural validation still touches the header,
+  // offsets, endpoint and node-type pages. RTR_MMAP_VERIFY=1 forces the
+  // integrity pass for operators who want it.
+  return LoadSnapshotImage(buf, std::move(mapping), /*mapped=*/true,
+                           EnvFlagSet("RTR_MMAP_VERIFY"), generation);
 }
 
 StatusOr<SnapshotFileInfo> ReadSnapshotFileInfo(const std::string& path) {

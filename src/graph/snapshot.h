@@ -16,12 +16,12 @@ namespace rtr {
 //
 // A snapshot freezes a Graph's columnar CSR arrays verbatim so a process can
 // come up without replaying text parsing + GraphBuilder sorting/merging. Two
-// loaders exist: LoadGraphSnapshotFromFile performs one bulk read and
-// block-copies each column into owning vectors, and LoadGraphMapped mmaps
-// the file and points the Graph's column spans directly at the mapping
-// (zero copy; see MappedSnapshot below). Layout (all integers little-endian,
-// every section padded to an 8-byte boundary precisely so the mapped loader
-// can alias each column in place):
+// loaders share one decoder that points the Graph's column spans at the
+// columns in place: LoadGraphSnapshotFromFile reads the file into an
+// 8-aligned heap image and binds inside it, and LoadGraphMapped mmaps the
+// file and binds inside the mapping (zero copy; see MappedSnapshot below).
+// Layout (all integers little-endian, every section padded to an 8-byte
+// boundary precisely so each column can be aliased in place):
 //
 //   header (64 bytes):
 //     char[8]  magic            "rtr-snap"
@@ -126,7 +126,7 @@ enum class MapMode {
   // anything else means kNever. The default everywhere, so one env var
   // flips every loader in a process (CI runs the whole suite both ways).
   kAuto,
-  // Bulk read into owning vectors (the classic path).
+  // Bulk read into a heap image (the classic path).
   kNever,
   // Try the mapped loader; on failure log a WARNING, bump the
   // `rtr_store_mmap_fallbacks` counter, and fall back to the bulk read.

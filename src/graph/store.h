@@ -64,9 +64,9 @@ class GraphStore {
   // generation id in the header; text graphs start at generation 0.
   // `map_mode` selects the snapshot loader (graph/snapshot.h): the default
   // kAuto honors RTR_GRAPH_MMAP, kPrefer/kRequire map the file zero-copy.
-  // A mapped base generation is safe here: Apply/CatchUp build the next
-  // generation's columns in owning storage (DeltaOps reads the base through
-  // its views — copy-on-write), never in place.
+  // A mapped base generation is safe here: Apply/CatchUp read the base only
+  // through its column spans and assemble the next generation's columns
+  // afresh (copy-on-write), never in place.
   static StatusOr<std::unique_ptr<GraphStore>> Open(
       const std::string& path, MapMode map_mode = MapMode::kAuto);
 

@@ -17,8 +17,8 @@
 // the scalar tail adds element i into lane i&3, and the final combine is
 // (l0 + l1) + (l2 + l3). The result is therefore a pure function of the
 // inputs, whatever the thread count or row partitioning, which is what lets
-// the rank tests assert exact equality across 1 vs N threads and owning vs
-// mapped storage. No -mfma or -ffast-math is set, so on x86-64 the
+// the rank tests assert exact equality across 1 vs N threads and built vs
+// mapped graphs. No -mfma or -ffast-math is set, so on x86-64 the
 // compiler can neither contract the mul + add pairs nor reorder the sums.
 
 namespace rtr::util {

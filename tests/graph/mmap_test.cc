@@ -1,11 +1,13 @@
-// Zero-copy mapped snapshot loading: bit-identity against the owning
-// loader, MapMode resolution, bulk-read fallback (with its counter),
-// read-and-skip of legacy v3 files, and the copy-on-write contract of delta
-// application on a mapped base generation.
+// Zero-copy mapped snapshot loading: bit-identity against the bulk loader,
+// MapMode resolution, bulk-read fallback (with its counter), column sharing
+// between copies of every Graph origin, read-and-skip of legacy v3 files,
+// and the copy-on-write contract of delta application on a mapped base
+// generation.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -243,29 +245,70 @@ TEST(MmapTest, MappedLoadRejectsTextGraphs) {
   EXPECT_FALSE(LoadGraphMapped(path).ok());
 }
 
-TEST(MmapTest, MaterializeOwningDetachesFromTheMapping) {
-  const Graph g = RandomGraph(5, 80);
-  const std::string path = WriteSnapshot(g, "mmap_materialize.rtrsnap");
-  StatusOr<Graph> mapped = LoadGraphMapped(path);
-  ASSERT_TRUE(mapped.ok());
-  Graph owned = mapped->MaterializeOwning();
-  EXPECT_FALSE(owned.is_mapped());
-  ExpectGraphsIdentical(*mapped, owned);
-  // The materialized copy survives the mapped original going away.
-  *mapped = Graph();
-  ExpectGraphsIdentical(g, owned);
-}
-
 TEST(MmapTest, CopyOfMappedGraphSharesTheMapping) {
   const std::string path = WriteSnapshot(TrickyGraph(), "mmap_copy.rtrsnap");
   StatusOr<Graph> mapped = LoadGraphMapped(path);
   ASSERT_TRUE(mapped.ok());
-  Graph copy = *mapped;  // borrowed columns stay borrowed
+  Graph copy = *mapped;  // mapped columns stay mapped
   EXPECT_TRUE(copy.is_mapped());
   ExpectGraphsIdentical(*mapped, copy);
   // The copy keeps the mapping alive on its own.
   *mapped = Graph();
   ExpectGraphsIdentical(TrickyGraph(), copy);
+}
+
+// Same bytes, not equal bytes: every column of `b` is the column of `a`.
+void ExpectSameColumns(const Graph& a, const Graph& b) {
+  EXPECT_EQ(a.node_types().data(), b.node_types().data());
+  EXPECT_EQ(a.out_offsets().data(), b.out_offsets().data());
+  EXPECT_EQ(a.out_targets().data(), b.out_targets().data());
+  EXPECT_EQ(a.out_arc_weights().data(), b.out_arc_weights().data());
+  EXPECT_EQ(a.out_probs().data(), b.out_probs().data());
+  EXPECT_EQ(a.out_weights().data(), b.out_weights().data());
+  EXPECT_EQ(a.in_offsets().data(), b.in_offsets().data());
+  EXPECT_EQ(a.in_sources().data(), b.in_sources().data());
+  EXPECT_EQ(a.in_arc_weights().data(), b.in_arc_weights().data());
+  EXPECT_EQ(a.in_probs().data(), b.in_probs().data());
+}
+
+// One storage model for every origin of a Graph: a copy shares the
+// original's immutable columns in O(1), keeps them alive on its own once
+// the original is gone, and carries is_mapped() over.
+TEST(MmapTest, CopiesShareTheColumnsOfEveryOrigin) {
+  const std::string path = WriteSnapshot(TrickyGraph(), "mmap_origins.rtrsnap");
+  GraphDelta delta;
+  delta.added_node_types = {kUntypedNode};
+  delta.removed_arcs.push_back({4, 2});
+  delta.added_arcs.push_back({6, 0, 1.5});
+  delta.added_arcs.push_back({2, 6, 0.25});
+
+  const struct {
+    const char* name;
+    bool mapped;
+    std::function<StatusOr<Graph>()> make;
+  } origins[] = {
+      {"GraphBuilder::Build", false, [] { return TrickyGraph(); }},
+      {"bulk load", false, [&] { return LoadGraphSnapshotFromFile(path); }},
+      {"mapped load", true, [&] { return LoadGraphMapped(path); }},
+      {"ApplyDelta", false, [&] { return ApplyDelta(TrickyGraph(), delta); }},
+  };
+  for (const auto& origin : origins) {
+    SCOPED_TRACE(origin.name);
+    StatusOr<Graph> original = origin.make();
+    ASSERT_TRUE(original.ok()) << original.status().ToString();
+    EXPECT_EQ(original->is_mapped(), origin.mapped);
+
+    const Graph copy = *original;
+    EXPECT_EQ(copy.is_mapped(), origin.mapped);
+    ExpectSameColumns(*original, copy);
+
+    // Dropping the original leaves the copy the only owner of the bytes
+    // (the ASan job catches a dangling keep-alive).
+    *original = Graph();
+    StatusOr<Graph> fresh = origin.make();
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    ExpectGraphsIdentical(*fresh, copy);
+  }
 }
 
 // TrickyGraph() at generation 3 as written by the v3 writer (before the
