@@ -2,13 +2,13 @@
 #define RTR_BENCH_ALLOC_COUNTER_H_
 
 // Global operator-new interposer for allocation accounting in benchmark
-// binaries. Include this header in EXACTLY ONE translation unit of a
-// binary (it *defines* the replaceable global allocation functions); every
+// and test binaries. Include this header in EXACTLY ONE translation unit of
+// a binary (it *defines* the replaceable global allocation functions); every
 // heap allocation made by that binary then bumps a process-wide counter,
 // which bench_micro uses to assert the steady-state 2SBound query path is
 // allocation-free (ISSUE 4 / DESIGN.md §7).
 //
-// Deliberately bench-only: the library itself must stay free of global
+// Deliberately outside the library: rtr itself must stay free of global
 // operator-new replacement so embedders keep their own allocators.
 
 #include <atomic>
@@ -18,18 +18,37 @@
 namespace rtr::bench {
 
 inline std::atomic<uint64_t> g_alloc_count{0};
+inline std::atomic<uint64_t> g_alloc_peak_bytes{0};
 
 // Number of operator-new calls (any variant) since process start.
 inline uint64_t AllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
+// Largest single operator-new request since process start or the last
+// ResetAllocPeak() — what a decoder test reads to prove no allocation was
+// sized from an untrusted count.
+inline uint64_t AllocPeakBytes() {
+  return g_alloc_peak_bytes.load(std::memory_order_relaxed);
+}
+inline void ResetAllocPeak() {
+  g_alloc_peak_bytes.store(0, std::memory_order_relaxed);
+}
+
 }  // namespace rtr::bench
 
 namespace rtr::bench::internal {
 
-inline void* CountedAlloc(std::size_t size) {
+inline void Count(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  uint64_t peak = g_alloc_peak_bytes.load(std::memory_order_relaxed);
+  while (size > peak && !g_alloc_peak_bytes.compare_exchange_weak(
+                            peak, size, std::memory_order_relaxed)) {
+  }
+}
+
+inline void* CountedAlloc(std::size_t size) {
+  Count(size);
   if (size == 0) size = 1;
   void* p = std::malloc(size);
   if (p == nullptr) std::abort();  // benches do not recover from OOM
@@ -37,7 +56,7 @@ inline void* CountedAlloc(std::size_t size) {
 }
 
 inline void* CountedAlignedAlloc(std::size_t size, std::size_t alignment) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   if (size == 0) size = 1;
   void* p = nullptr;
   if (posix_memalign(&p, alignment, size) != 0) std::abort();

@@ -6,11 +6,14 @@
 // The binary doubles as the allocation-regression gate: alloc_counter.h
 // interposes global operator new, and main() exits non-zero if a
 // steady-state 2SBound query on a warm QueryWorkspace performs any heap
-// allocation (the bench-smoke CI job runs this at 1 and 4 threads).
+// allocation, if a warm GP record fetch allocates, or if decoding a fetch
+// reply allocates per record (the bench-smoke CI job runs this at 1 and 4
+// threads).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,9 +23,11 @@
 #include "core/two_stage.h"
 #include "core/twosbound.h"
 #include "core/workspace.h"
+#include "dist/distributed_topk.h"
 #include "obs/trace.h"
 #include "graph/builder.h"
 #include "graph/snapshot.h"
+#include "net/frame.h"
 #include "ranking/pagerank.h"
 #include "util/dense_kernels.h"
 #include "util/parallel_for.h"
@@ -329,6 +334,67 @@ bool AuditSteadyStateAllocs() {
   return AuditSteadyStateAllocsOn(*mapped, "mapped");
 }
 
+// Fetch-path allocation audit (the AP<->GP leg, DESIGN.md §4/§12). A warm
+// GraphProcessor::Fetch into a reused vector must make no allocation: its
+// records view the stripe. DecodeFetchReply must make the same number of
+// allocations per reply whatever its record count: one shared column block
+// per reply, none per record.
+bool AuditFetchAllocs() {
+  const Graph g = MakeGraph(2000, 8000, 13);
+  const rtr::dist::GraphProcessor gp(g, 0, 1);
+  std::vector<NodeId> batch(rtr::dist::kMaxRecordsPerRequest);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = static_cast<NodeId>(i * 7 % g.num_nodes());
+  }
+  std::vector<rtr::dist::NodeRecord> records;
+  if (!gp.Fetch(batch, &records).ok()) {
+    std::fprintf(stderr, "alloc audit: warm-up fetch failed\n");
+    return false;
+  }
+  records.clear();
+  uint64_t before = rtr::bench::AllocCount();
+  (void)gp.Fetch(batch, &records);
+  const uint64_t fetch_allocs = rtr::bench::AllocCount() - before;
+  if (fetch_allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: warm GraphProcessor::Fetch of %zu nodes made %llu "
+                 "heap allocations (expected 0)\n",
+                 batch.size(), static_cast<unsigned long long>(fetch_allocs));
+    return false;
+  }
+  std::printf("alloc audit: warm GraphProcessor::Fetch allocs = 0 [OK]\n");
+
+  std::vector<uint8_t> payload;
+  std::vector<rtr::dist::NodeRecord> decoded;
+  decoded.reserve(records.size());
+  uint64_t per_reply = 0;
+  for (size_t n : {size_t{1}, size_t{16}, records.size()}) {
+    rtr::net::EncodeFetchReply(
+        std::span<const rtr::dist::NodeRecord>(records.data(), n), &payload);
+    decoded.clear();
+    before = rtr::bench::AllocCount();
+    const rtr::Status status = rtr::net::DecodeFetchReply(payload, &decoded);
+    const uint64_t allocs = rtr::bench::AllocCount() - before;
+    if (!status.ok() || decoded.size() != n) {
+      std::fprintf(stderr, "alloc audit: decode of %zu records failed\n", n);
+      return false;
+    }
+    if (n == 1) per_reply = allocs;
+    if (allocs != per_reply) {
+      std::fprintf(stderr,
+                   "FAIL: DecodeFetchReply made %llu allocations for %zu "
+                   "records but %llu for 1 (expected a constant per reply)\n",
+                   static_cast<unsigned long long>(allocs), n,
+                   static_cast<unsigned long long>(per_reply));
+      return false;
+    }
+  }
+  std::printf("alloc audit: DecodeFetchReply allocs/reply = %llu for 1, 16 "
+              "and %zu records [OK]\n",
+              static_cast<unsigned long long>(per_reply), records.size());
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -337,5 +403,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   // The audit runs after the benchmarks so a filtered run (e.g. CI's
   // --benchmark_filter) still enforces the zero-allocation contract.
-  return AuditSteadyStateAllocs() ? 0 : 1;
+  const bool engine_ok = AuditSteadyStateAllocs();
+  const bool fetch_ok = AuditFetchAllocs();
+  return engine_ok && fetch_ok ? 0 : 1;
 }

@@ -18,33 +18,38 @@ GraphProcessor::GraphProcessor(const Graph& g, int id, int num_gps)
        v += static_cast<NodeId>(num_gps)) {
     owned_nodes_.push_back(v);
   }
-  out_offsets_.reserve(owned_nodes_.size() + 1);
-  in_offsets_.reserve(owned_nodes_.size() + 1);
-  out_offsets_.push_back(0);
-  in_offsets_.push_back(0);
+  auto stripe = std::make_shared<Stripe>();
+  stripe->out_offsets.reserve(owned_nodes_.size() + 1);
+  stripe->in_offsets.reserve(owned_nodes_.size() + 1);
+  stripe->out_offsets.push_back(0);
+  stripe->in_offsets.push_back(0);
   auto append = [](auto* column, auto span) {
     column->insert(column->end(), span.begin(), span.end());
   };
   for (NodeId v : owned_nodes_) {
-    append(&out_targets_, g.out_targets(v));
-    append(&out_weights_, g.out_arc_weights(v));
-    append(&out_probs_, g.out_probs(v));
-    out_offsets_.push_back(out_targets_.size());
-    append(&in_sources_, g.in_sources(v));
-    append(&in_weights_, g.in_arc_weights(v));
-    append(&in_probs_, g.in_probs(v));
-    in_offsets_.push_back(in_sources_.size());
+    append(&stripe->out_targets, g.out_targets(v));
+    append(&stripe->out_weights, g.out_arc_weights(v));
+    append(&stripe->out_probs, g.out_probs(v));
+    stripe->out_offsets.push_back(stripe->out_targets.size());
+    append(&stripe->in_sources, g.in_sources(v));
+    append(&stripe->in_weights, g.in_arc_weights(v));
+    append(&stripe->in_probs, g.in_probs(v));
+    stripe->in_offsets.push_back(stripe->in_sources.size());
   }
-  stored_bytes_ = owned_nodes_.size() * sizeof(NodeId) +
-                  (out_offsets_.size() + in_offsets_.size()) * sizeof(size_t) +
-                  (out_targets_.size() + in_sources_.size()) *
-                      (sizeof(NodeId) + 2 * sizeof(double));
+  stored_bytes_ =
+      owned_nodes_.size() * sizeof(NodeId) +
+      (stripe->out_offsets.size() + stripe->in_offsets.size()) *
+          sizeof(size_t) +
+      (stripe->out_targets.size() + stripe->in_sources.size()) *
+          (sizeof(NodeId) + 2 * sizeof(double));
+  stripe_ = std::move(stripe);
 }
 
 Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
                              std::vector<NodeRecord>* out) const {
   fetch_requests_.Add(1);
   out->reserve(out->size() + nodes.size());
+  const Stripe& s = *stripe_;
   for (NodeId v : nodes) {
     if (!Owns(v)) {
       return Status::InvalidArgument("GP " + std::to_string(id_) +
@@ -59,23 +64,21 @@ Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
                                 " beyond GP " + std::to_string(id_) +
                                 "'s stripe");
     }
-    NodeRecord record;
+    const size_t out_begin = s.out_offsets[i];
+    const size_t n_out = s.out_offsets[i + 1] - out_begin;
+    const size_t in_begin = s.in_offsets[i];
+    const size_t n_in = s.in_offsets[i + 1] - in_begin;
+    NodeRecord& record = out->emplace_back();
     record.node = v;
-    record.out_targets.assign(out_targets_.begin() + out_offsets_[i],
-                              out_targets_.begin() + out_offsets_[i + 1]);
-    record.out_weights.assign(out_weights_.begin() + out_offsets_[i],
-                              out_weights_.begin() + out_offsets_[i + 1]);
-    record.out_probs.assign(out_probs_.begin() + out_offsets_[i],
-                            out_probs_.begin() + out_offsets_[i + 1]);
-    record.in_sources.assign(in_sources_.begin() + in_offsets_[i],
-                             in_sources_.begin() + in_offsets_[i + 1]);
-    record.in_weights.assign(in_weights_.begin() + in_offsets_[i],
-                             in_weights_.begin() + in_offsets_[i + 1]);
-    record.in_probs.assign(in_probs_.begin() + in_offsets_[i],
-                           in_probs_.begin() + in_offsets_[i + 1]);
+    record.out_targets = {s.out_targets.data() + out_begin, n_out};
+    record.out_weights = {s.out_weights.data() + out_begin, n_out};
+    record.out_probs = {s.out_probs.data() + out_begin, n_out};
+    record.in_sources = {s.in_sources.data() + in_begin, n_in};
+    record.in_weights = {s.in_weights.data() + in_begin, n_in};
+    record.in_probs = {s.in_probs.data() + in_begin, n_in};
+    record.storage = stripe_;
     records_served_.Add(1);
     bytes_served_.Add(record.WireBytes());
-    out->push_back(std::move(record));
   }
   return Status::OK();
 }

@@ -11,14 +11,18 @@
 // the GP traffic per query are small and nearly independent of graph size.
 //
 // This in-process simulation keeps the data movement honest: each
-// GraphProcessor holds a real copy of its stripe's adjacency, the AP
-// assembles the active set exclusively out of GP responses, and the returned
-// byte/request counts are measured from those responses, not estimated.
+// GraphProcessor holds its own copy of its stripe's adjacency, every record
+// the AP assembles for the active set comes out of a GP response, and the
+// returned byte/request counts are measured from those responses, not
+// estimated. A record is a view: spans into the serving stripe (loopback)
+// or into the decoded reply (net/), plus a keep-alive for those bytes, so
+// the fetch path copies no arcs and allocates nothing per record.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,18 +34,22 @@
 
 namespace rtr::dist {
 
-// One node's shard record as served by a GP: the node id plus copies of its
+// One node's shard record as served by a GP: the node id plus views of its
 // incident arc columns (the unit of transfer of Sect. V-B2). Columnar like
-// the Graph itself: entries at one index across a direction's vectors
-// describe the same arc.
+// the Graph itself: entries at one index across a direction's spans
+// describe the same arc. `storage` keeps the viewed bytes alive — the
+// serving GraphProcessor's stripe, or the one block a decoded fetch reply
+// copies its columns into — so a record stays valid after its source is
+// gone, and copying a record copies no arcs.
 struct NodeRecord {
   NodeId node = kInvalidNode;
-  std::vector<NodeId> out_targets;
-  std::vector<double> out_weights;
-  std::vector<double> out_probs;
-  std::vector<NodeId> in_sources;
-  std::vector<double> in_weights;
-  std::vector<double> in_probs;
+  std::span<const NodeId> out_targets;
+  std::span<const double> out_weights;
+  std::span<const double> out_probs;
+  std::span<const NodeId> in_sources;
+  std::span<const double> in_weights;
+  std::span<const double> in_probs;
+  std::shared_ptr<const void> storage;
 
   size_t num_out_arcs() const { return out_targets.size(); }
   size_t num_in_arcs() const { return in_sources.size(); }
@@ -97,7 +105,8 @@ class RecordSource {
 
   // Serves one batched request: appends a record per requested node to
   // `out`, in request order. Every node must be owned by this source's
-  // shard.
+  // shard. Each record carries its own keep-alive (NodeRecord::storage),
+  // so it stays valid after this source is destroyed.
   virtual Status Fetch(const std::vector<NodeId>& nodes,
                        std::vector<NodeRecord>* out) const = 0;
 
@@ -155,7 +164,9 @@ class GraphProcessor : public RecordSource {
   bool Owns(NodeId v) const { return v % num_gps_ == static_cast<NodeId>(id_); }
 
   // Serves one batched request: appends a record per requested node to
-  // `out`. Every node in `nodes` must be owned by this GP.
+  // `out`. Every node in `nodes` must be owned by this GP. The records view
+  // this GP's stripe and share its ownership: no arc is copied, and a warm
+  // `out` makes the call allocation-free.
   Status Fetch(const std::vector<NodeId>& nodes,
                std::vector<NodeRecord>* out) const override;
 
@@ -168,19 +179,24 @@ class GraphProcessor : public RecordSource {
   uint64_t bytes_served() const override { return bytes_served_.value(); }
 
  private:
+  // Stripe-local columnar CSR, mirroring the Graph layout (one offsets
+  // array + three parallel columns per direction). Immutable once built and
+  // shared with every record Fetch serves, which views it in place.
+  struct Stripe {
+    std::vector<size_t> out_offsets;  // size owned_nodes_.size()+1
+    std::vector<NodeId> out_targets;
+    std::vector<double> out_weights;
+    std::vector<double> out_probs;
+    std::vector<size_t> in_offsets;   // size owned_nodes_.size()+1
+    std::vector<NodeId> in_sources;
+    std::vector<double> in_weights;
+    std::vector<double> in_probs;
+  };
+
   int id_ = 0;
   int num_gps_ = 1;
-  std::vector<NodeId> owned_nodes_;       // ascending
-  // Stripe-local columnar CSR, mirroring the Graph layout (one offsets
-  // array + three parallel columns per direction).
-  std::vector<size_t> out_offsets_;       // size owned_nodes_.size()+1
-  std::vector<NodeId> out_targets_;
-  std::vector<double> out_weights_;
-  std::vector<double> out_probs_;
-  std::vector<size_t> in_offsets_;        // size owned_nodes_.size()+1
-  std::vector<NodeId> in_sources_;
-  std::vector<double> in_weights_;
-  std::vector<double> in_probs_;
+  std::vector<NodeId> owned_nodes_;  // ascending
+  std::shared_ptr<const Stripe> stripe_;
   size_t stored_bytes_ = 0;
   // Served-traffic counters; mutable because Fetch is logically const.
   mutable ShardCounter fetch_requests_;
@@ -219,8 +235,9 @@ class Cluster {
   // text, auto-detected by magic — see graph/snapshot.h) and stripes it
   // across num_gps processors; the generation id comes from the snapshot
   // header (0 for text graphs). `map_mode` picks the snapshot loader:
-  // kAuto honors RTR_GRAPH_MMAP, kPrefer/kRequire go zero-copy (the shard
-  // records reference the shared mapped columns).
+  // kAuto honors RTR_GRAPH_MMAP, kPrefer/kRequire go zero-copy (the AP
+  // graph references the shared mapped columns; each GP copies its stripe
+  // out of them).
   static StatusOr<std::unique_ptr<Cluster>> FromGraphFile(
       const std::string& path, int num_gps,
       MapMode map_mode = MapMode::kAuto);

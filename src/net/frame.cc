@@ -1,6 +1,7 @@
 #include "net/frame.h"
 
 #include <cstring>
+#include <memory>
 #include <string>
 
 namespace rtr::net {
@@ -44,8 +45,23 @@ class Reader {
     static_assert(std::is_trivially_copyable_v<T>);
     if (count > (bytes_.size() - at_) / sizeof(T)) return false;
     out->resize(count);
-    std::memcpy(out->data(), bytes_.data() + at_, count * sizeof(T));
+    return ReadArray(out->data(), count);
+  }
+
+  // Copies `count` values into caller storage that holds at least that many.
+  template <typename T>
+  bool ReadArray(T* out, size_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (count > (bytes_.size() - at_) / sizeof(T)) return false;
+    if (count != 0) std::memcpy(out, bytes_.data() + at_, count * sizeof(T));
     at_ += count * sizeof(T);
+    return true;
+  }
+
+  // Steps over `count` items of `item_bytes` each, bounds-checked first.
+  bool Skip(size_t count, size_t item_bytes) {
+    if (count > (bytes_.size() - at_) / item_bytes) return false;
+    at_ += count * item_bytes;
     return true;
   }
 
@@ -55,6 +71,18 @@ class Reader {
   std::span<const uint8_t> bytes_;
   size_t at_ = 0;
 };
+
+// Copies the next `n` values of a fetch reply to `*cursor`, advances the
+// cursor past them and returns a view of the copy. Only called on a payload
+// DecodeFetchReply's first pass has bounds-checked, so the read stays in
+// range.
+template <typename T>
+std::span<const T> TakeColumn(Reader& reader, T** cursor, uint32_t n) {
+  T* begin = *cursor;
+  (void)reader.ReadArray(begin, n);
+  *cursor += n;
+  return {begin, n};
+}
 
 Status Truncated(const char* what) {
   return Status::IoError(std::string("truncated ") + what + " payload");
@@ -160,47 +188,97 @@ Status DecodeFetchRequest(std::span<const uint8_t> payload,
   return Status::OK();
 }
 
+// Bytes one arc occupies in a kFetchReply: its endpoint id plus its weight
+// and probability.
+constexpr size_t kReplyArcBytes = sizeof(NodeId) + 2 * sizeof(double);
+// Bytes of a kFetchReply record before its columns: node, n_out, n_in.
+constexpr size_t kReplyRecordHeaderBytes = 3 * sizeof(uint32_t);
+
 void EncodeFetchReply(std::span<const dist::NodeRecord> records,
                       std::vector<uint8_t>* out) {
-  out->clear();
-  Append<uint32_t>(out, static_cast<uint32_t>(records.size()));
+  size_t bytes = sizeof(uint32_t);
   for (const dist::NodeRecord& record : records) {
-    Append<uint32_t>(out, record.node);
-    Append<uint32_t>(out, static_cast<uint32_t>(record.num_out_arcs()));
-    Append<uint32_t>(out, static_cast<uint32_t>(record.num_in_arcs()));
-    AppendArray(out, record.out_targets.data(), record.out_targets.size());
-    AppendArray(out, record.out_weights.data(), record.out_weights.size());
-    AppendArray(out, record.out_probs.data(), record.out_probs.size());
-    AppendArray(out, record.in_sources.data(), record.in_sources.size());
-    AppendArray(out, record.in_weights.data(), record.in_weights.size());
-    AppendArray(out, record.in_probs.data(), record.in_probs.size());
+    bytes += kReplyRecordHeaderBytes +
+             (record.num_out_arcs() + record.num_in_arcs()) * kReplyArcBytes;
+  }
+  out->resize(bytes);
+  uint8_t* at = out->data();
+  auto put = [&at](auto column) {
+    const size_t n = column.size_bytes();
+    if (n != 0) std::memcpy(at, column.data(), n);
+    at += n;
+  };
+  auto put_u32 = [&put](size_t value) {
+    const uint32_t v = static_cast<uint32_t>(value);
+    put(std::span<const uint32_t>(&v, 1));
+  };
+  put_u32(records.size());
+  for (const dist::NodeRecord& record : records) {
+    put_u32(record.node);
+    put_u32(record.num_out_arcs());
+    put_u32(record.num_in_arcs());
+    put(record.out_targets);
+    put(record.out_weights);
+    put(record.out_probs);
+    put(record.in_sources);
+    put(record.in_weights);
+    put(record.in_probs);
   }
 }
 
 Status DecodeFetchReply(std::span<const uint8_t> payload,
                         std::vector<dist::NodeRecord>* out) {
+  // Pass 1: walk the record headers and bounds-check every count against
+  // the bytes that remain, before anything is allocated. A hostile count
+  // fails here, at the first record it overruns.
   Reader reader(payload);
   uint32_t count = 0;
   if (!reader.Read(&count)) return Truncated("fetch reply");
-  out->reserve(out->size() + count);
+  size_t total_arcs = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    dist::NodeRecord record;
+    uint32_t node = 0;
     uint32_t n_out = 0;
     uint32_t n_in = 0;
-    if (!reader.Read(&record.node) || !reader.Read(&n_out) ||
-        !reader.Read(&n_in) ||
-        !reader.ReadArray(&record.out_targets, n_out) ||
-        !reader.ReadArray(&record.out_weights, n_out) ||
-        !reader.ReadArray(&record.out_probs, n_out) ||
-        !reader.ReadArray(&record.in_sources, n_in) ||
-        !reader.ReadArray(&record.in_weights, n_in) ||
-        !reader.ReadArray(&record.in_probs, n_in)) {
+    if (!reader.Read(&node) || !reader.Read(&n_out) || !reader.Read(&n_in) ||
+        !reader.Skip(n_out, kReplyArcBytes) ||
+        !reader.Skip(n_in, kReplyArcBytes)) {
       return Truncated("fetch reply");
     }
-    out->push_back(std::move(record));
+    total_arcs += static_cast<size_t>(n_out) + n_in;
   }
   if (!reader.exhausted()) {
     return Status::IoError("trailing bytes after fetch reply payload");
+  }
+
+  // Pass 2: copy the columns into one block per reply — ids in one array,
+  // weights and probs in another, record after record — and hand out
+  // records that view it. The sizes are exact and were checked above.
+  struct Block {
+    std::unique_ptr<NodeId[]> ids;
+    std::unique_ptr<double[]> values;
+  };
+  auto block = std::make_shared<Block>();
+  block->ids = std::make_unique_for_overwrite<NodeId[]>(total_arcs);
+  block->values = std::make_unique_for_overwrite<double[]>(2 * total_arcs);
+  NodeId* ids = block->ids.get();
+  double* values = block->values.get();
+  reader = Reader(payload);
+  (void)reader.Read(&count);
+  out->reserve(out->size() + count);
+  for (uint32_t i = 0; i < count; ++i) {
+    dist::NodeRecord& record = out->emplace_back();
+    uint32_t n_out = 0;
+    uint32_t n_in = 0;
+    (void)reader.Read(&record.node);
+    (void)reader.Read(&n_out);
+    (void)reader.Read(&n_in);
+    record.out_targets = TakeColumn(reader, &ids, n_out);
+    record.out_weights = TakeColumn(reader, &values, n_out);
+    record.out_probs = TakeColumn(reader, &values, n_out);
+    record.in_sources = TakeColumn(reader, &ids, n_in);
+    record.in_weights = TakeColumn(reader, &values, n_in);
+    record.in_probs = TakeColumn(reader, &values, n_in);
+    record.storage = block;
   }
   return Status::OK();
 }

@@ -106,9 +106,14 @@ void EncodeFetchRequest(const std::vector<NodeId>& nodes,
 Status DecodeFetchRequest(std::span<const uint8_t> payload,
                           std::vector<NodeId>* nodes);
 
+// Encodes straight from the records' column spans, sizing `out` once.
 void EncodeFetchReply(std::span<const dist::NodeRecord> records,
                       std::vector<uint8_t>* out);
-// Appends the decoded records to `out` (matching RecordSource::Fetch).
+// Appends the decoded records to `out` (matching RecordSource::Fetch). Every
+// count is bounds-checked against the payload before anything is
+// allocated; the columns are then copied into one shared block per reply,
+// which the records view, so the records outlive `payload`. On error `out`
+// is left as it was.
 Status DecodeFetchReply(std::span<const uint8_t> payload,
                         std::vector<dist::NodeRecord>* out);
 

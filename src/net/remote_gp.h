@@ -7,9 +7,12 @@
 // place of an in-process GraphProcessor: same Fetch contract, same
 // record-level counters, but the records come off a TCP connection to a
 // `rtr_cli gp-serve` process and wire() reports the real frames/bytes/
-// retries instead of zeros. DistributedTopK validates every remote record
-// byte-for-byte against the AP graph, so the two tiers are bit-checkable
-// against each other (tests/dist/remote_parity_test.cc).
+// retries instead of zeros. Each reply is decoded into one shared column
+// block that its records view (net::DecodeFetchReply), so a fetch costs a
+// constant number of allocations, not one per record. DistributedTopK
+// validates every remote record byte-for-byte against the AP graph, so the
+// two tiers are bit-checkable against each other
+// (tests/dist/remote_parity_test.cc).
 
 #include <cstdint>
 #include <memory>

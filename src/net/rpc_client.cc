@@ -203,7 +203,6 @@ Status RpcClient::Fetch(const std::vector<NodeId>& nodes,
 
   Status last = Status::OK();
   int backoff_ms = options_.backoff_initial_ms;
-  std::vector<dist::NodeRecord> records;
   for (int attempt = 0; attempt < std::max(1, options_.max_attempts);
        ++attempt) {
     if (attempt > 0) {
@@ -211,8 +210,7 @@ Status RpcClient::Fetch(const std::vector<NodeId>& nodes,
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       backoff_ms = std::min(backoff_ms * 2, options_.backoff_max_ms);
     }
-    records.clear();
-    last = TryFetch(request, nodes.size(), &records);
+    last = TryFetch(request, nodes.size(), out);
     if (last.ok() || !Retryable(last)) break;
   }
   outstanding_bytes_.fetch_sub(request_wire_bytes, std::memory_order_acq_rel);
@@ -225,8 +223,6 @@ Status RpcClient::Fetch(const std::vector<NodeId>& nodes,
     }
     return last;
   }
-  out->insert(out->end(), std::make_move_iterator(records.begin()),
-              std::make_move_iterator(records.end()));
   return Status::OK();
 }
 
@@ -296,10 +292,12 @@ Status RpcClient::TryFetch(const std::vector<uint8_t>& request,
     return Status::IoError(endpoint_ + " answered a fetch with frame type " +
                            std::to_string(static_cast<int>(call.header.type)));
   }
+  const size_t before = out->size();
   RTR_RETURN_IF_ERROR(DecodeFetchReply(call.payload, out));
-  if (out->size() != num_nodes) {
-    return Status::Internal(endpoint_ + " served " +
-                            std::to_string(out->size()) +
+  if (out->size() - before != num_nodes) {
+    const size_t served = out->size() - before;
+    out->erase(out->begin() + static_cast<ptrdiff_t>(before), out->end());
+    return Status::Internal(endpoint_ + " served " + std::to_string(served) +
                             " records for a request of " +
                             std::to_string(num_nodes));
   }

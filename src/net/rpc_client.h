@@ -107,7 +107,9 @@ class RpcClient {
   // fresh one if needed. Serialized so concurrent callers share one dial.
   StatusOr<std::shared_ptr<Connection>> EnsureConnected();
   Status Handshake(Transport& transport);
-  // One attempt: write the request, wait for its reply, decode.
+  // One attempt: write the request, wait for its reply, decode. Appends
+  // exactly num_nodes records to `out` on success and leaves it as it was
+  // on failure.
   Status TryFetch(const std::vector<uint8_t>& request, size_t num_nodes,
                   std::vector<dist::NodeRecord>* out);
   void ReaderLoop(Connection* conn);

@@ -101,6 +101,30 @@ TEST(GraphProcessorTest, FetchRejectsForeignNode) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(GraphProcessorTest, RecordsOutliveTheirCluster) {
+  Graph g = SmallRandomishGraph();
+  auto cluster = std::make_unique<dist::Cluster>(NoCopy(g), 3);
+  std::vector<dist::NodeRecord> records;
+  for (const dist::GraphProcessor& gp : cluster->gps()) {
+    ASSERT_TRUE(gp.Fetch(gp.owned_nodes(), &records).ok());
+  }
+  ASSERT_EQ(records.size(), g.num_nodes());
+  cluster.reset();  // the records keep their stripes alive
+
+  auto same = [](auto got, auto want) {
+    return std::equal(got.begin(), got.end(), want.begin(), want.end());
+  };
+  for (const dist::NodeRecord& record : records) {
+    const NodeId v = record.node;
+    EXPECT_TRUE(same(record.out_targets, g.out_targets(v))) << v;
+    EXPECT_TRUE(same(record.out_weights, g.out_arc_weights(v))) << v;
+    EXPECT_TRUE(same(record.out_probs, g.out_probs(v))) << v;
+    EXPECT_TRUE(same(record.in_sources, g.in_sources(v))) << v;
+    EXPECT_TRUE(same(record.in_weights, g.in_arc_weights(v))) << v;
+    EXPECT_TRUE(same(record.in_probs, g.in_probs(v))) << v;
+  }
+}
+
 TEST(DistributedTopKTest, SingleGpDegeneratesToLocal) {
   Graph g = SmallRandomishGraph();
   dist::Cluster cluster(NoCopy(g), 1);

@@ -15,6 +15,7 @@
 
 #include "core/twosbound.h"
 #include "dist/distributed_topk.h"
+#include "dist/record_testing.h"
 #include "graph/builder.h"
 #include "net/fault.h"
 #include "net/gp_server.h"
@@ -84,16 +85,7 @@ class RpcFaultTest : public ::testing::Test {
     dist::GraphProcessor local(*graph_, 0, 1);
     std::vector<dist::NodeRecord> want;
     ASSERT_TRUE(local.Fetch(wanted, &want).ok());
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].node, want[i].node);
-      EXPECT_EQ(got[i].out_targets, want[i].out_targets);
-      EXPECT_EQ(got[i].out_weights, want[i].out_weights);
-      EXPECT_EQ(got[i].out_probs, want[i].out_probs);
-      EXPECT_EQ(got[i].in_sources, want[i].in_sources);
-      EXPECT_EQ(got[i].in_weights, want[i].in_weights);
-      EXPECT_EQ(got[i].in_probs, want[i].in_probs);
-    }
+    dist::ExpectSameRecords(got, want);
   }
 
   std::shared_ptr<const Graph> graph_;

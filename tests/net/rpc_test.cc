@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/distributed_topk.h"
+#include "dist/record_testing.h"
 #include "graph/builder.h"
 #include "net/frame.h"
 #include "net/gp_server.h"
@@ -110,22 +111,31 @@ TEST(TransportFrameTest, FetchReplyCodecRoundTrip) {
   net::EncodeFetchReply(records, &payload);
   std::vector<dist::NodeRecord> decoded;
   ASSERT_TRUE(net::DecodeFetchReply(payload, &decoded).ok());
-  ASSERT_EQ(decoded.size(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(decoded[i].node, records[i].node);
-    EXPECT_EQ(decoded[i].out_targets, records[i].out_targets);
-    EXPECT_EQ(decoded[i].out_weights, records[i].out_weights);
-    EXPECT_EQ(decoded[i].out_probs, records[i].out_probs);
-    EXPECT_EQ(decoded[i].in_sources, records[i].in_sources);
-    EXPECT_EQ(decoded[i].in_weights, records[i].in_weights);
-    EXPECT_EQ(decoded[i].in_probs, records[i].in_probs);
-  }
+  dist::ExpectSameRecords(decoded, records);
 
   // A truncated payload must fail cleanly, never read out of bounds.
   std::span<const uint8_t> truncated(payload.data(), payload.size() - 3);
   decoded.clear();
   EXPECT_EQ(net::DecodeFetchReply(truncated, &decoded).code(),
             StatusCode::kIoError);
+}
+
+// Wire-format guard: the kFetchReply bytes for every record of a fixed
+// graph, pinned by size and checksum. Any change to the reply encoding
+// (field order, widths, padding) breaks this before it breaks a peer.
+TEST(TransportFrameTest, FetchReplyEncodingIsByteStable) {
+  Graph g = SmallRandomishGraph();
+  dist::GraphProcessor gp(g, 0, 1);
+  std::vector<NodeId> all(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
+  std::vector<dist::NodeRecord> records;
+  ASSERT_TRUE(gp.Fetch(all, &records).ok());
+
+  std::vector<uint8_t> payload;
+  net::EncodeFetchReply(records, &payload);
+  EXPECT_EQ(payload.size(), 14644u);
+  EXPECT_EQ(net::Fnv1a64(payload.data(), payload.size()),
+            0x70c8f7a5658b6cb1ull);
 }
 
 TEST(TransportFrameTest, ErrorReplyCarriesStatus) {
@@ -168,16 +178,7 @@ TEST(RemoteGraphProcessorTest, FetchMatchesLocalBitForBit) {
   std::vector<dist::NodeRecord> local_records;
   ASSERT_TRUE(remote.Fetch(wanted, &remote_records).ok());
   ASSERT_TRUE(local.Fetch(wanted, &local_records).ok());
-  ASSERT_EQ(remote_records.size(), local_records.size());
-  for (size_t i = 0; i < local_records.size(); ++i) {
-    EXPECT_EQ(remote_records[i].node, local_records[i].node);
-    EXPECT_EQ(remote_records[i].out_targets, local_records[i].out_targets);
-    EXPECT_EQ(remote_records[i].out_weights, local_records[i].out_weights);
-    EXPECT_EQ(remote_records[i].out_probs, local_records[i].out_probs);
-    EXPECT_EQ(remote_records[i].in_sources, local_records[i].in_sources);
-    EXPECT_EQ(remote_records[i].in_weights, local_records[i].in_weights);
-    EXPECT_EQ(remote_records[i].in_probs, local_records[i].in_probs);
-  }
+  dist::ExpectSameRecords(remote_records, local_records);
   // Record-level accounting matches the loopback tier; wire-level traffic
   // is real (and nonzero) on the remote side only.
   EXPECT_EQ(remote.records_served(), local.records_served());
@@ -248,16 +249,9 @@ TEST(RpcClientTest, ConcurrentFetchesMultiplexOneConnection) {
         std::vector<dist::NodeRecord> got;
         std::vector<dist::NodeRecord> want;
         if (!client.Fetch(wanted, &got).ok() ||
-            !local.Fetch(wanted, &want).ok() || got.size() != want.size()) {
+            !local.Fetch(wanted, &want).ok() ||
+            !dist::SameRecords(got, want)) {
           failures.fetch_add(1);
-          continue;
-        }
-        for (size_t j = 0; j < want.size(); ++j) {
-          if (got[j].node != want[j].node ||
-              got[j].out_targets != want[j].out_targets ||
-              got[j].in_sources != want[j].in_sources) {
-            failures.fetch_add(1);
-          }
         }
       }
     });
