@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -11,12 +12,14 @@
 #include <string_view>
 #include <utility>
 
+#include "util/bytes.h"
+
 namespace rtr {
 namespace {
 
-static_assert(sizeof(size_t) == 8, "rtr-delt 1 assumes 64-bit size_t");
+static_assert(sizeof(size_t) == 8, "rtr-delt 2 assumes 64-bit size_t");
 static_assert(std::endian::native == std::endian::little,
-              "rtr-delt 1 assumes a little-endian host");
+              "rtr-delt 2 assumes a little-endian host");
 
 // One delta operation in (source, target) order. Removals sort before the
 // inserts on the same arc (a delta removes first, then inserts — so
@@ -422,118 +425,76 @@ StatusOr<GraphDelta> DiffGraphs(const Graph& base, const Graph& next) {
 }
 
 // --------------------------------------------------------------------------
-// Delta file I/O. Shares the snapshot format's building blocks: 8-aligned
-// sections, word-wise FNV-1a checksum, exact-size validation.
+// Delta file I/O, on the same byte codec as snapshots (util/bytes.h).
 // --------------------------------------------------------------------------
 
 namespace {
 
+// The fixed 64-byte header, as laid out in graph/delta.h. The checksum
+// covers every field before it, then the payload.
+struct DeltaHeader {
+  char magic[8];
+  uint32_t version;
+  uint32_t header_bytes;
+  uint64_t base_generation;
+  uint64_t num_added_types;
+  uint64_t num_added_nodes;
+  uint64_t num_removed_arcs;
+  uint64_t num_added_arcs;
+  uint64_t checksum;
+};
 constexpr size_t kDeltaHeaderBytes = 64;
+static_assert(sizeof(DeltaHeader) == kDeltaHeaderBytes);
 // Same hostile-header guard as snapshots.
 constexpr uint64_t kMaxDeltaOps = uint64_t{1} << 48;
 
-uint64_t Fnv1a64Words(const char* data, size_t n) {
-  DCHECK_EQ(n % 8, 0u);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, data + i, sizeof(word));
-    h ^= word;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// The arc columns are the ops themselves, written verbatim.
+static_assert(sizeof(ArcRemove) == 8 && offsetof(ArcRemove, target) == 4);
+static_assert(sizeof(ArcInsert) == 16 && offsetof(ArcInsert, target) == 4 &&
+              offsetof(ArcInsert, weight) == 8);
 
-constexpr size_t Padded(size_t n) { return (n + 7) & ~size_t{7}; }
-
-void AppendRaw(std::string* buf, const void* data, size_t n) {
-  if (n > 0) buf->append(static_cast<const char*>(data), n);
-}
-
-void AppendPadding(std::string* buf) {
-  buf->append(Padded(buf->size()) - buf->size(), '\0');
-}
-
-template <typename T>
-void AppendU(std::string* buf, T value) {
-  AppendRaw(buf, &value, sizeof(value));
+uint64_t DeltaChecksum(const DeltaHeader& h, std::string_view payload) {
+  const std::string_view sealed(reinterpret_cast<const char*>(&h),
+                                offsetof(DeltaHeader, checksum));
+  return Fnv1a64Words(payload, Fnv1a64Words(sealed));
 }
 
 std::string SerializeDeltaPayload(const GraphDelta& delta) {
   std::string payload;
-  for (const std::string& name : delta.added_type_names) {
-    AppendU<uint32_t>(&payload, static_cast<uint32_t>(name.size()));
-    AppendRaw(&payload, name.data(), name.size());
-  }
-  AppendPadding(&payload);
-  AppendRaw(&payload, delta.added_node_types.data(),
-            delta.added_node_types.size() * sizeof(NodeTypeId));
-  AppendPadding(&payload);
-  for (const ArcRemove& r : delta.removed_arcs) {
-    AppendU<uint32_t>(&payload, r.source);
-    AppendU<uint32_t>(&payload, r.target);
-  }
-  for (const ArcInsert& a : delta.added_arcs) {
-    AppendU<uint32_t>(&payload, a.source);
-    AppendU<uint32_t>(&payload, a.target);
-    AppendU<double>(&payload, a.weight);
-  }
+  ByteWriter w(&payload);
+  for (const std::string& name : delta.added_type_names) w.String(name);
+  w.PadTo8();
+  w.Items(delta.added_node_types);
+  w.PadTo8();
+  w.Items(delta.removed_arcs);
+  w.Items(delta.added_arcs);
   return payload;
 }
 
-// The writer zero-fills every pad, and a nonzero pad byte means a header
-// count (outside the checksum) no longer matches the payload behind it.
-bool IsZeroPadding(std::string_view pad) {
-  return std::all_of(pad.begin(), pad.end(), [](char c) { return c == 0; });
+// Reads and validates the fixed header; `buf` may be just the header
+// (ReadDeltaFileInfo) or the whole file.
+Status ParseDeltaHeader(std::string_view buf, DeltaHeader* h) {
+  ByteReader r(buf, "delta header");
+  if (!r.Pod(h)) return r.status();
+  if (std::memcmp(h->magic, kDeltaMagic, sizeof(h->magic)) != 0) {
+    return Status::IoError("bad delta magic");
+  }
+  if (h->version != kDeltaVersion) {
+    return Status::IoError("unsupported delta version " +
+                           std::to_string(h->version));
+  }
+  if (h->header_bytes != kDeltaHeaderBytes) {
+    return Status::IoError("bad delta header size");
+  }
+  return Status::OK();
 }
 
-struct DeltaHeader {
-  DeltaFileInfo info;
-  Status status = Status::OK();
-};
-
-DeltaHeader ParseDeltaHeader(std::string_view buf) {
-  DeltaHeader h;
-  if (buf.size() < kDeltaHeaderBytes) {
-    h.status = Status::IoError("delta file shorter than its header");
-    return h;
-  }
-  if (std::memcmp(buf.data(), kDeltaMagic, sizeof(kDeltaMagic)) != 0) {
-    h.status = Status::IoError("bad delta magic");
-    return h;
-  }
-  uint32_t version = 0, header_bytes = 0;
-  std::memcpy(&version, buf.data() + 8, sizeof(version));
-  std::memcpy(&header_bytes, buf.data() + 12, sizeof(header_bytes));
-  if (version != kDeltaVersion) {
-    h.status = Status::IoError("unsupported delta version " +
-                               std::to_string(version));
-    return h;
-  }
-  if (header_bytes != kDeltaHeaderBytes) {
-    h.status = Status::IoError("bad delta header size");
-    return h;
-  }
-  uint64_t fields[6];
-  std::memcpy(fields, buf.data() + 16, sizeof(fields));
-  h.info.version = version;
-  h.info.base_generation = fields[0];
-  h.info.num_added_types = fields[1];
-  h.info.num_added_nodes = fields[2];
-  h.info.num_removed_arcs = fields[3];
-  h.info.num_added_arcs = fields[4];
-  h.info.payload_checksum = fields[5];
-  return h;
-}
-
-StatusOr<GraphDelta> LoadGraphDeltaBuffer(const std::string& buf) {
-  DeltaHeader header = ParseDeltaHeader(buf);
-  RTR_RETURN_IF_ERROR(header.status);
-  const DeltaFileInfo& info = header.info;
-  if (info.num_added_nodes >= kInvalidNode ||
-      info.num_added_types > std::numeric_limits<NodeTypeId>::max() ||
-      info.num_removed_arcs > kMaxDeltaOps ||
-      info.num_added_arcs > kMaxDeltaOps) {
+StatusOr<GraphDelta> LoadGraphDeltaBuffer(std::string_view buf) {
+  DeltaHeader h{};
+  RTR_RETURN_IF_ERROR(ParseDeltaHeader(buf, &h));
+  if (h.num_added_nodes >= kInvalidNode ||
+      h.num_added_types > std::numeric_limits<NodeTypeId>::max() ||
+      h.num_removed_arcs > kMaxDeltaOps || h.num_added_arcs > kMaxDeltaOps) {
     return Status::IoError("delta header counts out of range");
   }
 
@@ -541,74 +502,37 @@ StatusOr<GraphDelta> LoadGraphDeltaBuffer(const std::string& buf) {
   // so the minimum-size check runs first and the exact-size check once the
   // names are parsed.
   const uint64_t fixed_bytes =
-      Padded(info.num_added_nodes * sizeof(NodeTypeId)) +
-      info.num_removed_arcs * 2 * sizeof(uint32_t) +
-      info.num_added_arcs * (2 * sizeof(uint32_t) + sizeof(double));
+      PadTo8(h.num_added_nodes * sizeof(NodeTypeId)) +
+      h.num_removed_arcs * sizeof(ArcRemove) +
+      h.num_added_arcs * sizeof(ArcInsert);
   if (buf.size() < kDeltaHeaderBytes + fixed_bytes) {
     return Status::IoError("delta file truncated");
   }
-  const std::string_view payload(buf.data() + kDeltaHeaderBytes,
-                                 buf.size() - kDeltaHeaderBytes);
+  const std::string_view payload = buf.substr(kDeltaHeaderBytes);
   const size_t type_block_bytes = payload.size() - fixed_bytes;
   if (type_block_bytes % 8 != 0) {
     return Status::IoError("delta type-name block misaligned");
   }
-  if (Fnv1a64Words(payload.data(), payload.size()) != info.payload_checksum) {
+  if (DeltaChecksum(h, payload) != h.checksum) {
     return Status::IoError("delta checksum mismatch");
   }
 
   GraphDelta delta;
-  delta.base_generation = info.base_generation;
-  size_t pos = 0;
-  delta.added_type_names.reserve(info.num_added_types);
-  for (uint64_t t = 0; t < info.num_added_types; ++t) {
-    uint32_t len = 0;
-    if (pos + sizeof(len) > type_block_bytes) {
-      return Status::IoError("delta type-name block truncated");
-    }
-    std::memcpy(&len, payload.data() + pos, sizeof(len));
-    pos += sizeof(len);
-    if (len > type_block_bytes - pos) {
-      return Status::IoError("delta type name overruns its block");
-    }
-    delta.added_type_names.emplace_back(payload.data() + pos, len);
-    pos += len;
+  delta.base_generation = h.base_generation;
+  ByteReader r(payload, "delta");
+  std::string name;
+  for (uint64_t t = 0; t < h.num_added_types && r.String(&name); ++t) {
+    delta.added_type_names.push_back(name);
   }
-  if (type_block_bytes - pos >= 8 ||
-      !IsZeroPadding(payload.substr(pos, type_block_bytes - pos))) {
-    return Status::IoError("delta type-name block has slack");
+  if (r.ZeroPadTo8() && r.offset() != type_block_bytes) {
+    r.Fail("type-name block size disagrees with its header");
   }
-  pos = type_block_bytes;
-
-  const size_t node_type_bytes = info.num_added_nodes * sizeof(NodeTypeId);
-  delta.added_node_types.resize(info.num_added_nodes);
-  if (node_type_bytes > 0) {
-    std::memcpy(delta.added_node_types.data(), payload.data() + pos,
-                node_type_bytes);
-  }
-  if (!IsZeroPadding(payload.substr(pos + node_type_bytes,
-                                    Padded(node_type_bytes) -
-                                        node_type_bytes))) {
-    return Status::IoError("delta node-type block has nonzero padding");
-  }
-  pos += Padded(node_type_bytes);
-
-  delta.removed_arcs.resize(info.num_removed_arcs);
-  for (ArcRemove& r : delta.removed_arcs) {
-    std::memcpy(&r.source, payload.data() + pos, sizeof(uint32_t));
-    std::memcpy(&r.target, payload.data() + pos + 4, sizeof(uint32_t));
-    pos += 2 * sizeof(uint32_t);
-  }
-  delta.added_arcs.resize(info.num_added_arcs);
-  for (ArcInsert& a : delta.added_arcs) {
-    std::memcpy(&a.source, payload.data() + pos, sizeof(uint32_t));
-    std::memcpy(&a.target, payload.data() + pos + 4, sizeof(uint32_t));
-    std::memcpy(&a.weight, payload.data() + pos + 8, sizeof(double));
-    pos += 2 * sizeof(uint32_t) + sizeof(double);
-  }
-  if (pos != payload.size()) {
-    return Status::IoError("delta file has trailing garbage");
-  }
+  r.Items(h.num_added_nodes, &delta.added_node_types);
+  r.ZeroPadTo8();
+  r.Items(h.num_removed_arcs, &delta.removed_arcs);
+  r.Items(h.num_added_arcs, &delta.added_arcs);
+  r.End();
+  RTR_RETURN_IF_ERROR(r.status());
   return delta;
 }
 
@@ -616,21 +540,17 @@ StatusOr<GraphDelta> LoadGraphDeltaBuffer(const std::string& buf) {
 
 Status SaveGraphDelta(const GraphDelta& delta, std::ostream& out) {
   const std::string payload = SerializeDeltaPayload(delta);
-
-  std::string header;
-  header.reserve(kDeltaHeaderBytes);
-  AppendRaw(&header, kDeltaMagic, sizeof(kDeltaMagic));
-  AppendU<uint32_t>(&header, kDeltaVersion);
-  AppendU<uint32_t>(&header, static_cast<uint32_t>(kDeltaHeaderBytes));
-  AppendU<uint64_t>(&header, delta.base_generation);
-  AppendU<uint64_t>(&header, delta.added_type_names.size());
-  AppendU<uint64_t>(&header, delta.added_node_types.size());
-  AppendU<uint64_t>(&header, delta.removed_arcs.size());
-  AppendU<uint64_t>(&header, delta.added_arcs.size());
-  AppendU<uint64_t>(&header, Fnv1a64Words(payload.data(), payload.size()));
-  DCHECK_EQ(header.size(), kDeltaHeaderBytes);
-
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  DeltaHeader h{};
+  std::memcpy(h.magic, kDeltaMagic, sizeof(h.magic));
+  h.version = kDeltaVersion;
+  h.header_bytes = kDeltaHeaderBytes;
+  h.base_generation = delta.base_generation;
+  h.num_added_types = delta.added_type_names.size();
+  h.num_added_nodes = delta.added_node_types.size();
+  h.num_removed_arcs = delta.removed_arcs.size();
+  h.num_added_arcs = delta.added_arcs.size();
+  h.checksum = DeltaChecksum(h, payload);
+  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   if (!out) return Status::IoError("failed writing delta stream");
   return Status::OK();
@@ -643,7 +563,7 @@ Status SaveGraphDeltaToFile(const GraphDelta& delta, const std::string& path) {
 }
 
 StatusOr<GraphDelta> LoadGraphDelta(std::istream& in) {
-  std::string buf(std::istreambuf_iterator<char>(in), {});
+  const std::string buf(std::istreambuf_iterator<char>(in), {});
   return LoadGraphDeltaBuffer(buf);
 }
 
@@ -654,23 +574,20 @@ StatusOr<GraphDelta> LoadGraphDeltaFromFile(const std::string& path) {
 }
 
 StatusOr<bool> IsDeltaFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  char magic[sizeof(kDeltaMagic)] = {};
-  in.read(magic, sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kDeltaMagic, sizeof(magic)) == 0;
+  StatusOr<std::string> head = ReadFilePrefix(path, sizeof(kDeltaMagic));
+  RTR_RETURN_IF_ERROR(head.status());
+  return *head == std::string_view(kDeltaMagic, sizeof(kDeltaMagic));
 }
 
 StatusOr<DeltaFileInfo> ReadDeltaFileInfo(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::string buf(kDeltaHeaderBytes, '\0');
-  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-  buf.resize(static_cast<size_t>(in.gcount()));
-  DeltaHeader header = ParseDeltaHeader(buf);
-  RTR_RETURN_IF_ERROR(header.status);
-  return header.info;
+  StatusOr<std::string> head = ReadFilePrefix(path, kDeltaHeaderBytes);
+  RTR_RETURN_IF_ERROR(head.status());
+  DeltaHeader h{};
+  RTR_RETURN_IF_ERROR(ParseDeltaHeader(*head, &h));
+  return DeltaFileInfo{h.version,          h.base_generation,
+                       h.num_added_types,  h.num_added_nodes,
+                       h.num_removed_arcs, h.num_added_arcs,
+                       h.checksum};
 }
 
 }  // namespace rtr

@@ -103,24 +103,25 @@ StatusOr<Graph> ApplyDelta(const Graph& base, const GraphDelta& delta);
 StatusOr<GraphDelta> DiffGraphs(const Graph& base, const Graph& next);
 
 // --------------------------------------------------------------------------
-// On-disk delta files ("rtr-delt" version 1) — the v2 storage story:
+// On-disk delta files ("rtr-delt" version 2) — the v2 storage story:
 // a base snapshot (graph/snapshot.h, generation id in the header) plus a
 // chain of checksummed delta files lets a serving process catch up to the
 // current generation from disk (GraphStore::CatchUp).
 //
-// Layout (little-endian, every section zero-padded to 8 bytes, checksummed
-// with the same word-wise FNV-1a as snapshots):
+// Layout (little-endian, every section zero-padded to 8 bytes, written and
+// read with util/bytes.h, the codec snapshots and RPC frames share):
 //
 //   header (64 bytes):
 //     char[8]  magic            "rtr-delt"
-//     u32      version          1
+//     u32      version          2
 //     u32      header_bytes     64
 //     u64      base_generation  generation this delta applies to
 //     u64      num_added_types
 //     u64      num_added_nodes
 //     u64      num_removed_arcs
 //     u64      num_added_arcs
-//     u64      payload_checksum (FNV-1a 64 over everything after the header)
+//     u64      checksum         word-wise FNV-1a 64 (as snapshots) over
+//                               header bytes [0, 56), then the payload
 //   payload:
 //     added type names          num_added_types x (u32 length + bytes), padded
 //     added node types          num_added_nodes x u16, padded
@@ -128,15 +129,17 @@ StatusOr<GraphDelta> DiffGraphs(const Graph& base, const Graph& next);
 //     added arcs                num_added_arcs x (u32 source, u32 target,
 //                               f64 weight)
 //
-// The loader validates magic, version, exact file size, checksum and zero
-// padding, so truncated or corrupt delta files are rejected before
-// application. All failures are Status::IoError. The checksum does not
-// cover the header, so a count word that moves across trailing zero bytes
-// (untyped nodes, empty type names) still goes undetected.
+// The loader validates magic, version, count ranges and exact file size
+// before it allocates anything, then the checksum and zero padding, so
+// truncated or corrupt delta files are rejected before application. All
+// failures are Status::IoError. Because the checksum covers every header
+// field, a delta that loads without a matching checksum rewrite is the
+// delta that was saved. Only v2 is read or written: deltas are transient
+// ingest files, not an archive.
 // --------------------------------------------------------------------------
 
 inline constexpr char kDeltaMagic[8] = {'r', 't', 'r', '-', 'd', 'e', 'l', 't'};
-inline constexpr uint32_t kDeltaVersion = 1;
+inline constexpr uint32_t kDeltaVersion = 2;
 
 Status SaveGraphDelta(const GraphDelta& delta, std::ostream& out);
 Status SaveGraphDeltaToFile(const GraphDelta& delta, const std::string& path);

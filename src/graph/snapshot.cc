@@ -24,6 +24,7 @@
 
 #include "graph/io.h"
 #include "obs/metrics.h"
+#include "util/bytes.h"
 
 namespace rtr {
 namespace {
@@ -49,63 +50,20 @@ bool EnvFlagSet(const char* name) {
          std::strcmp(value, "false") != 0;
 }
 
-// FNV-1a over the payload interpreted as 64-bit little-endian words. Every
-// payload section is zero-padded to 8 bytes, so the payload is always a
-// whole number of words; hashing word-wise keeps the integrity pass an
-// order of magnitude cheaper than byte-wise FNV on multi-GB snapshots.
-uint64_t Fnv1a64Words(const char* data, size_t n) {
-  DCHECK_EQ(n % 8, 0u);
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, data + i, sizeof(word));
-    h ^= word;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr size_t Padded(size_t n) { return (n + 7) & ~size_t{7}; }
-
-void AppendRaw(std::string* buf, const void* data, size_t n) {
-  if (n > 0) buf->append(static_cast<const char*>(data), n);
-}
-
-void AppendPadding(std::string* buf) {
-  buf->append(Padded(buf->size()) - buf->size(), '\0');
-}
-
-template <typename T>
-void AppendU(std::string* buf, T value) {
-  AppendRaw(buf, &value, sizeof(value));
-}
-
-template <typename T>
-void AppendColumn(std::string* buf, std::span<const T> column) {
-  AppendRaw(buf, column.data(), column.size() * sizeof(T));
-  AppendPadding(buf);
-}
-
-// Points a span at a column in place. Every section start is 8-aligned
-// within the payload and both backings (a page-aligned mapping, an 8-aligned
-// heap image) are 8-aligned too, so the alignment check only fires on
-// hand-corrupted inputs — but a misaligned reinterpret_cast would be UB, so
-// it is a hard error.
-template <typename T>
-Status BorrowColumn(std::string_view buf, size_t* pos, size_t count,
-                    std::span<const T>* out, const char* what) {
-  const size_t bytes = count * sizeof(T);
-  if (bytes > buf.size() || *pos > buf.size() - bytes) {
-    return Status::IoError(std::string("snapshot truncated in ") + what);
-  }
-  const char* p = buf.data() + *pos;
-  if (reinterpret_cast<uintptr_t>(p) % alignof(T) != 0) {
-    return Status::IoError(std::string("snapshot column misaligned: ") + what);
-  }
-  *out = {reinterpret_cast<const T*>(p), count};
-  *pos += Padded(bytes);
-  return Status::OK();
-}
+// The fixed 64-byte header, as laid out in graph/snapshot.h.
+struct SnapshotHeader {
+  char magic[8];
+  uint32_t version;
+  uint32_t header_bytes;
+  uint64_t num_types;
+  uint64_t num_nodes;
+  uint64_t num_arcs;
+  uint64_t type_block_bytes;
+  uint64_t payload_checksum;
+  // The v1 reserved word: always 0 there.
+  uint64_t generation;
+};
+static_assert(sizeof(SnapshotHeader) == kHeaderBytes);
 
 Status ValidateOffsets(std::span<const size_t> offsets, size_t num_arcs,
                        const char* what) {
@@ -131,150 +89,113 @@ Status ValidateEndpoints(std::span<const NodeId> endpoints, size_t num_nodes,
   return Status::OK();
 }
 
-// Parses the length-prefixed type-name block (shared by both loaders; type
-// names are always owned strings, even on the mapped path).
-Status ParseTypeNames(std::string_view payload, uint64_t num_types,
-                      uint64_t type_block_bytes,
-                      std::vector<std::string>* names) {
-  if (type_block_bytes > payload.size()) {
-    return Status::IoError("snapshot truncated in type names");
-  }
-  size_t pos = 0;
-  names->reserve(num_types);
-  for (uint64_t t = 0; t < num_types; ++t) {
-    uint32_t len = 0;
-    if (pos + sizeof(len) > type_block_bytes) {
-      return Status::IoError("snapshot type-name block truncated");
-    }
-    std::memcpy(&len, payload.data() + pos, sizeof(len));
-    pos += sizeof(len);
-    if (len > type_block_bytes - pos) {
-      return Status::IoError("snapshot type name overruns its block");
-    }
-    names->emplace_back(payload.data() + pos, len);
-    pos += len;
-  }
-  if (type_block_bytes - pos >= 8) {
-    return Status::IoError("snapshot type-name block has slack");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 // Friend of Graph: packs the frozen columns, and binds them back in place
 // inside a snapshot image for both loaders.
 class SnapshotCodec {
  public:
-  // Everything after the 64-byte header, read through the column spans.
-  static std::string SerializePayload(const Graph& g) {
+  // Everything after the 64-byte header, read through the column spans;
+  // sets `*type_block_bytes` to the padded size of the type-name section.
+  static std::string SerializePayload(const Graph& g,
+                                      uint64_t* type_block_bytes) {
     std::string payload;
     payload.reserve(g.MemoryBytes() + 64 * g.type_names().size());
-    for (const std::string& name : g.type_names()) {
-      AppendU<uint32_t>(&payload, static_cast<uint32_t>(name.size()));
-      AppendRaw(&payload, name.data(), name.size());
-    }
-    AppendPadding(&payload);  // type_block_bytes ends 8-aligned
-    AppendColumn(&payload, g.node_types());
-    AppendColumn(&payload, g.out_offsets());
-    AppendColumn(&payload, g.out_targets());
-    AppendColumn(&payload, g.out_arc_weights());
-    AppendColumn(&payload, g.out_probs());
-    AppendColumn(&payload, g.out_weights());
-    AppendColumn(&payload, g.in_offsets());
-    AppendColumn(&payload, g.in_sources());
-    AppendColumn(&payload, g.in_arc_weights());
-    AppendColumn(&payload, g.in_probs());
+    ByteWriter w(&payload);
+    for (const std::string& name : g.type_names()) w.String(name);
+    w.PadTo8();
+    *type_block_bytes = payload.size();
+    auto column = [&w](auto values) {
+      w.Items(values);
+      w.PadTo8();
+    };
+    column(g.node_types());
+    column(g.out_offsets());
+    column(g.out_targets());
+    column(g.out_arc_weights());
+    column(g.out_probs());
+    column(g.out_weights());
+    column(g.in_offsets());
+    column(g.in_sources());
+    column(g.in_arc_weights());
+    column(g.in_probs());
     return payload;
-  }
-
-  static size_t TypeBlockBytes(const Graph& g) {
-    size_t bytes = 0;
-    for (const std::string& name : g.type_names()) {
-      bytes += sizeof(uint32_t) + name.size();
-    }
-    return Padded(bytes);
   }
 
   // Structural validation over the bound views: a load that returns OK must
   // yield a graph every consumer can traverse without bounds checks.
-  static Status ValidateGraph(const Graph& g, uint64_t num_types,
-                              uint64_t num_nodes, uint64_t num_arcs) {
+  static Status ValidateGraph(const Graph& g, const SnapshotHeader& h) {
     for (NodeTypeId t : g.node_types()) {
-      if (t >= num_types) return Status::IoError("snapshot node type invalid");
+      if (t >= h.num_types) {
+        return Status::IoError("snapshot node type invalid");
+      }
     }
-    RTR_RETURN_IF_ERROR(ValidateOffsets(g.out_offsets(), num_arcs,
+    RTR_RETURN_IF_ERROR(ValidateOffsets(g.out_offsets(), h.num_arcs,
                                         "snapshot out-offsets"));
-    RTR_RETURN_IF_ERROR(ValidateOffsets(g.in_offsets(), num_arcs,
+    RTR_RETURN_IF_ERROR(ValidateOffsets(g.in_offsets(), h.num_arcs,
                                         "snapshot in-offsets"));
-    RTR_RETURN_IF_ERROR(ValidateEndpoints(g.out_targets(), num_nodes,
+    RTR_RETURN_IF_ERROR(ValidateEndpoints(g.out_targets(), h.num_nodes,
                                           "snapshot out-arc"));
-    RTR_RETURN_IF_ERROR(ValidateEndpoints(g.in_sources(), num_nodes,
+    RTR_RETURN_IF_ERROR(ValidateEndpoints(g.in_sources(), h.num_nodes,
                                           "snapshot in-arc"));
     return Status::OK();
   }
 
   // The column decoder of both loaders: binds every span straight into
   // `payload` and makes `storage`, which owns those bytes, the graph's
-  // keep-alive. Only the type names are copied out (owned strings).
-  static StatusOr<Graph> Bind(uint64_t num_types, uint64_t num_nodes,
-                              uint64_t num_arcs, uint64_t type_block_bytes,
+  // keep-alive. Only the type names are copied out (owned strings). Every
+  // pad byte must be zero: mapped loads skip the checksum, so nothing else
+  // guards them there.
+  static StatusOr<Graph> Bind(const SnapshotHeader& h,
                               std::string_view payload,
                               std::shared_ptr<const void> storage,
                               bool mapped) {
     Graph g;
-    RTR_RETURN_IF_ERROR(
-        ParseTypeNames(payload, num_types, type_block_bytes, &g.type_names_));
-    size_t pos = type_block_bytes;
-
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_nodes,
-                                     &g.node_types_, "node types"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_nodes + 1,
-                                     &g.out_offsets_, "out offsets"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.out_targets_, "out targets"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.out_arc_weights_, "out weights"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.out_probs_, "out probs"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_nodes,
-                                     &g.out_weights_, "node out-weights"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_nodes + 1,
-                                     &g.in_offsets_, "in offsets"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.in_sources_, "in sources"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.in_arc_weights_, "in weights"));
-    RTR_RETURN_IF_ERROR(BorrowColumn(payload, &pos, num_arcs,
-                                     &g.in_probs_, "in probs"));
-    if (pos != payload.size()) {
-      return Status::IoError("snapshot has trailing garbage");
+    ByteReader r(payload, "snapshot");
+    std::string name;
+    for (uint64_t t = 0; t < h.num_types && r.String(&name); ++t) {
+      g.type_names_.push_back(name);
     }
+    if (r.ZeroPadTo8() && r.offset() != h.type_block_bytes) {
+      r.Fail("type-name block size disagrees with its header");
+    }
+    auto column = [&r](uint64_t count, auto* span) {
+      r.View(count, span);
+      r.ZeroPadTo8();
+    };
+    column(h.num_nodes, &g.node_types_);
+    column(h.num_nodes + 1, &g.out_offsets_);
+    column(h.num_arcs, &g.out_targets_);
+    column(h.num_arcs, &g.out_arc_weights_);
+    column(h.num_arcs, &g.out_probs_);
+    column(h.num_nodes, &g.out_weights_);
+    column(h.num_nodes + 1, &g.in_offsets_);
+    column(h.num_arcs, &g.in_sources_);
+    column(h.num_arcs, &g.in_arc_weights_);
+    column(h.num_arcs, &g.in_probs_);
+    r.End();
+    RTR_RETURN_IF_ERROR(r.status());
     g.storage_ = std::move(storage);
     g.mapped_ = mapped;
-    RTR_RETURN_IF_ERROR(ValidateGraph(g, num_types, num_nodes, num_arcs));
+    RTR_RETURN_IF_ERROR(ValidateGraph(g, h));
     return g;
   }
 };
 
 Status SaveGraphSnapshot(const Graph& g, std::ostream& out,
                          uint64_t generation) {
-  const std::string payload = SnapshotCodec::SerializePayload(g);
-
-  std::string header;
-  header.reserve(kHeaderBytes);
-  AppendRaw(&header, kSnapshotMagic, sizeof(kSnapshotMagic));
-  AppendU<uint32_t>(&header, kSnapshotVersion);
-  AppendU<uint32_t>(&header, static_cast<uint32_t>(kHeaderBytes));
-  AppendU<uint64_t>(&header, g.type_names().size());
-  AppendU<uint64_t>(&header, g.num_nodes());
-  AppendU<uint64_t>(&header, g.num_arcs());
-  AppendU<uint64_t>(&header, SnapshotCodec::TypeBlockBytes(g));
-  AppendU<uint64_t>(&header, Fnv1a64Words(payload.data(), payload.size()));
-  AppendU<uint64_t>(&header, generation);
-  DCHECK_EQ(header.size(), kHeaderBytes);
-
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  SnapshotHeader h{};
+  const std::string payload =
+      SnapshotCodec::SerializePayload(g, &h.type_block_bytes);
+  std::memcpy(h.magic, kSnapshotMagic, sizeof(h.magic));
+  h.version = kSnapshotVersion;
+  h.header_bytes = kHeaderBytes;
+  h.num_types = g.type_names().size();
+  h.num_nodes = g.num_nodes();
+  h.num_arcs = g.num_arcs();
+  h.payload_checksum = Fnv1a64Words(payload);
+  h.generation = generation;
+  out.write(reinterpret_cast<const char*>(&h), sizeof(h));
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   if (!out) return Status::IoError("failed writing snapshot stream");
   return Status::OK();
@@ -289,103 +210,75 @@ Status SaveGraphSnapshotToFile(const Graph& g, const std::string& path,
 
 namespace {
 
-struct SnapshotHeader {
-  SnapshotFileInfo info;
-  uint64_t type_block_bytes = 0;
-  // Size of a v3 file's two trailing f32 sections: counted by the size
-  // check and the checksum, never loaded.
-  uint64_t skipped_bytes = 0;
-  Status status = Status::OK();
-};
-
-// Parses and validates the fixed 64-byte header; `buf` may be just the
+// Reads and validates the fixed 64-byte header; `buf` may be just the
 // header (ReadSnapshotFileInfo) or the whole file.
-SnapshotHeader ParseSnapshotHeader(std::string_view buf) {
-  SnapshotHeader h;
-  if (buf.size() < kHeaderBytes) {
-    h.status = Status::IoError("snapshot shorter than its header");
-    return h;
+Status ParseSnapshotHeader(std::string_view buf, SnapshotHeader* h) {
+  ByteReader r(buf, "snapshot header");
+  if (!r.Pod(h)) return r.status();
+  if (std::memcmp(h->magic, kSnapshotMagic, sizeof(h->magic)) != 0) {
+    return Status::IoError("bad snapshot magic");
   }
-  if (std::memcmp(buf.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    h.status = Status::IoError("bad snapshot magic");
-    return h;
+  if (h->version < kMinSnapshotVersion || h->version > kMaxSnapshotVersion) {
+    return Status::IoError("unsupported snapshot version " +
+                           std::to_string(h->version));
   }
-  uint32_t version = 0, header_bytes = 0;
-  std::memcpy(&version, buf.data() + 8, sizeof(version));
-  std::memcpy(&header_bytes, buf.data() + 12, sizeof(header_bytes));
-  if (version < kMinSnapshotVersion || version > kMaxSnapshotVersion) {
-    h.status = Status::IoError("unsupported snapshot version " +
-                               std::to_string(version));
-    return h;
+  if (h->header_bytes != kHeaderBytes) {
+    return Status::IoError("bad snapshot header size");
   }
-  if (header_bytes != kHeaderBytes) {
-    h.status = Status::IoError("bad snapshot header size");
-    return h;
-  }
-  uint64_t fields[6];
-  std::memcpy(fields, buf.data() + 16, sizeof(fields));
-  h.info.version = version;
-  h.info.num_types = fields[0];
-  h.info.num_nodes = fields[1];
-  h.info.num_arcs = fields[2];
-  h.type_block_bytes = fields[3];
-  h.info.payload_checksum = fields[4];
   // v1 wrote a zeroed reserved word where v2 keeps the generation id; either
   // way the value is the generation the file represents.
-  h.info.generation = fields[5];
-  if (version < 2 && h.info.generation != 0) {
-    h.status = Status::IoError("v1 snapshot has nonzero reserved field");
+  if (h->version < 2 && h->generation != 0) {
+    return Status::IoError("v1 snapshot has nonzero reserved field");
   }
-  return h;
+  return Status::OK();
 }
 
 // Header parse + range checks + exact-size check, shared by the bulk and
-// mapped loaders. On OK, `payload` views everything after the header
-// (the checksummed bytes, including any v3 sections to skip).
-Status CheckSnapshotShape(std::string_view buf, SnapshotHeader* header,
-                          std::string_view* payload) {
-  *header = ParseSnapshotHeader(buf);
-  RTR_RETURN_IF_ERROR(header->status);
-  const uint64_t num_types = header->info.num_types;
-  const uint64_t num_nodes = header->info.num_nodes;
-  const uint64_t num_arcs = header->info.num_arcs;
-  const uint64_t type_block_bytes = header->type_block_bytes;
+// mapped loaders. On OK, `payload` views everything after the header (the
+// checksummed bytes) and `columns` the prefix of it that Bind decodes: all
+// but a v3 file's two trailing f32 sections, which are never loaded.
+Status CheckSnapshotShape(std::string_view buf, SnapshotHeader* h,
+                          std::string_view* payload,
+                          std::string_view* columns) {
+  RTR_RETURN_IF_ERROR(ParseSnapshotHeader(buf, h));
+  const uint64_t num_nodes = h->num_nodes;
+  const uint64_t num_arcs = h->num_arcs;
 
   // Range checks before any size arithmetic. NodeId is u32: a node count at
   // or beyond kInvalidNode cannot be indexed (u32 overflow guard).
   if (num_nodes >= kInvalidNode) {
     return Status::IoError("snapshot node count overflows NodeId");
   }
-  if (num_types == 0 || num_types > std::numeric_limits<NodeTypeId>::max()) {
+  if (h->num_types == 0 ||
+      h->num_types > std::numeric_limits<NodeTypeId>::max()) {
     return Status::IoError("snapshot type count out of range");
   }
   if (num_arcs > kMaxSnapshotArcs) {
     return Status::IoError("snapshot arc count out of range");
   }
-  if (type_block_bytes % 8 != 0 || type_block_bytes > buf.size()) {
+  if (h->type_block_bytes % 8 != 0 || h->type_block_bytes > buf.size()) {
     return Status::IoError("snapshot type-name block size invalid");
   }
 
   // Exact-size check: truncated and oversized (trailing-garbage) files are
   // both rejected before the checksum pass.
-  uint64_t expected_payload =
-      type_block_bytes + Padded(num_nodes * sizeof(NodeTypeId)) +
+  const uint64_t column_bytes =
+      h->type_block_bytes + PadTo8(num_nodes * sizeof(NodeTypeId)) +
       2 * ((num_nodes + 1) * sizeof(uint64_t)) +     // offsets
-      2 * Padded(num_arcs * sizeof(NodeId)) +        // targets + sources
+      2 * PadTo8(num_arcs * sizeof(NodeId)) +        // targets + sources
       4 * (num_arcs * sizeof(double)) +              // arc weights + probs
       num_nodes * sizeof(double);                    // per-node out-weights
-  if (header->info.version == 3) {
-    header->skipped_bytes = 2 * Padded(num_arcs * sizeof(float));
-  }
-  expected_payload += header->skipped_bytes;
+  const uint64_t skipped_bytes =
+      h->version == 3 ? 2 * PadTo8(num_arcs * sizeof(float)) : 0;
+  const uint64_t expected_payload = column_bytes + skipped_bytes;
   if (buf.size() - kHeaderBytes != expected_payload) {
     return Status::IoError(
         buf.size() - kHeaderBytes < expected_payload
             ? "snapshot truncated (arc/node counts disagree with file size)"
             : "snapshot has trailing garbage");
   }
-  *payload = std::string_view(buf.data() + kHeaderBytes,
-                              buf.size() - kHeaderBytes);
+  *payload = buf.substr(kHeaderBytes);
+  *columns = payload->substr(0, column_bytes);
   return Status::OK();
 }
 
@@ -395,19 +288,16 @@ StatusOr<Graph> LoadSnapshotImage(std::string_view buf,
                                   std::shared_ptr<const void> storage,
                                   bool mapped, bool verify_checksum,
                                   uint64_t* generation) {
-  SnapshotHeader header;
+  SnapshotHeader header{};
   std::string_view payload;
-  RTR_RETURN_IF_ERROR(CheckSnapshotShape(buf, &header, &payload));
-  if (verify_checksum && Fnv1a64Words(payload.data(), payload.size()) !=
-                             header.info.payload_checksum) {
+  std::string_view columns;
+  RTR_RETURN_IF_ERROR(CheckSnapshotShape(buf, &header, &payload, &columns));
+  if (verify_checksum && Fnv1a64Words(payload) != header.payload_checksum) {
     return Status::IoError("snapshot checksum mismatch");
   }
-  StatusOr<Graph> g = SnapshotCodec::Bind(
-      header.info.num_types, header.info.num_nodes, header.info.num_arcs,
-      header.type_block_bytes,
-      payload.substr(0, payload.size() - header.skipped_bytes),
-      std::move(storage), mapped);
-  if (g.ok() && generation != nullptr) *generation = header.info.generation;
+  StatusOr<Graph> g =
+      SnapshotCodec::Bind(header, columns, std::move(storage), mapped);
+  if (g.ok() && generation != nullptr) *generation = header.generation;
   return g;
 }
 
@@ -507,23 +397,18 @@ StatusOr<Graph> LoadGraphMapped(const std::string& path,
 }
 
 StatusOr<SnapshotFileInfo> ReadSnapshotFileInfo(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  std::string buf(kHeaderBytes, '\0');
-  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-  buf.resize(static_cast<size_t>(in.gcount()));
-  SnapshotHeader header = ParseSnapshotHeader(buf);
-  RTR_RETURN_IF_ERROR(header.status);
-  return header.info;
+  StatusOr<std::string> head = ReadFilePrefix(path, kHeaderBytes);
+  RTR_RETURN_IF_ERROR(head.status());
+  SnapshotHeader h{};
+  RTR_RETURN_IF_ERROR(ParseSnapshotHeader(*head, &h));
+  return SnapshotFileInfo{h.version,  h.generation, h.num_types,
+                          h.num_nodes, h.num_arcs,  h.payload_checksum};
 }
 
 StatusOr<bool> IsSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  char magic[sizeof(kSnapshotMagic)] = {};
-  in.read(magic, sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kSnapshotMagic, sizeof(magic)) == 0;
+  StatusOr<std::string> head = ReadFilePrefix(path, sizeof(kSnapshotMagic));
+  RTR_RETURN_IF_ERROR(head.status());
+  return *head == std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic));
 }
 
 namespace {

@@ -31,7 +31,8 @@ namespace rtr {
 //     u64      num_nodes
 //     u64      num_arcs
 //     u64      type_block_bytes (padded size of the type-name section)
-//     u64      payload_checksum (FNV-1a 64 over everything after the header)
+//     u64      payload_checksum (word-wise FNV-1a 64 over everything after
+//                                the header; util/bytes.h Fnv1a64Words)
 //     u64      generation       (v2+; the v1 reserved field, always 0 there)
 //   payload:
 //     type names                num_types x (u32 length + bytes), padded
@@ -48,16 +49,19 @@ namespace rtr {
 //   v3 only (read and skipped):
 //     two sections of num_arcs x f32, padded
 //
-// The bulk loader validates the magic, version, exact file size (truncated
-// or oversized/trailing-garbage files are rejected), checksum, offset
-// monotonicity and endpoint/type ranges, so a load that returns OK yields a
-// Graph bit-identical to the one saved. All failures are Status::IoError.
+// Both loaders decode through util/bytes.h's bounds-checked ByteReader, the
+// codec the delta files and RPC frames share. The bulk loader validates the
+// magic, version, exact file size (truncated or oversized/trailing-garbage
+// files are rejected), checksum, zero padding, offset monotonicity and
+// endpoint/type ranges, so a load that returns OK yields a Graph
+// bit-identical to the one saved. All failures are Status::IoError.
 //
-// The mapped loader performs the same structural validation (it touches the
-// header, offsets, endpoints and node-type pages) but skips the full
-// payload checksum by default — checksumming would fault in every page and
-// defeat the O(page faults) cold start. Set RTR_MMAP_VERIFY=1 to force the
-// checksum pass on mapped loads too.
+// The mapped loader performs the same structural validation, padding
+// included (it touches the header, type-name, offsets, endpoints and
+// node-type pages) but skips the full payload checksum by default —
+// checksumming would fault in every page and defeat the O(page faults) cold
+// start. Set RTR_MMAP_VERIFY=1 to force the checksum pass on mapped loads
+// too.
 //
 // Versioning: v2 records the graph's generation id (graph/store.h) where v1
 // had a zeroed reserved field. Older writers could emit v3, which appended

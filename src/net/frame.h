@@ -7,22 +7,28 @@
 // payload. The header carries the payload length (so a reader always knows
 // how many bytes to expect — no sentinels, no in-band escapes) and an
 // FNV-1a checksum over the payload, verified before any payload byte is
-// interpreted. A frame that fails magic/version/length/checksum validation
-// is a transport-level error: the connection is considered poisoned and the
-// client re-sends on a fresh one (net/rpc_client.h).
+// interpreted. A frame that fails validation (magic, version, type,
+// length, reserved bytes, checksum) is a transport-level error: the
+// connection is considered poisoned and the client re-sends on a fresh one
+// (net/rpc_client.h).
 //
 //   offset  size  field
 //        0     4  magic "RTRF"
 //        4     1  protocol version (kProtocolVersion)
 //        5     1  frame type (FrameType)
-//        6     2  reserved (zero)
+//        6     2  reserved, must be zero
 //        8     8  request id — echoed by the reply, multiplexing key
 //       16     4  payload length (<= kMaxPayloadBytes)
-//       20     4  reserved (zero)
-//       24     8  FNV-1a 64 checksum of the payload bytes
+//       20     4  reserved, must be zero
+//       24     8  FNV-1a 64 checksum of the payload bytes (byte-wise,
+//                 util/bytes.h Fnv1a64Bytes)
 //
 // Integers are little-endian host order (the project already writes
-// snapshots this way; x86-64 and AArch64 both qualify).
+// snapshots this way; x86-64 and AArch64 both qualify). Every field is
+// written by util/bytes.h's ByteWriter and read by its bounds-checked
+// ByteReader, the codec the snapshot and delta files share; a decoder
+// rejects a truncated, oversized or trailing-byte payload as kIoError and
+// checks every count against the remaining bytes before it allocates.
 //
 // Payloads:
 //   kHello       HelloPayload — the client's expectation of the shard.
@@ -71,16 +77,13 @@ struct FrameHeader {
   uint64_t checksum = 0;
 };
 
-// FNV-1a 64 over `n` bytes.
-uint64_t Fnv1a64(const void* data, size_t n);
-
 // Encodes header + payload into `out` (replacing its contents): one frame,
 // ready for a single Transport::WriteAll call.
 void EncodeFrame(FrameType type, uint64_t request_id,
                  std::span<const uint8_t> payload, std::vector<uint8_t>* out);
 
 // Parses and validates the fixed header (`buf` holds kFrameHeaderBytes).
-// Corrupt magic/version/length => kIoError.
+// Corrupt magic/version/type/length or nonzero reserved bytes => kIoError.
 Status DecodeFrameHeader(const uint8_t* buf, FrameHeader* header);
 
 // Verifies the payload against the header's checksum; kIoError on mismatch.

@@ -8,16 +8,17 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iterator>
-#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/twosbound.h"
 #include "graph/builder.h"
+#include "util/bytes.h"
+#include "util/mutation_testing.h"
 #include "util/random.h"
 
 namespace rtr {
@@ -488,8 +489,9 @@ TEST(DeltaFileTest, LyingOpCountRejected) {
 
 // ---------------------------------------------------------------------------
 // Seeded mutation sweep over the delta decoder. Every mutant of a valid
-// delta file must map to OK or a typed IoError, and an accepted delta must
-// apply cleanly or be refused with InvalidArgument.
+// delta file must map to OK or a typed IoError; an accepted delta must
+// apply cleanly or be refused with InvalidArgument, and must be the
+// original delta unless its checksum was rewritten.
 
 // Header field offsets (see the layout in graph/delta.h). The four u64
 // counts (types, nodes, removed arcs, added arcs) are consecutive.
@@ -497,88 +499,23 @@ constexpr size_t kDeltaCountsAt = 24;
 constexpr size_t kDeltaChecksumAt = 56;
 constexpr size_t kDeltaHeaderSize = 64;
 
-uint64_t ReadU64(const std::string& bytes, size_t at) {
-  uint64_t v;
-  std::memcpy(&v, bytes.data() + at, sizeof(v));
-  return v;
-}
-
-void WriteU64(std::string* bytes, size_t at, uint64_t v) {
-  std::memcpy(bytes->data() + at, &v, sizeof(v));
-}
-
-// Recomputes the payload checksum (FNV-1a 64 over little-endian words), so
-// a payload mutant reaches the decoding and application checks behind it.
+// Recomputes the checksum over the header fields before it and then the
+// payload, so a mutant reaches the decoding and application checks behind
+// it.
 void Reseal(std::string* bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = kDeltaHeaderSize; i + 8 <= bytes->size(); i += 8) {
-    h ^= ReadU64(*bytes, i);
-    h *= 1099511628211ull;
-  }
-  WriteU64(bytes, kDeltaChecksumAt, h);
+  const std::string_view all(*bytes);
+  WriteWord(bytes, kDeltaChecksumAt,
+            Fnv1a64Words(all.substr(kDeltaHeaderSize),
+                         Fnv1a64Words(all.substr(0, kDeltaChecksumAt))));
 }
 
-enum class DeltaMutation { kBitFlip, kTruncate, kInflateCount, kOverwrite };
-
-std::string MutateDelta(const std::string& original, DeltaMutation kind,
-                        Rng& rng, bool* sealed) {
-  std::string bytes = original;
-  *sealed = false;
-  switch (kind) {
-    case DeltaMutation::kBitFlip: {
-      const uint64_t flips = 1 + rng.NextUint64(3);
-      for (uint64_t i = 0; i < flips; ++i) {
-        const size_t span =
-            rng.NextBernoulli(0.5) ? kDeltaHeaderSize : bytes.size();
-        bytes[rng.NextUint64(span)] ^=
-            static_cast<char>(1u << rng.NextUint64(8));
-      }
-      break;
-    }
-    case DeltaMutation::kTruncate:
-      bytes.resize(rng.NextUint64(bytes.size()));
-      break;
-    case DeltaMutation::kInflateCount: {
-      const size_t at = kDeltaCountsAt + 8 * rng.NextUint64(4);
-      const uint64_t was = ReadU64(bytes, at);
-      const uint64_t candidates[] = {
-          was + 1 + rng.NextUint64(8),
-          was + 4,
-          was * 2 + 1,
-          uint64_t{1} << rng.NextUint64(64),
-          std::numeric_limits<uint64_t>::max() - rng.NextUint64(16),
-          uint64_t{1} << 32,
-      };
-      WriteU64(&bytes, at, candidates[rng.NextUint64(std::size(candidates))]);
-      break;
-    }
-    case DeltaMutation::kOverwrite: {
-      const size_t words = (bytes.size() - kDeltaHeaderSize) / 8;
-      if (words == 0) break;
-      const size_t at = kDeltaHeaderSize + 8 * rng.NextUint64(words);
-      const uint64_t was = ReadU64(bytes, at);
-      // Small values look like endpoints, type ids and name lengths, so
-      // sealed mutants probe the decoder and ApplyDelta, not only the
-      // checksum.
-      const uint64_t candidates[] = {
-          rng.NextUint64(),
-          0,
-          std::numeric_limits<uint64_t>::max(),
-          rng.NextUint64(16),
-          was + 1,
-          was - 1,
-          was ^ (uint64_t{1} << rng.NextUint64(64)),
-      };
-      WriteU64(&bytes, at, candidates[rng.NextUint64(std::size(candidates))]);
-      if (rng.NextBernoulli(0.5)) {
-        Reseal(&bytes);
-        *sealed = true;
-      }
-      break;
-    }
-  }
-  return bytes;
-}
+const MutationFormat kDeltaFormat = {
+    .header_bytes = kDeltaHeaderSize,
+    .count_offsets = {kDeltaCountsAt, kDeltaCountsAt + 8, kDeltaCountsAt + 16,
+                      kDeltaCountsAt + 24},
+    .small_value_bound = 16,
+    .reseal = Reseal,
+};
 
 TEST(DeltaFileTest, SeededMutantsGiveOkOrIoError) {
   const Graph base = BaseGraph();
@@ -592,15 +529,13 @@ TEST(DeltaFileTest, SeededMutantsGiveOkOrIoError) {
     const std::string original = DeltaBytes(delta);
     ASSERT_TRUE(ApplyDelta(base, delta).ok());  // each corpus delta applies
     for (int i = 0; i < 300; ++i) {
-      const DeltaMutation kind =
-          static_cast<DeltaMutation>(rng.NextUint64(4));
-      bool sealed = false;
-      const std::string bytes = MutateDelta(original, kind, rng, &sealed);
-      SCOPED_TRACE("mutation " + std::to_string(static_cast<int>(kind)) +
-                   (sealed ? " (resealed)" : "") + ", iteration " +
+      const Mutant mutant = Mutate(original, kDeltaFormat, rng);
+      SCOPED_TRACE("mutation " +
+                   std::to_string(static_cast<int>(mutant.kind)) +
+                   (mutant.sealed ? " (resealed)" : "") + ", iteration " +
                    std::to_string(i));
 
-      StatusOr<GraphDelta> loaded = LoadDeltaBytes(bytes);
+      StatusOr<GraphDelta> loaded = LoadDeltaBytes(mutant.bytes);
       if (!loaded.ok()) {
         EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
             << loaded.status().ToString();
@@ -608,22 +543,12 @@ TEST(DeltaFileTest, SeededMutantsGiveOkOrIoError) {
         continue;
       }
       ++accepted;
-      EXPECT_NE(kind, DeltaMutation::kTruncate);
-      if (!sealed) {
-        // The checksum covers the payload but not the header, so an
-        // unsealed mutant that loads carries exactly the original payload.
-        // With the count words intact that makes it the original delta up
-        // to base_generation; a count can only have moved across trailing
-        // zero bytes (untyped nodes, empty type names), which the payload
-        // cannot tell from padding.
-        EXPECT_EQ(DeltaBytes(*loaded).substr(kDeltaHeaderSize),
-                  original.substr(kDeltaHeaderSize));
-        if (bytes.compare(kDeltaCountsAt, 32, original, kDeltaCountsAt, 32) ==
-            0) {
-          GraphDelta expected = delta;
-          expected.base_generation = loaded->base_generation;
-          ExpectDeltasEqual(expected, *loaded);
-        }
+      EXPECT_NE(mutant.kind, Mutation::kTruncate);
+      if (!mutant.sealed) {
+        // The checksum covers the header and the payload, so an unsealed
+        // mutant that loads is the original delta, field for field.
+        ExpectDeltasEqual(delta, *loaded);
+        EXPECT_EQ(DeltaBytes(*loaded), original);
       }
       StatusOr<Graph> next = ApplyDelta(base, *loaded);
       if (!next.ok()) {

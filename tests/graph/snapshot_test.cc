@@ -6,16 +6,17 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iterator>
-#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
 #include "graph/io.h"
+#include "util/bytes.h"
+#include "util/mutation_testing.h"
 #include "util/random.h"
 
 namespace rtr {
@@ -340,27 +341,21 @@ constexpr size_t kNumTypesAt = 16;
 constexpr size_t kChecksumAt = 48;
 constexpr size_t kHeaderSize = 64;
 
-uint64_t ReadU64(const std::string& bytes, size_t at) {
-  uint64_t v;
-  std::memcpy(&v, bytes.data() + at, sizeof(v));
-  return v;
-}
-
-void WriteU64(std::string* bytes, size_t at, uint64_t v) {
-  std::memcpy(bytes->data() + at, &v, sizeof(v));
-}
-
-// Recomputes the payload checksum (FNV-1a 64 over little-endian words), so
-// a payload mutant gets past the integrity pass and reaches the structural
-// validation behind it.
+// Recomputes the payload checksum, so a payload mutant gets past the
+// integrity pass and reaches the structural validation behind it.
 void Reseal(std::string* bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = kHeaderSize; i + 8 <= bytes->size(); i += 8) {
-    h ^= ReadU64(*bytes, i);
-    h *= 1099511628211ull;
-  }
-  WriteU64(bytes, kChecksumAt, h);
+  WriteWord(bytes, kChecksumAt,
+            Fnv1a64Words(std::string_view(*bytes).substr(kHeaderSize)));
 }
+
+// The four consecutive count words are num_types, num_nodes, num_arcs and
+// type_block_bytes.
+const MutationFormat kSnapshotFormat = {
+    .header_bytes = kHeaderSize,
+    .count_offsets = {kNumTypesAt, kNumTypesAt + 8, kNumTypesAt + 16,
+                      kNumTypesAt + 24},
+    .reseal = Reseal,
+};
 
 void SetVersion(std::string* bytes, uint32_t version) {
   std::memcpy(bytes->data() + kVersionAt, &version, sizeof(version));
@@ -428,67 +423,24 @@ void ExpectSameBytes(const Graph& a, const Graph& b) {
   ExpectColumnsEq(a.in_probs(), b.in_probs());
 }
 
-enum class Mutation { kBitFlip, kTruncate, kInflateHeader, kOverwriteWord };
-
-std::string Mutate(const std::string& original, Mutation kind, Rng& rng,
-                   bool* sealed) {
-  std::string bytes = original;
-  *sealed = false;
-  switch (kind) {
-    case Mutation::kBitFlip: {
-      // Half the flips land in the 64-byte header, which is small next to
-      // the payload but holds every field the decoder trusts first.
-      const uint64_t flips = 1 + rng.NextUint64(3);
-      for (uint64_t i = 0; i < flips; ++i) {
-        const size_t span = rng.NextBernoulli(0.5) ? kHeaderSize : bytes.size();
-        bytes[rng.NextUint64(span)] ^=
-            static_cast<char>(1u << rng.NextUint64(8));
-      }
-      break;
-    }
-    case Mutation::kTruncate:
-      bytes.resize(rng.NextUint64(bytes.size()));
-      break;
-    case Mutation::kInflateHeader: {
-      // One of the four consecutive count words: num_types, num_nodes,
-      // num_arcs or type_block_bytes.
-      const size_t at = kNumTypesAt + 8 * rng.NextUint64(4);
-      const uint64_t was = ReadU64(bytes, at);
-      const uint64_t candidates[] = {
-          was + 1 + rng.NextUint64(8),
-          was + 8,
-          was * 2 + 1,
-          uint64_t{1} << rng.NextUint64(64),
-          std::numeric_limits<uint64_t>::max() - rng.NextUint64(16),
-          uint64_t{1} << 32,
-      };
-      WriteU64(&bytes, at, candidates[rng.NextUint64(std::size(candidates))]);
-      break;
-    }
-    case Mutation::kOverwriteWord: {
-      const size_t words = (bytes.size() - kHeaderSize) / 8;
-      const size_t at = kHeaderSize + 8 * rng.NextUint64(words);
-      const uint64_t was = ReadU64(bytes, at);
-      // Small values look like offsets, endpoints and type ids, so sealed
-      // mutants probe the structural checks rather than only the checksum.
-      const uint64_t candidates[] = {
-          rng.NextUint64(),
-          0,
-          std::numeric_limits<uint64_t>::max(),
-          rng.NextUint64(64),
-          was + 1,
-          was - 1,
-          was ^ (uint64_t{1} << rng.NextUint64(64)),
-      };
-      WriteU64(&bytes, at, candidates[rng.NextUint64(std::size(candidates))]);
-      if (rng.NextBernoulli(0.5)) {
-        Reseal(&bytes);
-        *sealed = true;
-      }
-      break;
-    }
+// Mapped loads skip the checksum, so only the decoder guards the pad bytes
+// there: a nonzero one must fail both loaders, even resealed.
+TEST(SnapshotTest, NonzeroTypeNamePaddingRejectedByBothLoaders) {
+  const Graph g = TrickyGraph();
+  size_t names_bytes = 0;
+  for (const std::string& name : g.type_names()) {
+    names_bytes += sizeof(uint32_t) + name.size();
   }
-  return bytes;
+  std::string bytes = Snapshot(g);
+  ASSERT_LT(names_bytes, ReadWord(bytes, kNumTypesAt + 24));  // has padding
+  bytes[kHeaderSize + names_bytes] = 1;
+  Reseal(&bytes);
+
+  const std::string path = testing::TempDir() + "/rtr_snapshot_pad.rtrsnap";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  for (const StatusOr<Graph>& result : {Load(bytes), LoadGraphMapped(path)}) {
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  }
 }
 
 TEST(SnapshotTest, SeededMutantsGiveOkOrIoErrorFromBothLoaders) {
@@ -501,13 +453,12 @@ TEST(SnapshotTest, SeededMutantsGiveOkOrIoErrorFromBothLoaders) {
     for (const std::string& original : AllVersions(g)) {
       ASSERT_TRUE(Load(original).ok());  // each unmutated version loads
       for (int i = 0; i < 160; ++i) {
-        const Mutation kind = static_cast<Mutation>(rng.NextUint64(4));
-        bool sealed = false;
-        const std::string bytes = Mutate(original, kind, rng, &sealed);
-        SCOPED_TRACE("mutation " + std::to_string(static_cast<int>(kind)) +
-                     (sealed ? " (resealed)" : "") + ", version " +
-                     std::to_string(ReadU64(original, kVersionAt) &
-                                    0xffffffffu) +
+        const Mutant mutant = Mutate(original, kSnapshotFormat, rng);
+        const std::string& bytes = mutant.bytes;
+        SCOPED_TRACE("mutation " +
+                     std::to_string(static_cast<int>(mutant.kind)) +
+                     (mutant.sealed ? " (resealed)" : "") + ", version " +
+                     std::to_string(ReadWord(original, kVersionAt, 4)) +
                      ", iteration " + std::to_string(i));
 
         std::istringstream in(bytes);
@@ -526,7 +477,7 @@ TEST(SnapshotTest, SeededMutantsGiveOkOrIoErrorFromBothLoaders) {
                 << result->status().ToString();
           }
         }
-        if (kind == Mutation::kTruncate) {
+        if (mutant.kind == Mutation::kTruncate) {
           EXPECT_FALSE(bulk.ok());
           EXPECT_FALSE(mapped.ok());
         }
@@ -538,7 +489,7 @@ TEST(SnapshotTest, SeededMutantsGiveOkOrIoErrorFromBothLoaders) {
           ExpectSameBytes(*bulk, *mapped);
           // Without a resealed checksum, only the header-only generation
           // word can change and still load.
-          if (!sealed) ExpectGraphsIdentical(g, *bulk);
+          if (!mutant.sealed) ExpectGraphsIdentical(g, *bulk);
           ++accepted;
         } else {
           ++rejected;

@@ -1,10 +1,14 @@
-// Fetch-reply decoder hardening: hostile counts, truncated prefixes, and the
-// lifetime of decoded records. This binary counts heap allocations
+// Frame decoder hardening: hostile fetch-reply counts, truncated prefixes,
+// the lifetime of decoded records, and a seeded mutation sweep over whole
+// frames of every type. This binary counts heap allocations
 // (bench/alloc_counter.h) so it can prove that no allocation is sized from
 // an untrusted count. Suite names match the CI TSan filter (Transport).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +18,9 @@
 #include "dist/record_testing.h"
 #include "graph/builder.h"
 #include "net/frame.h"
+#include "util/bytes.h"
+#include "util/mutation_testing.h"
+#include "util/random.h"
 
 namespace rtr {
 namespace {
@@ -143,6 +150,195 @@ TEST(TransportFrameTest, DecodeAppendsAfterExistingRecords) {
   std::vector<dist::NodeRecord> want = reply.records;
   want.insert(want.end(), reply.records.begin(), reply.records.end());
   dist::ExpectSameRecords(out, want);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation sweep over whole frames: header, checksum and every
+// payload decoder must give OK or kIoError on each mutant, and no decoder
+// may allocate more than its payload could back.
+
+void ResealFrame(std::string* frame) {
+  const std::span<const uint8_t> payload(
+      reinterpret_cast<const uint8_t*>(frame->data()) + net::kFrameHeaderBytes,
+      frame->size() - net::kFrameHeaderBytes);
+  WriteWord(frame, net::kChecksumOffset, Fnv1a64Bytes(payload));
+}
+
+// Offsets of a fetch reply's counts: the record count, then each record's
+// n_out and n_in.
+std::vector<size_t> ReplyCountOffsets(
+    const std::vector<dist::NodeRecord>& records) {
+  std::vector<size_t> offsets = {0};
+  size_t at = sizeof(uint32_t);
+  for (const dist::NodeRecord& record : records) {
+    offsets.push_back(at + 4);
+    offsets.push_back(at + 8);
+    at += 12 + 20 * (record.num_out_arcs() + record.num_in_arcs());
+  }
+  return offsets;
+}
+
+// An accepted reply's columns must be consistent, account for every payload
+// byte, and be readable end to end (under ASan a column that strays past
+// its block fails here).
+void ExpectInRangeColumns(const std::vector<dist::NodeRecord>& records,
+                          size_t payload_bytes) {
+  size_t bytes = sizeof(uint32_t);
+  double sink = 0.0;
+  for (const dist::NodeRecord& record : records) {
+    ASSERT_EQ(record.out_weights.size(), record.out_targets.size());
+    ASSERT_EQ(record.out_probs.size(), record.out_targets.size());
+    ASSERT_EQ(record.in_weights.size(), record.in_sources.size());
+    ASSERT_EQ(record.in_probs.size(), record.in_sources.size());
+    bytes += 12 + 20 * (record.num_out_arcs() + record.num_in_arcs());
+    for (NodeId v : record.out_targets) sink += v;
+    for (NodeId v : record.in_sources) sink += v;
+    for (auto column : {record.out_weights, record.out_probs,
+                        record.in_weights, record.in_probs}) {
+      for (double x : column) sink += x;
+    }
+  }
+  EXPECT_EQ(bytes, payload_bytes);
+  volatile double keep = sink;
+  (void)keep;
+}
+
+// Decodes `payload` as a `type` payload: OK or kIoError, and no allocation
+// larger than the payload (or than an error message). The record vector
+// already has room for as many records as the payload could hold (each
+// takes at least 12 bytes), so only the decoder's own allocations count.
+// Returns whether the payload decoded.
+bool DecodesSafely(net::FrameType type, std::span<const uint8_t> payload) {
+  std::vector<dist::NodeRecord> records;
+  records.reserve(payload.size() / 12 + 1);
+  std::vector<NodeId> nodes;
+  net::HelloPayload hello;
+  Status remote = Status::OK();
+  Status status = Status::OK();
+  bench::ResetAllocPeak();
+  switch (type) {
+    case net::FrameType::kHello:
+    case net::FrameType::kHelloAck:
+      status = net::DecodeHello(payload, &hello);
+      break;
+    case net::FrameType::kFetch:
+      status = net::DecodeFetchRequest(payload, &nodes);
+      break;
+    case net::FrameType::kFetchReply:
+      status = net::DecodeFetchReply(payload, &records);
+      break;
+    case net::FrameType::kErrorReply:
+      status = net::DecodeErrorReply(payload, &remote);
+      break;
+  }
+  const uint64_t peak = bench::AllocPeakBytes();
+  EXPECT_LE(peak, std::max<uint64_t>(payload.size(), kErrorPathPeakBytes))
+      << "frame type " << static_cast<int>(type);
+  if (!status.ok()) {
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+    return false;
+  }
+  if (type == net::FrameType::kFetchReply) {
+    ExpectInRangeColumns(records, payload.size());
+  }
+  return true;
+}
+
+TEST(TransportFrameTest, SeededFrameMutantsGiveOkOrIoError) {
+  const Reply reply = EncodedReply();
+  std::vector<uint8_t> hello;
+  std::vector<uint8_t> request;
+  std::vector<uint8_t> error;
+  net::EncodeHello({1, 3, 6, 9}, &hello);
+  net::EncodeFetchRequest({0, 4, 5}, &request);
+  net::EncodeErrorReply(Status::InvalidArgument("node 7 is not on shard 1"),
+                        &error);
+  struct Case {
+    net::FrameType type;
+    std::vector<uint8_t> payload;
+    std::vector<size_t> count_offsets;  // within the payload
+  };
+  const Case corpus[] = {
+      {net::FrameType::kHello, hello, {}},
+      {net::FrameType::kHelloAck, hello, {}},
+      {net::FrameType::kFetch, request, {0}},
+      {net::FrameType::kFetchReply, reply.payload,
+       ReplyCountOffsets(reply.records)},
+      {net::FrameType::kErrorReply, error, {4}},
+  };
+  const net::FrameType kAllTypes[] = {
+      net::FrameType::kHello, net::FrameType::kFetch,
+      net::FrameType::kFetchReply, net::FrameType::kErrorReply};
+  constexpr size_t kPayloadLengthAt = 16;
+
+  Rng rng(20130408);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (const Case& c : corpus) {
+    std::vector<uint8_t> frame;
+    net::EncodeFrame(c.type, 77, c.payload, &frame);
+    const std::string original(frame.begin(), frame.end());
+    MutationFormat format = {
+        .header_bytes = net::kFrameHeaderBytes,
+        .count_offsets = {kPayloadLengthAt},
+        .count_width = sizeof(uint32_t),
+        .small_value_bound = 16,
+        .reseal = ResealFrame,
+    };
+    for (size_t at : c.count_offsets) {
+      format.count_offsets.push_back(net::kFrameHeaderBytes + at);
+    }
+    for (int i = 0; i < 200; ++i) {
+      const Mutant mutant = Mutate(original, format, rng);
+      SCOPED_TRACE("frame type " + std::to_string(static_cast<int>(c.type)) +
+                   ", mutation " +
+                   std::to_string(static_cast<int>(mutant.kind)) +
+                   (mutant.sealed ? " (resealed)" : "") + ", iteration " +
+                   std::to_string(i));
+      const std::span<const uint8_t> bytes(
+          reinterpret_cast<const uint8_t*>(mutant.bytes.data()),
+          mutant.bytes.size());
+      const std::span<const uint8_t> after_header =
+          bytes.subspan(std::min(bytes.size(), net::kFrameHeaderBytes));
+      // Every payload decoder sees the bytes, whatever the header says: a
+      // payload of the wrong type is as hostile as a corrupted one.
+      for (net::FrameType type : kAllTypes) DecodesSafely(type, after_header);
+
+      // The transport's path: header, checksum, then the decoder the header
+      // names. A payload longer than the bytes left is a short read.
+      net::FrameHeader header;
+      if (bytes.size() < net::kFrameHeaderBytes) {
+        ++rejected;
+        continue;
+      }
+      Status status = net::DecodeFrameHeader(bytes.data(), &header);
+      if (status.ok() && header.payload_len > after_header.size()) {
+        ++rejected;
+        continue;
+      }
+      const std::span<const uint8_t> payload =
+          after_header.first(status.ok() ? header.payload_len : 0);
+      if (status.ok()) status = net::VerifyFramePayload(header, payload);
+      if (!status.ok()) {
+        EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+        ++rejected;
+        continue;
+      }
+      if (!mutant.sealed) {
+        // The checksum vouches for the payload: it is the original one.
+        EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                               c.payload.begin(), c.payload.end()));
+      }
+      if (DecodesSafely(header.type, payload)) {
+        ++accepted;
+      } else {
+        ++rejected;
+      }
+    }
+  }
+  // The sweep must exercise both outcomes to mean anything.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

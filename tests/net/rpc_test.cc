@@ -19,6 +19,7 @@
 #include "net/remote_gp.h"
 #include "net/rpc_client.h"
 #include "net/transport.h"
+#include "util/bytes.h"
 
 namespace rtr {
 namespace {
@@ -77,6 +78,15 @@ TEST(TransportFrameTest, CorruptionIsDetected) {
   EXPECT_EQ(net::DecodeFrameHeader(bad.data(), &header).code(),
             StatusCode::kIoError);
 
+  // Nonzero reserved bytes (header offsets 6-7 and 20-23).
+  for (size_t at : {size_t{6}, size_t{7}, size_t{20}, size_t{23}}) {
+    bad = frame;
+    bad[at] = 1;
+    EXPECT_EQ(net::DecodeFrameHeader(bad.data(), &header).code(),
+              StatusCode::kIoError)
+        << "reserved byte " << at;
+  }
+
   // Flipped checksum byte (exactly what FaultOp::kCorruptChecksum does).
   bad = frame;
   bad[net::kChecksumOffset] ^= 0xFF;
@@ -134,8 +144,7 @@ TEST(TransportFrameTest, FetchReplyEncodingIsByteStable) {
   std::vector<uint8_t> payload;
   net::EncodeFetchReply(records, &payload);
   EXPECT_EQ(payload.size(), 14644u);
-  EXPECT_EQ(net::Fnv1a64(payload.data(), payload.size()),
-            0x70c8f7a5658b6cb1ull);
+  EXPECT_EQ(Fnv1a64Bytes(payload), 0x70c8f7a5658b6cb1ull);
 }
 
 TEST(TransportFrameTest, ErrorReplyCarriesStatus) {
