@@ -37,8 +37,12 @@ double MeanQueryMillis(const rtr::Graph& g,
   std::vector<double> times;
   for (NodeId q : queries) {
     rtr::WallTimer timer;
-    auto result = rtr::core::TopKRoundTripRank(g, {q}, params);
-    CHECK(result.ok());
+    {  // A fresh arena per query, built and freed inside the timed work.
+      rtr::core::QueryWorkspace workspace;
+      rtr::core::TopKResult result;
+      CHECK(rtr::core::TopKRoundTripRank(g, {q}, params, workspace, &result)
+                .ok());
+    }
     times.push_back(timer.ElapsedMillis());
   }
   return rtr::Summarize(times).mean;
@@ -130,7 +134,13 @@ int main() {
       std::vector<double> times, rounds;
       for (NodeId q : queries) {
         rtr::WallTimer timer;
-        auto result = rtr::core::TopKRoundTripRank(g, {q}, params).value();
+        rtr::core::TopKResult result;
+        {
+          rtr::core::QueryWorkspace workspace;
+          CHECK(rtr::core::TopKRoundTripRank(g, {q}, params, workspace,
+                                             &result)
+                    .ok());
+        }
         times.push_back(timer.ElapsedMillis());
         rounds.push_back(result.rounds);
       }

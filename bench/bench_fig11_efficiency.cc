@@ -91,7 +91,13 @@ int main() {
       std::vector<double> times;
       for (NodeId q : queries) {
         rtr::WallTimer timer;
-        TopKResult result = rtr::core::TopKRoundTripRank(g, {q}, params).value();
+        TopKResult result;
+        {  // A fresh arena per query, built and freed inside the timed work.
+          rtr::core::QueryWorkspace workspace;
+          CHECK(rtr::core::TopKRoundTripRank(g, {q}, params, workspace,
+                                             &result)
+                    .ok());
+        }
         times.push_back(timer.ElapsedMillis());
         if (scheme == TopKScheme::k2SBound) {
           twosbound_results[e].push_back(std::move(result));

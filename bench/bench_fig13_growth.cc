@@ -254,10 +254,10 @@ void RunWireTrafficExperiment(int num_queries, int num_gps) {
   double remote_ms = 0.0;
   for (NodeId q : stream) {
     rtr::WallTimer timer;
-    CHECK(rtr::dist::DistributedTopK(loopback, {q}, params, &workspace).ok());
+    CHECK(rtr::dist::DistributedTopK(loopback, {q}, params, workspace).ok());
     loopback_ms += timer.ElapsedMillis();
     timer = rtr::WallTimer();
-    CHECK(rtr::dist::DistributedTopK(**remote, {q}, params, &workspace).ok());
+    CHECK(rtr::dist::DistributedTopK(**remote, {q}, params, workspace).ok());
     remote_ms += timer.ElapsedMillis();
   }
 

@@ -8,7 +8,7 @@
 // steady-state 2SBound query on a warm QueryWorkspace performs any heap
 // allocation, if a warm GP record fetch allocates, or if decoding a fetch
 // reply allocates per record (the bench-smoke CI job runs this at 1 and 4
-// threads).
+// threads; ctest's bench_micro_alloc_audit runs the audits alone).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -118,7 +118,9 @@ BENCHMARK(BM_GatherDot);
 void BM_BcaProcessBest(benchmark::State& state) {
   const Graph& g = SharedGraph();
   for (auto _ : state) {
-    rtr::core::Bca bca(g, {0}, 0.25);
+    rtr::core::QueryWorkspace ws;  // fresh per iteration: the cold arena
+    ws.BeginQuery(g.num_nodes());
+    rtr::core::Bca bca(g, {0}, 0.25, ws);
     for (int round = 0; round < 20; ++round) {
       if (bca.ProcessBest(100) == 0) break;
     }
@@ -134,7 +136,7 @@ void BM_BcaProcessBestWorkspace(benchmark::State& state) {
   rtr::core::QueryWorkspace ws;
   for (auto _ : state) {
     ws.BeginQuery(g.num_nodes());
-    rtr::core::Bca bca(g, {0}, 0.25, &ws);
+    rtr::core::Bca bca(g, {0}, 0.25, ws);
     for (int round = 0; round < 20; ++round) {
       if (bca.ProcessBest(100) == 0) break;
     }
@@ -149,7 +151,9 @@ void BM_FBounderExpandRefine(benchmark::State& state) {
   for (auto _ : state) {
     rtr::core::FBounderOptions options;
     options.stage2 = stage2;
-    rtr::core::FRankBounder bounder(g, {0}, options);
+    rtr::core::QueryWorkspace ws;
+    ws.BeginQuery(g.num_nodes());
+    rtr::core::FRankBounder bounder(g, {0}, options, ws);
     for (int round = 0; round < 10; ++round) {
       if (!bounder.ExpandAndRefine()) break;
     }
@@ -162,7 +166,9 @@ void BM_TBounderExpandRefine(benchmark::State& state) {
   const Graph& g = SharedGraph();
   for (auto _ : state) {
     rtr::core::TBounderOptions options;
-    rtr::core::TRankBounder bounder(g, {0}, options);
+    rtr::core::QueryWorkspace ws;
+    ws.BeginQuery(g.num_nodes());
+    rtr::core::TRankBounder bounder(g, {0}, options, ws);
     for (int round = 0; round < 10; ++round) {
       if (!bounder.ExpandAndRefine()) break;
     }
@@ -178,8 +184,12 @@ void BM_TopK2SBound(benchmark::State& state) {
   params.epsilon = 0.01 * static_cast<double>(state.range(0));
   NodeId q = 0;
   for (auto _ : state) {
-    auto result = rtr::core::TopKRoundTripRank(g, {q}, params);
-    benchmark::DoNotOptimize(result.value().entries.size());
+    rtr::core::QueryWorkspace ws;  // fresh per query: the cold arena
+    rtr::core::TopKResult result;
+    rtr::Status status = rtr::core::TopKRoundTripRank(g, {q}, params, ws,
+                                                      &result);
+    benchmark::DoNotOptimize(status.ok());
+    benchmark::DoNotOptimize(result.entries.size());
     q = (q + 37) % static_cast<NodeId>(g.num_nodes());
   }
 }

@@ -190,7 +190,12 @@ int main() {
       Graph g = load();
       cs.load_ms = load_timer.ElapsedMillis();
       rtr::WallTimer query_timer;
-      CHECK(rtr::core::TopKRoundTripRank(g, {q}, params).ok());
+      {  // The arena is built and freed inside the timed first query.
+        rtr::core::QueryWorkspace workspace;
+        rtr::core::TopKResult result;
+        CHECK(rtr::core::TopKRoundTripRank(g, {q}, params, workspace, &result)
+                  .ok());
+      }
       cs.first_query_ms = query_timer.ElapsedMillis();
       return cs;
     };

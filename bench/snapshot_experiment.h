@@ -47,8 +47,10 @@ inline SnapshotPoint MeasureSnapshot(const Graph& g, const std::string& label,
     core::TopKParams params;
     params.k = 10;
     params.epsilon = 0.01;
+    // A fresh arena per query, sized inside DistributedTopK's timed window.
+    core::QueryWorkspace workspace;
     dist::DistributedTopKResult result =
-        dist::DistributedTopK(cluster, {q}, params).value();
+        dist::DistributedTopK(cluster, {q}, params, workspace).value();
     active_mb.push_back(static_cast<double>(result.active_set_bytes) / 1e6);
     query_ms.push_back(result.query_millis);
   }

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   params.k = 10;
   params.epsilon = 0.01;
   rtr::Rng rng(99);
+  rtr::core::QueryWorkspace workspace;  // per-query scratch, reused
   std::printf("\nrunning 5 queries:\n");
   for (int i = 0; i < 5; ++i) {
     rtr::NodeId query = rtr::bench::SampleQueryNode(graph, rng);
@@ -51,7 +52,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     rtr::dist::DistributedTopKResult result =
-        rtr::dist::DistributedTopK(cluster, {query}, params).value();
+        rtr::dist::DistributedTopK(cluster, {query}, params, workspace)
+            .value();
     std::printf(
         "  query %-7u %.1f ms, active set %zu nodes (%.3f MB = %.2f%% of "
         "the graph), %zu GP requests\n",

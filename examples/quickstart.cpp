@@ -67,8 +67,14 @@ int main() {
   rtr::core::TopKParams params;
   params.k = 3;
   params.epsilon = 1e-4;
-  rtr::core::TopKResult topk =
-      rtr::core::TopKRoundTripRank(graph, {t1}, params).value();
+  rtr::core::QueryWorkspace workspace;  // per-query scratch, reusable
+  rtr::core::TopKResult topk;
+  rtr::Status status =
+      rtr::core::TopKRoundTripRank(graph, {t1}, params, workspace, &topk);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  }
   std::printf("2SBound top-%d (eps = %g):\n", params.k, params.epsilon);
   for (const rtr::core::TopKEntry& entry : topk.entries) {
     std::printf("  node %u (%s)  r in [%.5f, %.5f]\n", entry.node,

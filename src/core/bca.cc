@@ -6,18 +6,11 @@
 
 namespace rtr::core {
 
-Bca::Bca(const Graph& g, const Query& query, double alpha)
-    : Bca(g, query, alpha, nullptr) {}
-
-Bca::Bca(const Graph& g, const Query& query, double alpha, QueryWorkspace* ws)
-    : graph_(g),
-      alpha_(alpha),
-      owned_ws_(ws == nullptr ? std::make_unique<QueryWorkspace>() : nullptr),
-      ws_(ws == nullptr ? owned_ws_.get() : ws) {
+Bca::Bca(const Graph& g, const Query& query, double alpha, QueryWorkspace& ws)
+    : graph_(g), alpha_(alpha), ws_(&ws) {
   CHECK_GT(alpha, 0.0);
   CHECK_LT(alpha, 1.0);
   CHECK(!query.empty());
-  if (owned_ws_ != nullptr) owned_ws_->BeginQuery(g.num_nodes());
   CHECK_EQ(ws_->num_nodes(), g.num_nodes());
   double mass = 1.0 / static_cast<double>(query.size());
   for (NodeId q : query) {

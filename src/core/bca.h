@@ -1,7 +1,6 @@
 #ifndef RTR_CORE_BCA_H_
 #define RTR_CORE_BCA_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/workspace.h"
@@ -23,21 +22,16 @@ namespace rtr::core {
 // priority_queues — the heaps hold at most one entry per node, pops never
 // skip stale entries, and no periodic compaction is needed.
 //
-// All dense per-query state (rho, mu, seen flags, heap storage) lives in a
-// QueryWorkspace; construct with an external workspace (already
-// BeginQuery'd) for the allocation-free serving path, or without one for
-// tests and one-off drivers (the Bca then owns a private workspace).
+// All dense per-query state (rho, mu, seen flags, heap storage) lives in
+// the caller's QueryWorkspace, which the Bca borrows.
 //
 // Multi-node queries place 1/|Q| initial residual on each query node
 // (Linearity Theorem).
 class Bca {
  public:
-  // Owns a private workspace; convenient, but allocates O(num_nodes).
-  Bca(const Graph& g, const Query& query, double alpha);
   // Borrows `ws`, on which the caller must have called
-  // BeginQuery(g.num_nodes()) and not yet run another Bca. A null `ws`
-  // falls back to a private workspace (as the 3-arg form).
-  Bca(const Graph& g, const Query& query, double alpha, QueryWorkspace* ws);
+  // BeginQuery(g.num_nodes()) and not yet run another Bca.
+  Bca(const Graph& g, const Query& query, double alpha, QueryWorkspace& ws);
 
   Bca(const Bca&) = delete;
   Bca& operator=(const Bca&) = delete;
@@ -84,8 +78,7 @@ class Bca {
 
   const Graph& graph_;
   double alpha_;
-  std::unique_ptr<QueryWorkspace> owned_ws_;  // only without an external ws
-  QueryWorkspace* ws_;
+  QueryWorkspace* ws_;  // borrowed
   double total_residual_ = 0.0;
 };
 

@@ -15,6 +15,12 @@ namespace {
 // and hot, so reading offsets[w] up front costs nothing.
 constexpr size_t kRefinePrefetchDistance = 8;
 
+// Stage II stops after this many sweeps per Refine (the fixpoint usually
+// converges much earlier), or once a sweep's summed bound change falls
+// below the tolerance.
+constexpr int kMaxRefineSweeps = 30;
+constexpr double kRefineTolerance = 1e-15;
+
 }  // namespace
 
 namespace rtr::core {
@@ -24,16 +30,11 @@ namespace rtr::core {
 // ---------------------------------------------------------------------------
 
 FRankBounder::FRankBounder(const Graph& g, const Query& query,
-                           const FBounderOptions& options, QueryWorkspace* ws)
+                           const FBounderOptions& options, QueryWorkspace& ws)
     : graph_(g),
       options_(options),
-      owned_ws_(ws == nullptr ? std::make_unique<QueryWorkspace>() : nullptr),
-      ws_([&]() -> QueryWorkspace* {
-        if (owned_ws_ == nullptr) return ws;
-        owned_ws_->BeginQuery(g.num_nodes());
-        return owned_ws_.get();
-      }()),
-      bca_(g, query, options.alpha, ws_) {
+      ws_(&ws),
+      bca_(g, query, options.alpha, ws) {
   CHECK_GT(options.pick_per_expansion, 0);
   // Builds (or reuses, when the TRankBounder of the same query got there
   // first) the shared teleport vector alpha * I(q, v) of Eqs. 17-18.
@@ -83,7 +84,7 @@ void FRankBounder::RefineStage2() {
   const size_t* in_off = graph_.in_offsets().data();
   const NodeId* in_src = graph_.in_sources().data();
   const double* in_probs = graph_.in_probs().data();
-  for (int sweep = 0; sweep < options_.max_refine_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxRefineSweeps; ++sweep) {
     double change = 0.0;
     for (size_t j = 0; j < nodes.size(); ++j) {
       if (j + kRefinePrefetchDistance < nodes.size()) {
@@ -118,7 +119,7 @@ void FRankBounder::RefineStage2() {
       }
       if (upper[v] < lower[v]) upper[v] = lower[v];  // fp guard
     }
-    if (change < options_.refine_tolerance) break;
+    if (change < kRefineTolerance) break;
   }
 }
 
@@ -127,15 +128,8 @@ void FRankBounder::RefineStage2() {
 // ---------------------------------------------------------------------------
 
 TRankBounder::TRankBounder(const Graph& g, const Query& query,
-                           const TBounderOptions& options, QueryWorkspace* ws)
-    : graph_(g),
-      options_(options),
-      owned_ws_(ws == nullptr ? std::make_unique<QueryWorkspace>() : nullptr),
-      ws_([&]() -> QueryWorkspace* {
-        if (owned_ws_ == nullptr) return ws;
-        owned_ws_->BeginQuery(g.num_nodes());
-        return owned_ws_.get();
-      }()) {
+                           const TBounderOptions& options, QueryWorkspace& ws)
+    : graph_(g), options_(options), ws_(&ws) {
   CHECK_GT(options.pick_per_expansion, 0);
   CHECK_EQ(ws_->num_nodes(), g.num_nodes());
   const std::vector<double>& teleport = ws_->Teleport(query, options.alpha);
@@ -239,7 +233,7 @@ bool TRankBounder::Expand() {
 
 void TRankBounder::Refine() {
   RecomputeUnseenUpper();
-  RefineSweeps(options_.stage2_fixpoint ? options_.max_refine_sweeps : 1);
+  RefineSweeps(options_.stage2_fixpoint ? kMaxRefineSweeps : 1);
 }
 
 void TRankBounder::RefineSweeps(int sweeps) {
@@ -288,7 +282,7 @@ void TRankBounder::RefineSweeps(int sweeps) {
       if (upper[v] < lower[v]) upper[v] = lower[v];  // fp guard
     }
     RecomputeUnseenUpper();
-    if (change < options_.refine_tolerance) break;
+    if (change < kRefineTolerance) break;
   }
 }
 

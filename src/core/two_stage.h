@@ -1,7 +1,6 @@
 #ifndef RTR_CORE_TWO_STAGE_H_
 #define RTR_CORE_TWO_STAGE_H_
 
-#include <memory>
 #include <vector>
 
 #include "core/bca.h"
@@ -24,11 +23,9 @@ namespace rtr::core {
 //    leaves them looser (never wrong).
 //
 // All dense per-query state (teleport, lower/upper bound arrays, seen
-// flags, the border list) lives in a QueryWorkspace. Both bounders of one
-// query share a single workspace (their arrays are disjoint, the teleport
-// vector is shared); construct them with the same external workspace for
-// the allocation-free serving path, or without one for tests (each bounder
-// then owns a private workspace).
+// flags, the border list) lives in the caller's QueryWorkspace. Both
+// bounders of one query borrow the same workspace (their arrays are
+// disjoint, the teleport vector is shared).
 //
 // The baseline schemes of Fig. 11 are expressed through the options:
 //  * Gupta  — F-side: first-visit residual bound instead of Prop. 4, and no
@@ -45,22 +42,16 @@ struct FBounderOptions {
   bool paper_unseen_bound = true;
   // Run Stage II iterative refinement.
   bool stage2 = true;
-  // Stage II sweep cap (the fixpoint usually converges much earlier).
-  int max_refine_sweeps = 30;
-  double refine_tolerance = 1e-15;
 };
 
 // Maintains S_f with lower/upper F-Rank bounds for every seen node and a
 // common unseen upper bound.
 class FRankBounder {
  public:
+  // Borrows `ws`, on which the caller must have called
+  // BeginQuery(g.num_nodes()).
   FRankBounder(const Graph& g, const Query& query,
-               const FBounderOptions& options)
-      : FRankBounder(g, query, options, nullptr) {}
-  // Borrows `ws` (the caller must have called BeginQuery(g.num_nodes()));
-  // null falls back to a private workspace.
-  FRankBounder(const Graph& g, const Query& query,
-               const FBounderOptions& options, QueryWorkspace* ws);
+               const FBounderOptions& options, QueryWorkspace& ws);
 
   FRankBounder(const FRankBounder&) = delete;
   FRankBounder& operator=(const FRankBounder&) = delete;
@@ -102,8 +93,7 @@ class FRankBounder {
 
   const Graph& graph_;
   FBounderOptions options_;
-  std::unique_ptr<QueryWorkspace> owned_ws_;
-  QueryWorkspace* ws_;
+  QueryWorkspace* ws_;  // borrowed
   Bca bca_;
   double unseen_upper_ = 1.0;
   // Number of seen nodes whose upper bound has been initialized.
@@ -118,8 +108,6 @@ struct TBounderOptions {
   // Run Stage II refinement to a fixpoint; false = one sweep per Refine
   // (the Sarkar baseline).
   bool stage2_fixpoint = true;
-  int max_refine_sweeps = 30;
-  double refine_tolerance = 1e-15;
 };
 
 // Maintains S_t with lower/upper T-Rank bounds, the border set, and the
@@ -128,13 +116,10 @@ struct TBounderOptions {
 // lazy deletion.
 class TRankBounder {
  public:
+  // Borrows `ws`, on which the caller must have called
+  // BeginQuery(g.num_nodes()).
   TRankBounder(const Graph& g, const Query& query,
-               const TBounderOptions& options)
-      : TRankBounder(g, query, options, nullptr) {}
-  // Borrows `ws` (the caller must have called BeginQuery(g.num_nodes()));
-  // null falls back to a private workspace.
-  TRankBounder(const Graph& g, const Query& query,
-               const TBounderOptions& options, QueryWorkspace* ws);
+               const TBounderOptions& options, QueryWorkspace& ws);
 
   TRankBounder(const TRankBounder&) = delete;
   TRankBounder& operator=(const TRankBounder&) = delete;
@@ -176,8 +161,7 @@ class TRankBounder {
 
   const Graph& graph_;
   TBounderOptions options_;
-  std::unique_ptr<QueryWorkspace> owned_ws_;
-  QueryWorkspace* ws_;
+  QueryWorkspace* ws_;  // borrowed
   double unseen_upper_ = 1.0;
   size_t border_count_ = 0;
 };

@@ -11,6 +11,9 @@
 namespace rtr::core {
 namespace {
 
+// Safety cap on expansion rounds.
+constexpr int kMaxRounds = 1000000;
+
 // Tracing reads the clock only at geometric check boundaries (O(log rounds)
 // reads per query), never inside the per-round Expand loop.
 inline int64_t TraceNowNanos() {
@@ -103,26 +106,15 @@ std::vector<double> ExactRoundTripRankScores(const Graph& g,
   return scores;
 }
 
-StatusOr<TopKResult> TopKRoundTripRank(const Graph& g, const Query& query,
-                                       const TopKParams& params) {
-  QueryWorkspace ws;
-  return TopKRoundTripRank(g, query, params, ws);
-}
-
-StatusOr<TopKResult> TopKRoundTripRank(const Graph& g, const Query& query,
-                                       const TopKParams& params,
-                                       QueryWorkspace& ws) {
-  TopKResult result;
-  RTR_RETURN_IF_ERROR(TopKRoundTripRank(g, query, params, ws, &result));
-  return result;
-}
-
 Status TopKRoundTripRank(const Graph& g, const Query& query,
                          const TopKParams& params, QueryWorkspace& ws,
                          TopKResult* result) {
   if (params.k <= 0) return Status::InvalidArgument("k must be positive");
-  if (params.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be non-negative");
+  if (!(params.epsilon >= 0.0)) {  // NaN fails this too
+    return Status::InvalidArgument("epsilon must be a non-negative number");
+  }
+  if (params.m_f <= 0 || params.m_t <= 0) {
+    return Status::InvalidArgument("m_f and m_t must be positive");
   }
   if (!(params.alpha > 0.0 && params.alpha < 1.0)) {
     return Status::InvalidArgument("alpha must be in (0, 1)");
@@ -134,18 +126,14 @@ Status TopKRoundTripRank(const Graph& g, const Query& query,
     }
   }
   result->Clear();
-  // Carry-aware reset: a repeat of the previous (query, alpha) — e.g. a
-  // scheduler batch hammering one hot node — keeps the teleport vector
-  // warm instead of clearing and rebuilding it. Query range was validated
-  // above, as the carry path requires.
-  ws.BeginQuery(g.num_nodes(), query, params.alpha);
+  ws.BeginQuery(g.num_nodes());
   if (params.scheme == TopKScheme::kNaive) {
     NaiveTopKInto(g, query, params, ws, result);
     return Status::OK();
   }
 
-  FRankBounder f_bounder(g, query, MakeFOptions(params), &ws);
-  TRankBounder t_bounder(g, query, MakeTOptions(params), &ws);
+  FRankBounder f_bounder(g, query, MakeFOptions(params), ws);
+  TRankBounder t_bounder(g, query, MakeTOptions(params), ws);
   const size_t k = static_cast<size_t>(params.k);
 
   // Expansion rounds between check boundaries accrue to the Stage I span;
@@ -166,13 +154,13 @@ Status TopKRoundTripRank(const Graph& g, const Query& query,
   // bounds can need thousands of expansion rounds, so checks back off
   // geometrically instead of running every round.
   int next_check = 1;
-  for (int round = 1; round <= params.max_rounds; ++round) {
+  for (int round = 1; round <= kMaxRounds; ++round) {
     result->rounds = round;
     // Stage I on both sides every round (cheap, amortized O(new work)).
     bool f_progress = f_bounder.Expand();
     bool t_progress = t_bounder.Expand();
     bool exhausted = !f_progress && !t_progress;
-    if (round < next_check && !exhausted && round < params.max_rounds) {
+    if (round < next_check && !exhausted && round < kMaxRounds) {
       continue;
     }
     close_segment(obs::Phase::kStage1Expand);
@@ -246,7 +234,7 @@ Status TopKRoundTripRank(const Graph& g, const Query& query,
         break;
       }
     }
-    if (round == params.max_rounds) {
+    if (round == kMaxRounds) {
       // Out of budget: report the current best effort, unconverged.
       size_t out = std::min(k, candidates.size());
       for (size_t i = 0; i < out; ++i) {

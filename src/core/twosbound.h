@@ -34,8 +34,6 @@ struct TopKParams {
   // Expansion granularities (paper: m_f = 100, m_t = 5).
   int m_f = 100;
   int m_t = 5;
-  // Safety cap on expansion rounds.
-  int max_rounds = 1000000;
   TopKScheme scheme = TopKScheme::k2SBound;
 };
 
@@ -86,25 +84,21 @@ struct TopKResult {
 // kNaive computes exact scores iteratively; all other schemes run
 // branch-and-bound neighborhood expansion with the scheme's bound updates.
 //
-// Thread safety: pure with respect to `g` — every piece of per-query state
-// lives in the caller's workspace (or a call-local one), and the Graph is
-// only read. Concurrent calls over one shared Graph are safe and return
-// results bit-identical to serial execution (audited for
-// serve::QueryService; the determinism is also what makes cached results
-// transparent). Workspace reuse never changes results: a steady-state query
-// on a warm workspace is bit-identical to a fresh-workspace run AND
-// performs zero heap allocations (asserted by bench_micro).
+// `ws` is the caller's per-query arena (core/workspace.h); `result` is
+// overwritten in place, keeping its vectors' capacity. Returns
+// InvalidArgument, before touching either, for k, m_f or m_t <= 0, an
+// epsilon that is negative or NaN, alpha outside (0, 1), or an empty or
+// out-of-range query. Expansion stops after at most 1,000,000 rounds,
+// reporting the best effort as unconverged.
 //
-// The three forms trade convenience for allocation control:
-//  * (g, query, params)            — call-local workspace, fresh result.
-//  * (g, query, params, ws)        — reused workspace, fresh result.
-//  * (g, query, params, ws, out)   — reused workspace AND result buffers;
-//                                    the zero-allocation serving hot path.
-StatusOr<TopKResult> TopKRoundTripRank(const Graph& g, const Query& query,
-                                       const TopKParams& params);
-StatusOr<TopKResult> TopKRoundTripRank(const Graph& g, const Query& query,
-                                       const TopKParams& params,
-                                       QueryWorkspace& ws);
+// Thread safety: pure with respect to `g` — every piece of per-query state
+// lives in the caller's workspace, and the Graph is only read. Concurrent
+// calls over one shared Graph are safe and return results bit-identical to
+// serial execution (audited for serve::QueryService; the determinism is
+// also what makes cached results transparent). Workspace reuse never
+// changes results: a steady-state query on a warm workspace is
+// bit-identical to a fresh-workspace run AND performs zero heap
+// allocations (asserted by bench_micro).
 Status TopKRoundTripRank(const Graph& g, const Query& query,
                          const TopKParams& params, QueryWorkspace& ws,
                          TopKResult* result);

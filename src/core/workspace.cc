@@ -54,21 +54,6 @@ void NodeHeap::SiftDown(uint32_t slot) {
 // ---------------------------------------------------------------------------
 
 void QueryWorkspace::BeginQuery(size_t n) {
-  // Query unknown: the next carry-aware BeginQuery must not match against
-  // a teleport vector this caller may mutate by hand (tests do).
-  last_query_.clear();
-  Reset(n, /*keep_teleport=*/false);
-}
-
-void QueryWorkspace::BeginQuery(size_t n, const Query& query, double alpha) {
-  const bool carry = teleport_built_ && n == num_nodes_ &&
-                     alpha == teleport_alpha_ && query == last_query_;
-  Reset(n, carry);
-  // Capacity-reusing copy: allocates only while queries keep growing.
-  last_query_ = query;
-}
-
-void QueryWorkspace::Reset(size_t n, bool keep_teleport) {
   if (n != num_nodes_) {
     rho.assign(n, 0.0);
     mu.assign(n, 0.0);
@@ -89,9 +74,7 @@ void QueryWorkspace::Reset(size_t n, bool keep_teleport) {
       f_lower[v] = 0.0;
       f_upper[v] = 1.0;
     }
-    if (!keep_teleport) {
-      for (NodeId v : teleport_touched) teleport[v] = 0.0;
-    }
+    for (NodeId v : teleport_touched) teleport[v] = 0.0;
     for (NodeId v : t_seen) {
       t_in_seen[v] = 0;
       t_lower[v] = 0.0;
@@ -101,12 +84,8 @@ void QueryWorkspace::Reset(size_t n, bool keep_teleport) {
   }
   mu_touched.clear();
   bca_seen.clear();
-  if (!keep_teleport) {
-    // teleport_touched survives a carry: the next non-carry reset still
-    // walks it to clear the kept entries.
-    teleport_touched.clear();
-    teleport_built_ = false;
-  }
+  teleport_touched.clear();
+  teleport_built_ = false;
   t_seen.clear();
   t_border.clear();
   t_picked.clear();

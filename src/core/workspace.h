@@ -3,11 +3,13 @@
 
 // Per-query workspace arena for the online top-K path (DESIGN.md §7).
 //
-// The 2SBound hot path used to pay O(num_nodes) allocation + zeroing per
-// query (teleport/score vectors, seen-flag arrays, two std::priority_queues
-// that grow with every residual push). A QueryWorkspace owns all of that
-// state once — per worker thread in serve::QueryService — and readies it
-// for the next query in O(state touched by the previous query):
+// A QueryWorkspace owns every piece of O(num_nodes) per-query state of the
+// 2SBound engine (teleport/score vectors, seen-flag arrays, BCA's heaps)
+// once — per worker thread in serve::QueryService — and readies it for the
+// next query in O(state touched by the previous query). It is the one way
+// to run the engine: TopKRoundTripRank, dist::DistributedTopK, Bca and the
+// two bounders all borrow the caller's workspace and never own one. The
+// reset strategies:
 //
 //  * dense arrays whose touched entries are enumerated by an existing list
 //    (BCA's seen list, the T-side seen list, the query itself) are plain
@@ -187,16 +189,6 @@ class QueryWorkspace {
   // the graph size changes.
   void BeginQuery(size_t n);
 
-  // Carry-aware variant for callers that know the upcoming query: when the
-  // previous query built a teleport vector for the same (query, alpha) on
-  // the same graph size, the vector is kept instead of being cleared and
-  // rebuilt — a scheduler batch of repeats of one hot query warms it once.
-  // Teleport is a pure function of (query, alpha, n), so carrying it never
-  // changes scores (workspace_test pins bit-identity). The query must
-  // already be validated against [0, n) — this skips Teleport()'s range
-  // CHECKs on the carry path.
-  void BeginQuery(size_t n, const Query& query, double alpha);
-
   size_t num_nodes() const { return num_nodes_; }
 
   // Shared teleport vector alpha * I(q, v) of Eqs. 17-18, built lazily on
@@ -255,16 +247,9 @@ class QueryWorkspace {
   std::vector<NodeId> exact_ids;
 
  private:
-  // Shared reset body; keep_teleport preserves the built teleport vector
-  // (and its touched list, still needed by the next full reset).
-  void Reset(size_t n, bool keep_teleport);
-
   size_t num_nodes_ = 0;
   bool teleport_built_ = false;
   double teleport_alpha_ = 0.0;
-  // The query the current teleport vector was built for (carry detection);
-  // cleared by the query-blind BeginQuery(n) overload.
-  Query last_query_;
 };
 
 }  // namespace rtr::core

@@ -175,7 +175,7 @@ Status ValidateRecord(const Graph& g, const NodeRecord& record) {
 
 StatusOr<DistributedTopKResult> DistributedTopK(
     const Cluster& cluster, const Query& query,
-    const core::TopKParams& params, core::QueryWorkspace* workspace) {
+    const core::TopKParams& params, core::QueryWorkspace& workspace) {
   const Graph& g = cluster.graph();
   WallTimer timer;
 
@@ -187,23 +187,21 @@ StatusOr<DistributedTopKResult> DistributedTopK(
   }
 
   // The AP runs 2SBound; every node id in active_node_ids is a record it had
-  // to pull from the owning GP while expanding the two neighborhoods. The
-  // caller's workspace (when provided) makes the run allocation-free.
-  core::QueryWorkspace local_ws;
-  StatusOr<core::TopKResult> local = core::TopKRoundTripRank(
-      g, query, params, workspace != nullptr ? *workspace : local_ws);
-  if (!local.ok()) return local.status();
+  // to pull from the owning GP while expanding the two neighborhoods.
+  DistributedTopKResult result;
+  RTR_RETURN_IF_ERROR(
+      core::TopKRoundTripRank(g, query, params, workspace, &result.topk));
+  const std::vector<NodeId>& active_node_ids = result.topk.active_node_ids;
 
   // Replay the active set as batched per-GP fetches.
   std::vector<std::vector<NodeId>> per_gp(
       static_cast<size_t>(cluster.num_gps()));
-  for (NodeId v : local->active_node_ids) {
+  for (NodeId v : active_node_ids) {
     per_gp[static_cast<size_t>(cluster.OwnerOf(v))].push_back(v);
   }
 
-  DistributedTopKResult result;
   std::vector<NodeRecord> active_records;  // the AP's assembled working set
-  active_records.reserve(local->active_node_ids.size());
+  active_records.reserve(active_node_ids.size());
   std::vector<NodeId> batch;
   for (size_t gp = 0; gp < per_gp.size(); ++gp) {
     const std::vector<NodeId>& wanted = per_gp[gp];
@@ -237,11 +235,11 @@ StatusOr<DistributedTopKResult> DistributedTopK(
     }
   }
 
-  if (result.active_nodes != local->active_node_ids.size()) {
+  if (result.active_nodes != active_node_ids.size()) {
     return Status::Internal("GP replay served " +
                             std::to_string(result.active_nodes) +
                             " records for an active set of " +
-                            std::to_string(local->active_node_ids.size()));
+                            std::to_string(active_node_ids.size()));
   }
   // End of AP-visible work; the cross-check below exists only to keep the
   // simulation honest and stays outside the timed window.
@@ -250,8 +248,6 @@ StatusOr<DistributedTopKResult> DistributedTopK(
   for (const NodeRecord& record : active_records) {
     RTR_RETURN_IF_ERROR(ValidateRecord(g, record));
   }
-
-  result.topk = std::move(*local);
   return result;
 }
 

@@ -235,7 +235,7 @@ class Cluster {
   // text, auto-detected by magic — see graph/snapshot.h) and stripes it
   // across num_gps processors; the generation id comes from the snapshot
   // header (0 for text graphs). `map_mode` picks the snapshot loader:
-  // kAuto honors RTR_GRAPH_MMAP, kPrefer/kRequire go zero-copy (the AP
+  // kAuto honors RTR_GRAPH_MMAP, kPrefer goes zero-copy (the AP
   // graph references the shared mapped columns; each GP copies its stripe
   // out of them).
   static StatusOr<std::unique_ptr<Cluster>> FromGraphFile(
@@ -309,13 +309,11 @@ inline constexpr size_t kMaxRecordsPerRequest = 256;
 // so concurrent calls over one Cluster are safe (see core/twosbound.h for
 // the underlying engine's guarantee).
 //
-// `workspace` (optional) is the AP's reusable per-query arena for the
-// embedded 2SBound run; null falls back to a call-local workspace. A shared
-// workspace must not be used from two threads at once.
+// `workspace` is the AP's per-query arena for the embedded 2SBound run,
+// borrowed from the caller; it must not be used from two threads at once.
 StatusOr<DistributedTopKResult> DistributedTopK(
     const Cluster& cluster, const Query& query,
-    const core::TopKParams& params,
-    core::QueryWorkspace* workspace = nullptr);
+    const core::TopKParams& params, core::QueryWorkspace& workspace);
 
 }  // namespace rtr::dist
 

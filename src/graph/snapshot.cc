@@ -426,7 +426,6 @@ StatusOr<Graph> LoadGraphAuto(const std::string& path, uint64_t* generation,
   RTR_RETURN_IF_ERROR(is_snapshot.status());
   if (*is_snapshot) {
     const MapMode mode = ResolveMapMode(map_mode);
-    if (mode == MapMode::kRequire) return LoadGraphMapped(path, generation);
     if (mode == MapMode::kPrefer) {
       StatusOr<Graph> mapped = LoadGraphMapped(path, generation);
       if (mapped.ok()) return mapped;

@@ -135,8 +135,6 @@ enum class MapMode {
   // Try the mapped loader; on failure log a WARNING, bump the
   // `rtr_store_mmap_fallbacks` counter, and fall back to the bulk read.
   kPrefer,
-  // Mapped or fail: no silent fallback.
-  kRequire,
 };
 
 // Zero-copy load: validates the header and structure, then returns a Graph

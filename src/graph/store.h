@@ -63,7 +63,7 @@ class GraphStore {
   // Process bring-up from a saved base: binary snapshots carry their
   // generation id in the header; text graphs start at generation 0.
   // `map_mode` selects the snapshot loader (graph/snapshot.h): the default
-  // kAuto honors RTR_GRAPH_MMAP, kPrefer/kRequire map the file zero-copy.
+  // kAuto honors RTR_GRAPH_MMAP, kPrefer maps the file zero-copy.
   // A mapped base generation is safe here: Apply/CatchUp read the base only
   // through its column spans and assemble the next generation's columns
   // afresh (copy-on-write), never in place.

@@ -18,8 +18,12 @@ CostFeatures CostFeaturesOf(const Graph& graph, const Query& query,
   f.x[0] = 1.0;
   f.x[1] = std::log2(1.0 + out_deg);
   f.x[2] = std::log2(1.0 + in_deg);
-  f.x[3] = std::log2(1.0 / std::max(params.epsilon,
-                                    QueryCostModel::kEpsilonFloor));
+  // Written so that NaN takes the floor: std::max(NaN, floor) is NaN.
+  const double epsilon =
+      params.epsilon >= QueryCostModel::kEpsilonFloor
+          ? std::min(params.epsilon, QueryCostModel::kEpsilonCeiling)
+          : QueryCostModel::kEpsilonFloor;
+  f.x[3] = std::log2(1.0 / epsilon);
   f.x[4] = std::log2(static_cast<double>(std::max(params.k, 1)));
   return f;
 }

@@ -39,7 +39,8 @@ namespace rtr::serve {
 //   x[0] = 1                                  (bias)
 //   x[1] = log2(1 + sum of query-node out-degrees)   (F-side frontier seed)
 //   x[2] = log2(1 + sum of query-node in-degrees)    (T-side frontier seed)
-//   x[3] = log2(1 / max(epsilon, kEpsilonFloor))     (bound tightness)
+//   x[3] = log2(1 / clamp(epsilon, kEpsilonFloor, kEpsilonCeiling))
+//                                                     (bound tightness)
 //   x[4] = log2(max(K, 1))                           (answer size)
 inline constexpr size_t kCostFeatureDim = 5;
 
@@ -62,9 +63,13 @@ class QueryCostModel {
   // Prior covariance scale: large enough that ~10 observations dominate
   // the prior, small enough that the first predictions stay sane.
   static constexpr double kPriorVariance = 4.0;
-  // Epsilon is clamped here before the log — epsilon = 0 (exact mode) is
-  // legal engine input and must not produce an infinite feature.
+  // Epsilon is clamped into [floor, ceiling] before the log: epsilon = 0
+  // (exact mode) and +inf are legal engine input and must not produce an
+  // infinite feature, and a NaN (rejected later by the engine) must not
+  // reach the model. Scores lie in [0, 1], so beyond 1 epsilon no longer
+  // tells query costs apart.
   static constexpr double kEpsilonFloor = 1e-6;
+  static constexpr double kEpsilonCeiling = 1.0;
   // Predictions are clamped below by this (a query is never free, and the
   // scheduler divides by predicted cost sums).
   static constexpr double kMinPredictionMillis = 1e-3;

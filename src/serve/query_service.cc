@@ -503,7 +503,7 @@ void QueryService::Execute(const Query& query, const core::TopKParams& params,
                                                *workspace, &response->topk);
   } else {
     StatusOr<dist::DistributedTopKResult> result =
-        dist::DistributedTopK(*cluster, query, params, workspace);
+        dist::DistributedTopK(*cluster, query, params, *workspace);
     response->status = result.status();
     if (result.ok()) response->topk = std::move(result->topk);
   }

@@ -86,7 +86,7 @@ struct ServiceOptions {
   // How many slowest-query trace dumps to retain for SlowestTraces().
   size_t trace_keep = 8;
   // Snapshot loader for FromGraphFile (graph/snapshot.h): kAuto honors
-  // RTR_GRAPH_MMAP; kPrefer/kRequire serve straight off an mmapped
+  // RTR_GRAPH_MMAP; kPrefer serves straight off an mmapped
   // snapshot, so N service processes on one host share one physical copy
   // of the columns (`rtr_cli serve --mmap`).
   MapMode map_mode = MapMode::kAuto;

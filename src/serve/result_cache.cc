@@ -37,7 +37,6 @@ size_t CacheKeyHash::operator()(const CacheKey& key) const {
   h = Mix(h, DoubleBits(key.alpha));
   h = Mix(h, static_cast<uint64_t>(key.m_f));
   h = Mix(h, static_cast<uint64_t>(key.m_t));
-  h = Mix(h, static_cast<uint64_t>(key.max_rounds));
   h = Mix(h, static_cast<uint64_t>(key.scheme));
   h = Mix(h, key.generation);
   return h;

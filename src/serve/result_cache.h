@@ -40,7 +40,6 @@ struct CacheKey {
   double alpha = 0.0;
   int m_f = 0;
   int m_t = 0;
-  int max_rounds = 0;
   core::TopKScheme scheme = core::TopKScheme::k2SBound;
   // Graph generation the result was computed on (0 for static graphs).
   uint64_t generation = 0;
@@ -50,9 +49,9 @@ struct CacheKey {
   // Builds the key of one request against one graph generation.
   static CacheKey Of(const Query& query, const core::TopKParams& params,
                      uint64_t generation = 0) {
-    return CacheKey{query,          params.k,   params.epsilon,
-                    params.alpha,   params.m_f, params.m_t,
-                    params.max_rounds, params.scheme, generation};
+    return CacheKey{query,        params.k,   params.epsilon,
+                    params.alpha, params.m_f, params.m_t,
+                    params.scheme, generation};
   }
 };
 

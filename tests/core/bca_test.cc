@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/topk_testing.h"
 #include "graph/builder.h"
 #include "ranking/pagerank.h"
 #include "util/random.h"
@@ -52,7 +53,8 @@ void RunToExhaustion(Bca& bca, int max_rounds = 20000) {
 
 TEST(BcaTest, InitialResidualOnQuery) {
   Graph g = ToyGraph();
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   EXPECT_DOUBLE_EQ(bca.total_residual(), 1.0);
   EXPECT_DOUBLE_EQ(bca.mu()[0], 1.0);
   EXPECT_TRUE(bca.seen().empty());
@@ -60,14 +62,16 @@ TEST(BcaTest, InitialResidualOnQuery) {
 
 TEST(BcaTest, MultiNodeQuerySplitsResidual) {
   Graph g = ToyGraph();
-  Bca bca(g, {0, 1}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0, 1}, 0.25, ws);
   EXPECT_DOUBLE_EQ(bca.mu()[0], 0.5);
   EXPECT_DOUBLE_EQ(bca.mu()[1], 0.5);
 }
 
 TEST(BcaTest, ProcessMovesAlphaFractionToRho) {
   Graph g = ToyGraph();
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   bca.Process(0);
   EXPECT_DOUBLE_EQ(bca.rho()[0], 0.25);
   EXPECT_NEAR(bca.total_residual(), 0.75, 1e-15);
@@ -77,7 +81,8 @@ TEST(BcaTest, ProcessMovesAlphaFractionToRho) {
 
 TEST(BcaTest, ResidualDecreasesMonotonically) {
   Graph g = RandomGraph(1);
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   double prev = bca.total_residual();
   for (int i = 0; i < 50; ++i) {
     if (bca.ProcessBest(4) == 0) break;
@@ -91,7 +96,8 @@ TEST(BcaTest, RhoIsAlwaysALowerBound) {
   ranking::WalkParams params;
   params.alpha = 0.25;
   std::vector<double> f = ranking::FRank(g, {3}, params);
-  Bca bca(g, {3}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {3}, 0.25, ws);
   for (int i = 0; i < 40; ++i) {
     bca.ProcessBest(3);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -105,7 +111,8 @@ TEST(BcaTest, ConvergesToExactFRank) {
   ranking::WalkParams params;
   params.alpha = 0.25;
   std::vector<double> f = ranking::FRank(g, {0}, params);
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   RunToExhaustion(bca);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_NEAR(bca.rho()[v], f[v], 1e-9) << "node " << v;
@@ -118,7 +125,8 @@ TEST(BcaTest, UnseenUpperBoundIsValid) {
   ranking::WalkParams params;
   params.alpha = 0.25;
   std::vector<double> f = ranking::FRank(g, {0}, params);
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   for (int i = 0; i < 60; ++i) {
     double ub = bca.UnseenUpperBound();
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -130,7 +138,8 @@ TEST(BcaTest, UnseenUpperBoundIsValid) {
 
 TEST(BcaTest, PaperBoundTighterThanGupta) {
   Graph g = RandomGraph(4);
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   for (int i = 0; i < 30; ++i) {
     if (bca.ProcessBest(2) == 0) break;
     EXPECT_LE(bca.UnseenUpperBound(), bca.GuptaUnseenUpperBound() + 1e-15);
@@ -142,7 +151,8 @@ TEST(BcaTest, GuptaBoundIsValidToo) {
   ranking::WalkParams params;
   params.alpha = 0.25;
   std::vector<double> f = ranking::FRank(g, {7}, params);
-  Bca bca(g, {7}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {7}, 0.25, ws);
   for (int i = 0; i < 40; ++i) {
     double ub = bca.GuptaUnseenUpperBound();
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -157,7 +167,8 @@ TEST(BcaTest, DanglingNodeDropsMass) {
   b.AddNodes(2);
   b.AddDirectedEdge(0, 1, 1.0);
   Graph g = b.Build().value();
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   bca.Process(0);
   bca.Process(1);
   EXPECT_DOUBLE_EQ(bca.rho()[0], 0.25);
@@ -175,7 +186,8 @@ TEST(BcaTest, ProcessBestPrefersHighBenefit) {
   for (NodeId t = 3; t < 12; ++t) b.AddDirectedEdge(1, t, 1.0);  // degree 9
   b.AddDirectedEdge(2, 0, 1.0);  // degree 1
   Graph g = b.Build().value();
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   bca.Process(0);
   // benefit(1) = (0.75 * 10/11) / 9 ≈ 0.0758; benefit(2) = (0.75/11) / 1
   // ≈ 0.0682 — node 1 first, then 2; with m=1 only node 1 processed.
@@ -186,7 +198,8 @@ TEST(BcaTest, ProcessBestPrefersHighBenefit) {
 
 TEST(BcaTest, SeenListMatchesPositiveRho) {
   Graph g = RandomGraph(6);
-  Bca bca(g, {0}, 0.25);
+  FreshWorkspace ws(g);
+  Bca bca(g, {0}, 0.25, ws);
   bca.ProcessBest(5);
   bca.ProcessBest(5);
   std::vector<bool> in_seen(g.num_nodes(), false);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/topk_testing.h"
 #include "core/twosbound.h"
 #include "graph/builder.h"
 #include "util/random.h"
@@ -53,7 +54,7 @@ TEST_P(TopKConfigSweep, EpsilonContractAndBracketing) {
   params.m_f = config.m_f;
   params.m_t = config.m_t;
   params.alpha = config.alpha;
-  TopKResult result = TopKRoundTripRank(g, query, params).value();
+  TopKResult result = FreshTopK(g, query, params).value();
   ASSERT_TRUE(result.converged);
   ASSERT_EQ(result.entries.size(), 6u);
 
@@ -96,7 +97,7 @@ TEST(TopKStressTest, ManyQueriesOnOneGraphAllSatisfyContract) {
   params.k = 5;
   params.epsilon = 0.005;
   for (NodeId q = 0; q < 30; ++q) {
-    TopKResult result = TopKRoundTripRank(g, {q}, params).value();
+    TopKResult result = FreshTopK(g, {q}, params).value();
     ASSERT_TRUE(result.converged) << "query " << q;
     std::vector<double> exact = ExactRoundTripRankScores(g, {q});
     std::set<NodeId> returned;
@@ -122,7 +123,7 @@ TEST(TopKStressTest, DirectedAcyclicFragmentHandled) {
   TopKParams params;
   params.k = 8;
   params.epsilon = 1e-5;
-  TopKResult result = TopKRoundTripRank(g, {0}, params).value();
+  TopKResult result = FreshTopK(g, {0}, params).value();
   ASSERT_TRUE(result.converged);
   std::vector<double> exact = ExactRoundTripRankScores(g, {0});
   // The cycle nodes 0..5 are the only ones with positive RoundTripRank.
@@ -142,7 +143,7 @@ TEST(TopKStressTest, KLargerThanPositiveSupport) {
   TopKParams params;
   params.k = 5;
   params.epsilon = 1e-6;
-  TopKResult result = TopKRoundTripRank(g, {0}, params).value();
+  TopKResult result = FreshTopK(g, {0}, params).value();
   ASSERT_GE(result.entries.size(), 2u);
   EXPECT_EQ(result.entries[0].node, 0u);
   EXPECT_EQ(result.entries[1].node, 1u);

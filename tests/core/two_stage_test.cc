@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/topk_testing.h"
 #include "graph/builder.h"
 #include "ranking/pagerank.h"
 #include "util/random.h"
@@ -37,7 +38,8 @@ TEST_P(BounderSandwich, FRankBoundsSandwichTruth) {
 
   FBounderOptions options;
   options.pick_per_expansion = 3;
-  FRankBounder bounder(g, {0}, options);
+  FreshWorkspace ws(g);
+  FRankBounder bounder(g, {0}, options, ws);
   for (int round = 0; round < 40; ++round) {
     if (!bounder.ExpandAndRefine()) break;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -57,7 +59,8 @@ TEST_P(BounderSandwich, TRankBoundsSandwichTruth) {
 
   TBounderOptions options;
   options.pick_per_expansion = 2;
-  TRankBounder bounder(g, {0}, options);
+  FreshWorkspace ws(g);
+  TRankBounder bounder(g, {0}, options, ws);
   for (int round = 0; round < 60; ++round) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_LE(bounder.Lower(v), t[v] + 1e-10)
@@ -79,7 +82,8 @@ TEST_P(BounderSandwich, GuptaSchemeBoundsAlsoValid) {
   options.pick_per_expansion = 3;
   options.paper_unseen_bound = false;
   options.stage2 = false;
-  FRankBounder bounder(g, {1}, options);
+  FreshWorkspace ws(g);
+  FRankBounder bounder(g, {1}, options, ws);
   for (int round = 0; round < 40; ++round) {
     if (!bounder.ExpandAndRefine()) break;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -96,7 +100,8 @@ TEST(FRankBounderTest, BoundsTightenMonotonically) {
   Graph g = RandomGraph(7);
   FBounderOptions options;
   options.pick_per_expansion = 4;
-  FRankBounder bounder(g, {0}, options);
+  FreshWorkspace ws(g);
+  FRankBounder bounder(g, {0}, options, ws);
   std::vector<double> prev_lower(g.num_nodes(), 0.0);
   std::vector<double> prev_upper(g.num_nodes(), 1.0);
   for (int round = 0; round < 30; ++round) {
@@ -117,7 +122,8 @@ TEST(FRankBounderTest, ExhaustionMakesBoundsExact) {
   std::vector<double> f = ranking::FRank(g, {0}, params);
   FBounderOptions options;
   options.pick_per_expansion = 50;
-  FRankBounder bounder(g, {0}, options);
+  FreshWorkspace ws(g);
+  FRankBounder bounder(g, {0}, options, ws);
   for (int round = 0; round < 5000 && bounder.ExpandAndRefine(); ++round) {
   }
   EXPECT_TRUE(bounder.exhausted());
@@ -135,8 +141,10 @@ TEST(FRankBounderTest, Stage2TightensBounds) {
   with_stage2.pick_per_expansion = 3;
   FBounderOptions without_stage2 = with_stage2;
   without_stage2.stage2 = false;
-  FRankBounder refined(g, {0}, with_stage2);
-  FRankBounder unrefined(g, {0}, without_stage2);
+  FreshWorkspace refined_ws(g);
+  FRankBounder refined(g, {0}, with_stage2, refined_ws);
+  FreshWorkspace unrefined_ws(g);
+  FRankBounder unrefined(g, {0}, without_stage2, unrefined_ws);
   for (int round = 0; round < 10; ++round) {
     bool a = refined.ExpandAndRefine();
     bool b = unrefined.ExpandAndRefine();
@@ -155,7 +163,8 @@ TEST(FRankBounderTest, Stage2TightensBounds) {
 TEST(TRankBounderTest, InitialStateMatchesPaper) {
   Graph g = RandomGraph(10);
   TBounderOptions options;
-  TRankBounder bounder(g, {0}, options);
+  FreshWorkspace ws(g);
+  TRankBounder bounder(g, {0}, options, ws);
   // t-lower(q) = alpha, t-upper(q) = 1, unseen <= 1 - alpha (Eq. 22 may
   // already refine it further in construction).
   EXPECT_DOUBLE_EQ(bounder.Lower(0), 0.25);
@@ -174,7 +183,8 @@ TEST(TRankBounderTest, ClosesOnReachableSet) {
   b.AddDirectedEdge(0, 3, 1.0);
   Graph g = b.Build().value();
   TBounderOptions options;
-  TRankBounder bounder(g, {0}, options);
+  FreshWorkspace ws(g);
+  TRankBounder bounder(g, {0}, options, ws);
   int rounds = 0;
   while (bounder.ExpandAndRefine() && rounds < 100) ++rounds;
   EXPECT_TRUE(bounder.closed());
@@ -191,7 +201,8 @@ TEST(TRankBounderTest, ClosesOnReachableSet) {
 TEST(TRankBounderTest, UnseenUpperNonIncreasing) {
   Graph g = RandomGraph(12);
   TBounderOptions options;
-  TRankBounder bounder(g, {0}, options);
+  FreshWorkspace ws(g);
+  TRankBounder bounder(g, {0}, options, ws);
   double prev = bounder.UnseenUpper();
   for (int round = 0; round < 50; ++round) {
     if (!bounder.ExpandAndRefine()) break;
@@ -205,8 +216,10 @@ TEST(TRankBounderTest, FixpointTighterThanSingleSweep) {
   TBounderOptions fixpoint;
   TBounderOptions single = fixpoint;
   single.stage2_fixpoint = false;
-  TRankBounder a(g, {0}, fixpoint);
-  TRankBounder b(g, {0}, single);
+  FreshWorkspace a_ws(g);
+  TRankBounder a(g, {0}, fixpoint, a_ws);
+  FreshWorkspace b_ws(g);
+  TRankBounder b(g, {0}, single, b_ws);
   for (int round = 0; round < 8; ++round) {
     bool pa = a.ExpandAndRefine();
     bool pb = b.ExpandAndRefine();
@@ -221,7 +234,8 @@ TEST(TRankBounderTest, FixpointTighterThanSingleSweep) {
 TEST(TRankBounderTest, BorderFlagConsistent) {
   Graph g = RandomGraph(14);
   TBounderOptions options;
-  TRankBounder bounder(g, {0}, options);
+  FreshWorkspace ws(g);
+  TRankBounder bounder(g, {0}, options, ws);
   for (int round = 0; round < 10; ++round) {
     if (!bounder.ExpandAndRefine()) break;
     for (NodeId v : bounder.seen()) {

@@ -1,10 +1,12 @@
 #include "core/twosbound.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "core/topk_testing.h"
 #include "graph/builder.h"
 #include "util/random.h"
 
@@ -42,15 +44,23 @@ TEST(TopKRoundTripRankTest, RejectsBadArguments) {
   Graph g = RandomGraph(2);
   TopKParams params;
   params.k = 0;
-  EXPECT_FALSE(TopKRoundTripRank(g, {0}, params).ok());
+  EXPECT_FALSE(FreshTopK(g, {0}, params).ok());
   params = {};
   params.epsilon = -1.0;
-  EXPECT_FALSE(TopKRoundTripRank(g, {0}, params).ok());
+  EXPECT_FALSE(FreshTopK(g, {0}, params).ok());
+  params.epsilon = std::nan("");
+  EXPECT_FALSE(FreshTopK(g, {0}, params).ok());
   params = {};
-  EXPECT_FALSE(TopKRoundTripRank(g, {}, params).ok());
-  EXPECT_FALSE(TopKRoundTripRank(g, {999999}, params).ok());
+  params.m_f = 0;
+  EXPECT_FALSE(FreshTopK(g, {0}, params).ok());
+  params = {};
+  params.m_t = 0;
+  EXPECT_FALSE(FreshTopK(g, {0}, params).ok());
+  params = {};
+  EXPECT_FALSE(FreshTopK(g, {}, params).ok());
+  EXPECT_FALSE(FreshTopK(g, {999999}, params).ok());
   params.alpha = 1.5;
-  EXPECT_FALSE(TopKRoundTripRank(g, {0}, params).ok());
+  EXPECT_FALSE(FreshTopK(g, {0}, params).ok());
 }
 
 TEST(TopKRoundTripRankTest, NaiveMatchesExactScores) {
@@ -58,7 +68,7 @@ TEST(TopKRoundTripRankTest, NaiveMatchesExactScores) {
   TopKParams params;
   params.k = 5;
   params.scheme = TopKScheme::kNaive;
-  TopKResult result = TopKRoundTripRank(g, {0}, params).value();
+  TopKResult result = FreshTopK(g, {0}, params).value();
   ASSERT_EQ(result.entries.size(), 5u);
   std::vector<double> exact = ExactRoundTripRankScores(g, {0});
   // Entries are the exact top-5, in order.
@@ -97,7 +107,7 @@ TEST_P(TopKApproximation, EpsilonContractHolds) {
   params.m_f = 10;
   params.m_t = 2;
   params.scheme = test_case.scheme;
-  TopKResult result = TopKRoundTripRank(g, {0}, params).value();
+  TopKResult result = FreshTopK(g, {0}, params).value();
   EXPECT_TRUE(result.converged);
   ASSERT_EQ(result.entries.size(), 8u);
 
@@ -149,7 +159,7 @@ TEST(TopKRoundTripRankTest, TinyEpsilonRecoversExactTopK) {
   params.epsilon = 1e-4;
   params.m_f = 8;
   params.m_t = 2;
-  TopKResult result = TopKRoundTripRank(g, {0}, params).value();
+  TopKResult result = FreshTopK(g, {0}, params).value();
   std::vector<double> exact = ExactRoundTripRankScores(g, {0});
   std::vector<NodeId> ids(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) ids[v] = v;
@@ -170,7 +180,7 @@ TEST(TopKRoundTripRankTest, QueryRanksFirst) {
   Graph g = RandomGraph(8);
   TopKParams params;
   params.k = 3;
-  TopKResult result = TopKRoundTripRank(g, {5}, params).value();
+  TopKResult result = FreshTopK(g, {5}, params).value();
   ASSERT_FALSE(result.entries.empty());
   EXPECT_EQ(result.entries[0].node, 5u);
 }
@@ -180,13 +190,13 @@ TEST(TopKRoundTripRankTest, ActiveSetSmallerThanGraph) {
   TopKParams params;
   params.k = 10;
   params.epsilon = 0.01;
-  TopKResult result = TopKRoundTripRank(g, {0}, params).value();
+  TopKResult result = FreshTopK(g, {0}, params).value();
   EXPECT_GT(result.active_nodes, 0u);
   EXPECT_LE(result.active_nodes, g.num_nodes());
   EXPECT_GT(result.active_set_bytes, 0u);
   // The naive scheme's active set is the whole graph — strictly bigger.
   params.scheme = TopKScheme::kNaive;
-  TopKResult naive = TopKRoundTripRank(g, {0}, params).value();
+  TopKResult naive = FreshTopK(g, {0}, params).value();
   EXPECT_EQ(naive.active_nodes, g.num_nodes());
   EXPECT_LE(result.active_set_bytes, naive.active_set_bytes);
 }
@@ -200,8 +210,8 @@ TEST(TopKRoundTripRankTest, LargerEpsilonConvergesNoSlower) {
   tight.m_t = 2;
   TopKParams loose = tight;
   loose.epsilon = 0.02;
-  TopKResult tight_result = TopKRoundTripRank(g, {0}, tight).value();
-  TopKResult loose_result = TopKRoundTripRank(g, {0}, loose).value();
+  TopKResult tight_result = FreshTopK(g, {0}, tight).value();
+  TopKResult loose_result = FreshTopK(g, {0}, loose).value();
   EXPECT_LE(loose_result.rounds, tight_result.rounds);
 }
 
@@ -216,7 +226,7 @@ TEST(TopKRoundTripRankTest, DisconnectedTargetNeverReturnedAboveZero) {
   TopKParams params;
   params.k = 6;
   params.epsilon = 1e-6;
-  TopKResult result = TopKRoundTripRank(g, {0}, params).value();
+  TopKResult result = FreshTopK(g, {0}, params).value();
   for (const TopKEntry& e : result.entries) {
     if (e.node >= 3) {
       EXPECT_EQ(e.lower, 0.0);
@@ -229,7 +239,7 @@ TEST(TopKRoundTripRankTest, MultiNodeQuerySupported) {
   TopKParams params;
   params.k = 5;
   params.epsilon = 1e-3;
-  TopKResult result = TopKRoundTripRank(g, {0, 1}, params).value();
+  TopKResult result = FreshTopK(g, {0, 1}, params).value();
   EXPECT_TRUE(result.converged);
   ASSERT_EQ(result.entries.size(), 5u);
   std::vector<double> exact = ExactRoundTripRankScores(g, {0, 1});

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bca.h"
+#include "core/topk_testing.h"
 #include "core/twosbound.h"
 #include "graph/builder.h"
 #include "util/random.h"
@@ -231,14 +232,22 @@ void ExpectSameResult(const TopKResult& a, const TopKResult& b) {
   EXPECT_EQ(a.active_node_ids, b.active_node_ids);
 }
 
+// The engine on a caller-held (possibly warm) workspace, result by value.
+TopKResult RunOn(QueryWorkspace& ws, const Graph& g, const Query& query,
+                 const TopKParams& params) {
+  TopKResult result;
+  EXPECT_TRUE(TopKRoundTripRank(g, query, params, ws, &result).ok());
+  return result;
+}
+
 TEST(QueryWorkspaceTest, ReuseIsBitIdenticalToFreshWorkspace) {
   Graph g = RandomGraph(7);
   QueryWorkspace reused;
   TopKParams params = DefaultParams();
   for (NodeId q = 0; q < 20; ++q) {
-    TopKResult warm = TopKRoundTripRank(g, {q}, params, reused).value();
+    TopKResult warm = RunOn(reused, g, {q}, params);
     QueryWorkspace fresh;
-    TopKResult cold = TopKRoundTripRank(g, {q}, params, fresh).value();
+    TopKResult cold = RunOn(fresh, g, {q}, params);
     ExpectSameResult(warm, cold);
   }
 }
@@ -249,8 +258,8 @@ TEST(QueryWorkspaceTest, ReuseAcrossSchemesAndMultiNodeQueries) {
   for (TopKScheme scheme : {TopKScheme::k2SBound, TopKScheme::kGupta,
                             TopKScheme::kSarkar, TopKScheme::kGPlusS}) {
     TopKParams params = DefaultParams(scheme);
-    TopKResult warm = TopKRoundTripRank(g, {3, 11}, params, reused).value();
-    TopKResult cold = TopKRoundTripRank(g, {3, 11}, params).value();
+    TopKResult warm = RunOn(reused, g, {3, 11}, params);
+    TopKResult cold = FreshTopK(g, {3, 11}, params).value();
     ExpectSameResult(warm, cold);
   }
 }
@@ -262,10 +271,10 @@ TEST(QueryWorkspaceTest, ReuseAcrossGraphSizes) {
   QueryWorkspace ws;
   TopKParams params = DefaultParams();
   for (int round = 0; round < 3; ++round) {
-    TopKResult a = TopKRoundTripRank(small, {1}, params, ws).value();
-    ExpectSameResult(a, TopKRoundTripRank(small, {1}, params).value());
-    TopKResult b = TopKRoundTripRank(large, {1}, params, ws).value();
-    ExpectSameResult(b, TopKRoundTripRank(large, {1}, params).value());
+    TopKResult a = RunOn(ws, small, {1}, params);
+    ExpectSameResult(a, FreshTopK(small, {1}, params).value());
+    TopKResult b = RunOn(ws, large, {1}, params);
+    ExpectSameResult(b, FreshTopK(large, {1}, params).value());
   }
 }
 
@@ -276,7 +285,7 @@ TEST(QueryWorkspaceTest, ResultBufferReuseMatchesValueApi) {
   TopKParams params = DefaultParams();
   for (NodeId q = 0; q < 12; ++q) {
     ASSERT_TRUE(TopKRoundTripRank(g, {q}, params, ws, &reused_result).ok());
-    TopKResult fresh = TopKRoundTripRank(g, {q}, params).value();
+    TopKResult fresh = FreshTopK(g, {q}, params).value();
     ExpectSameResult(reused_result, fresh);
   }
 }
@@ -286,71 +295,58 @@ TEST(QueryWorkspaceTest, NaiveSchemeThroughWorkspace) {
   QueryWorkspace ws;
   TopKParams params = DefaultParams(TopKScheme::kNaive);
   // Twice through the same workspace: the exact buffers must reset fully.
-  TopKResult first = TopKRoundTripRank(g, {2}, params, ws).value();
-  TopKResult second = TopKRoundTripRank(g, {2}, params, ws).value();
+  TopKResult first = RunOn(ws, g, {2}, params);
+  TopKResult second = RunOn(ws, g, {2}, params);
   ExpectSameResult(first, second);
-  ExpectSameResult(first, TopKRoundTripRank(g, {2}, params).value());
+  ExpectSameResult(first, FreshTopK(g, {2}, params).value());
 }
 
-TEST(QueryWorkspaceTest, TeleportCarryIsBitIdenticalOnRepeatedQuery) {
-  // Back-to-back runs of the same (query, alpha) take the carry path (the
-  // teleport vector survives the reset); scores must not move by one bit.
+TEST(QueryWorkspaceTest, RepeatedQueryIsBitIdenticalToFresh) {
+  // Back-to-back runs of one (query, alpha), as a scheduler batch of a hot
+  // query produces, must not move a single bit.
   Graph g = RandomGraph(11);
   QueryWorkspace reused;
   TopKParams params = DefaultParams();
-  TopKResult first = TopKRoundTripRank(g, {7}, params, reused).value();
+  TopKResult first = RunOn(reused, g, {7}, params);
   for (int repeat = 0; repeat < 4; ++repeat) {
-    TopKResult again = TopKRoundTripRank(g, {7}, params, reused).value();
+    TopKResult again = RunOn(reused, g, {7}, params);
     ExpectSameResult(first, again);
   }
   QueryWorkspace fresh;
-  ExpectSameResult(first, TopKRoundTripRank(g, {7}, params, fresh).value());
+  ExpectSameResult(first, RunOn(fresh, g, {7}, params));
 }
 
-TEST(QueryWorkspaceTest, TeleportCarryInvalidatedOnQueryOrAlphaChange) {
+TEST(QueryWorkspaceTest, QueryOrAlphaChangeMatchesFresh) {
   Graph g = RandomGraph(12);
   QueryWorkspace ws;
   TopKParams params = DefaultParams();
-  TopKResult a = TopKRoundTripRank(g, {3}, params, ws).value();
+  TopKResult a = RunOn(ws, g, {3}, params);
   // Different query node: node 3's teleport mass must be gone.
-  TopKResult b = TopKRoundTripRank(g, {4}, params, ws).value();
-  ExpectSameResult(b, TopKRoundTripRank(g, {4}, params).value());
+  TopKResult b = RunOn(ws, g, {4}, params);
+  ExpectSameResult(b, FreshTopK(g, {4}, params).value());
   // Different alpha on the original node.
   TopKParams other_alpha = params;
   other_alpha.alpha = 0.5;
-  TopKResult c = TopKRoundTripRank(g, {3}, other_alpha, ws).value();
-  ExpectSameResult(c, TopKRoundTripRank(g, {3}, other_alpha).value());
+  TopKResult c = RunOn(ws, g, {3}, other_alpha);
+  ExpectSameResult(c, FreshTopK(g, {3}, other_alpha).value());
   // Back to the original (query, alpha): still matches a fresh run.
-  ExpectSameResult(a, TopKRoundTripRank(g, {3}, params, ws).value());
+  ExpectSameResult(a, RunOn(ws, g, {3}, params));
 }
 
-TEST(QueryWorkspaceTest, CarryKeepsAndClearsTeleportEntries) {
+TEST(QueryWorkspaceTest, BeginQueryClearsTeleportEntries) {
   QueryWorkspace ws;
   Query query = {2, 5};
-  ws.BeginQuery(10, query, 0.25);
+  ws.BeginQuery(10);
   ws.Teleport(query, 0.25);
   EXPECT_DOUBLE_EQ(ws.teleport[2], 0.125);
   EXPECT_DOUBLE_EQ(ws.teleport[5], 0.125);
-  // Carry: the vector survives, and Teleport() must NOT rebuild on top of
-  // it (the entries would double).
-  ws.BeginQuery(10, query, 0.25);
-  EXPECT_DOUBLE_EQ(ws.teleport[2], 0.125);
-  ws.Teleport(query, 0.25);
-  EXPECT_DOUBLE_EQ(ws.teleport[2], 0.125);
-  EXPECT_DOUBLE_EQ(ws.teleport[5], 0.125);
-  // Non-carry (different query): kept entries are cleared by the reset.
-  Query other = {3};
-  ws.BeginQuery(10, other, 0.25);
+  // The next query starts from a zero vector and builds only its own mass.
+  ws.BeginQuery(10);
   EXPECT_DOUBLE_EQ(ws.teleport[2], 0.0);
   EXPECT_DOUBLE_EQ(ws.teleport[5], 0.0);
-  // The query-blind overload also drops carry state: a subsequent
-  // carry-aware reset of {3} must rebuild rather than trust stale entries.
-  ws.Teleport(other, 0.25);
-  ws.BeginQuery(10);
-  EXPECT_DOUBLE_EQ(ws.teleport[3], 0.0);
-  ws.BeginQuery(10, other, 0.25);
-  ws.Teleport(other, 0.25);
+  ws.Teleport({3}, 0.25);
   EXPECT_DOUBLE_EQ(ws.teleport[3], 0.25);
+  EXPECT_DOUBLE_EQ(ws.teleport[2], 0.0);
 }
 
 TEST(QueryWorkspaceTest, BcaReuseMatchesFreshWorkspace) {
@@ -358,8 +354,9 @@ TEST(QueryWorkspaceTest, BcaReuseMatchesFreshWorkspace) {
   QueryWorkspace ws;
   for (NodeId q : {0u, 5u, 9u, 5u}) {  // includes a repeated query
     ws.BeginQuery(g.num_nodes());
-    Bca warm(g, {q}, 0.25, &ws);
-    Bca cold(g, {q}, 0.25);
+    Bca warm(g, {q}, 0.25, ws);
+    FreshWorkspace fresh(g);
+    Bca cold(g, {q}, 0.25, fresh);
     for (int round = 0; round < 30; ++round) {
       int a = warm.ProcessBest(4);
       int b = cold.ProcessBest(4);

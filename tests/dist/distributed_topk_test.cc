@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/topk_testing.h"
 #include "core/twosbound.h"
 #include "datasets/qlog.h"
 #include "graph/builder.h"
@@ -131,9 +132,10 @@ TEST(DistributedTopKTest, SingleGpDegeneratesToLocal) {
   core::TopKParams params;
   params.k = 5;
   params.epsilon = 0.001;
-  core::TopKResult local = core::TopKRoundTripRank(g, {0}, params).value();
+  core::TopKResult local = core::FreshTopK(g, {0}, params).value();
+  core::QueryWorkspace workspace;
   dist::DistributedTopKResult distributed =
-      dist::DistributedTopK(cluster, {0}, params).value();
+      dist::DistributedTopK(cluster, {0}, params, workspace).value();
   ASSERT_EQ(distributed.topk.entries.size(), local.entries.size());
   for (size_t i = 0; i < local.entries.size(); ++i) {
     EXPECT_EQ(distributed.topk.entries[i].node, local.entries[i].node);
@@ -153,11 +155,12 @@ TEST(DistributedTopKTest, MatchesLocalRankingAcrossGpCounts) {
   NodeId query = 0;
   while (query < g.num_nodes() && g.out_degree(query) == 0) ++query;
   ASSERT_LT(query, g.num_nodes());
-  core::TopKResult local = core::TopKRoundTripRank(g, {query}, params).value();
+  core::TopKResult local = core::FreshTopK(g, {query}, params).value();
+  core::QueryWorkspace workspace;
   for (int num_gps : {1, 2, 3, 4}) {
     dist::Cluster cluster(NoCopy(g), num_gps);
     dist::DistributedTopKResult distributed =
-        dist::DistributedTopK(cluster, {query}, params).value();
+        dist::DistributedTopK(cluster, {query}, params, workspace).value();
     ASSERT_EQ(distributed.topk.entries.size(), local.entries.size())
         << num_gps << " GPs";
     for (size_t i = 0; i < local.entries.size(); ++i) {
@@ -185,8 +188,9 @@ TEST(DistributedTopKTest, RequestBatchingCapIsRespected) {
   while (query < g.num_nodes() && g.out_degree(query) == 0) ++query;
   ASSERT_LT(query, g.num_nodes());
   dist::Cluster cluster(NoCopy(g), 3);
+  core::QueryWorkspace workspace;
   dist::DistributedTopKResult result =
-      dist::DistributedTopK(cluster, {query}, params).value();
+      dist::DistributedTopK(cluster, {query}, params, workspace).value();
   // Enough requests to carry every record under the per-request cap.
   size_t min_requests =
       (result.active_nodes + dist::kMaxRecordsPerRequest - 1) /
@@ -201,8 +205,9 @@ TEST(DistributedTopKTest, RejectsNaiveScheme) {
   dist::Cluster cluster(NoCopy(g), 2);
   core::TopKParams params;
   params.scheme = core::TopKScheme::kNaive;
+  core::QueryWorkspace workspace;
   StatusOr<dist::DistributedTopKResult> result =
-      dist::DistributedTopK(cluster, {0}, params);
+      dist::DistributedTopK(cluster, {0}, params, workspace);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -211,8 +216,9 @@ TEST(DistributedTopKTest, PropagatesInvalidQuery) {
   Graph g = SmallRandomishGraph();
   dist::Cluster cluster(NoCopy(g), 2);
   core::TopKParams params;
+  core::QueryWorkspace workspace;
   StatusOr<dist::DistributedTopKResult> result =
-      dist::DistributedTopK(cluster, {}, params);
+      dist::DistributedTopK(cluster, {}, params, workspace);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -236,10 +242,11 @@ TEST(ClusterTest, FromGraphFileBringsUpShards) {
   core::TopKParams params;
   params.k = 5;
   params.epsilon = 0.001;
+  core::QueryWorkspace workspace;
   StatusOr<dist::DistributedTopKResult> result =
-      dist::DistributedTopK(**cluster, {0}, params);
+      dist::DistributedTopK(**cluster, {0}, params, workspace);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  core::TopKResult local = core::TopKRoundTripRank(g, {0}, params).value();
+  core::TopKResult local = core::FreshTopK(g, {0}, params).value();
   ASSERT_EQ(result->topk.entries.size(), local.entries.size());
   for (size_t i = 0; i < local.entries.size(); ++i) {
     EXPECT_EQ(result->topk.entries[i].node, local.entries[i].node);

@@ -60,9 +60,12 @@ TEST(RemoteGraphProcessorParityTest, RemoteClusterMatchesLoopbackBitForBit) {
   core::TopKParams params;
   params.k = 8;
   const std::vector<Query> queries = {{0}, {13}, {7, 31}, {49, 2, 25}};
+  core::QueryWorkspace workspace;
   for (const Query& query : queries) {
-    auto remote_result = dist::DistributedTopK(**remote, query, params);
-    auto loopback_result = dist::DistributedTopK(loopback, query, params);
+    auto remote_result =
+        dist::DistributedTopK(**remote, query, params, workspace);
+    auto loopback_result =
+        dist::DistributedTopK(loopback, query, params, workspace);
     ASSERT_TRUE(remote_result.ok()) << remote_result.status().ToString();
     ASSERT_TRUE(loopback_result.ok()) << loopback_result.status().ToString();
 

@@ -1,19 +1,22 @@
 // Zero-copy mapped snapshot loading: bit-identity against the bulk loader,
-// MapMode resolution, bulk-read fallback (with its counter), column sharing
-// between copies of every Graph origin, read-and-skip of legacy v3 files,
-// and the copy-on-write contract of delta application on a mapped base
-// generation.
+// MapMode resolution, bulk-read fallback (with its counter), the
+// RTR_MMAP_VERIFY checksum pass, column sharing between copies of every
+// Graph origin, read-and-skip of legacy v3 files, and the copy-on-write
+// contract of delta application on a mapped base generation.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/topk_testing.h"
 #include "core/twosbound.h"
 #include "graph/builder.h"
 #include "graph/delta.h"
@@ -159,9 +162,9 @@ TEST(MmapTest, TopKIsExactlyEqualOnMappedGraph) {
   params.k = 10;
   for (NodeId q : {NodeId{0}, NodeId{17}, NodeId{123}}) {
     StatusOr<core::TopKResult> a =
-        core::TopKRoundTripRank(owning, {q}, params);
+        core::FreshTopK(owning, {q}, params);
     StatusOr<core::TopKResult> b =
-        core::TopKRoundTripRank(*mapped, {q}, params);
+        core::FreshTopK(*mapped, {q}, params);
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(a->entries.size(), b->entries.size());
     for (size_t i = 0; i < a->entries.size(); ++i) {
@@ -227,13 +230,52 @@ TEST(MmapTest, PreferFallsBackToBulkReadAndCounts) {
   ExpectGraphsIdentical(TrickyGraph(), *g);
 }
 
-TEST(MmapTest, RequireDoesNotFallBack) {
-  const std::string path =
-      WriteSnapshot(TrickyGraph(), "mmap_require.rtrsnap");
-  SetMmapFailForTesting(true);
-  StatusOr<Graph> g = LoadGraphAuto(path, nullptr, MapMode::kRequire);
-  SetMmapFailForTesting(false);
-  EXPECT_FALSE(g.ok());
+// Mapped loads skip the payload checksum unless RTR_MMAP_VERIFY is set: a
+// flipped byte in a weight column passes the structural checks, so only
+// the checksum pass can catch it.
+TEST(MmapTest, VerifyEnvChecksumsMappedLoads) {
+  const Graph g = TrickyGraph();
+  const std::string path = WriteSnapshot(g, "mmap_verify.rtrsnap");
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // in_arc_weights (num_arcs x f64) sits just before in_probs, the last
+  // section; flip a mantissa byte of its last entry, not resealed.
+  const size_t in_probs_bytes = g.num_arcs() * sizeof(double);
+  ASSERT_GT(bytes.size(), in_probs_bytes + 3);
+  bytes[bytes.size() - in_probs_bytes - 3] ^= 0x40;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  StatusOr<Graph> bulk = LoadGraphSnapshotFromFile(path);
+  ASSERT_FALSE(bulk.ok());
+  EXPECT_EQ(bulk.status().code(), StatusCode::kIoError);
+
+  // The test owns the variable for its duration; restore the inherited
+  // value at the end.
+  const char* inherited = ::getenv("RTR_MMAP_VERIFY");
+  const std::string saved = inherited != nullptr ? inherited : "";
+  ::unsetenv("RTR_MMAP_VERIFY");
+  StatusOr<Graph> unverified = LoadGraphMapped(path);
+  ::setenv("RTR_MMAP_VERIFY", "1", /*overwrite=*/1);
+  StatusOr<Graph> verified = LoadGraphMapped(path);
+  if (inherited != nullptr) {
+    ::setenv("RTR_MMAP_VERIFY", saved.c_str(), /*overwrite=*/1);
+  } else {
+    ::unsetenv("RTR_MMAP_VERIFY");
+  }
+
+  ASSERT_TRUE(unverified.ok()) << unverified.status().ToString();
+  EXPECT_TRUE(unverified->is_mapped());
+  EXPECT_NE(unverified->in_arc_weights().back(),
+            g.in_arc_weights().back());
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), StatusCode::kIoError);
 }
 
 TEST(MmapTest, MappedLoadRejectsTextGraphs) {
@@ -412,7 +454,7 @@ TEST(MmapTest, StoreApplyOnMappedBaseCopiesOnWrite) {
       WriteSnapshot(base, "mmap_cow.rtrsnap", /*generation=*/7);
 
   StatusOr<std::unique_ptr<GraphStore>> store =
-      GraphStore::Open(path, MapMode::kRequire);
+      GraphStore::Open(path, MapMode::kPrefer);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   PinnedGraph pinned = (*store)->Pin();
   ASSERT_TRUE(pinned.graph->is_mapped());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/round_trip_rank.h"
+#include "core/topk_testing.h"
 #include "core/twosbound.h"
 #include "datasets/bibnet.h"
 #include "datasets/qlog.h"
@@ -80,7 +81,7 @@ TEST(PipelineIntegrationTest, TwoSBoundAgreesWithExactOnBibNet) {
   params.k = 10;
   params.epsilon = 1e-4;
   for (NodeId q : {bibnet.papers()[10].node, bibnet.papers()[500].node}) {
-    core::TopKResult approx = core::TopKRoundTripRank(g, {q}, params).value();
+    core::TopKResult approx = core::FreshTopK(g, {q}, params).value();
     ASSERT_TRUE(approx.converged);
     std::vector<double> exact = core::ExactRoundTripRankScores(g, {q});
     ASSERT_EQ(approx.entries.size(), 10u);
@@ -107,9 +108,10 @@ TEST(PipelineIntegrationTest, DistributedMatchesLocalOnQLogSnapshot) {
   dist::Cluster cluster({std::shared_ptr<const Graph>{}, &g}, 3);
   NodeId query = 0;
   while (g.out_degree(query) == 0) ++query;
-  core::TopKResult local = core::TopKRoundTripRank(g, {query}, params).value();
+  core::TopKResult local = core::FreshTopK(g, {query}, params).value();
+  core::QueryWorkspace workspace;
   dist::DistributedTopKResult distributed =
-      dist::DistributedTopK(cluster, {query}, params).value();
+      dist::DistributedTopK(cluster, {query}, params, workspace).value();
   ASSERT_EQ(distributed.topk.entries.size(), local.entries.size());
   for (size_t i = 0; i < local.entries.size(); ++i) {
     EXPECT_EQ(distributed.topk.entries[i].node, local.entries[i].node);
@@ -161,7 +163,7 @@ TEST(PipelineIntegrationTest, SnapshotQueriesWorkAcrossGrowth) {
     NodeId query = 0;
     while (snap.graph.out_degree(query) == 0) ++query;
     core::TopKResult result =
-        core::TopKRoundTripRank(snap.graph, {query}, params).value();
+        core::FreshTopK(snap.graph, {query}, params).value();
     EXPECT_FALSE(result.entries.empty());
     EXPECT_LE(result.active_nodes, snap.graph.num_nodes());
   }

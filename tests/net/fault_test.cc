@@ -285,8 +285,11 @@ TEST(RemoteGraphProcessorClusterTest, DegradedClusterStaysBitIdentical) {
   core::TopKParams params;
   params.k = 5;
   const Query query = {3};
-  auto remote_result = dist::DistributedTopK(**remote, query, params);
-  auto loopback_result = dist::DistributedTopK(loopback, query, params);
+  core::QueryWorkspace workspace;
+  auto remote_result =
+      dist::DistributedTopK(**remote, query, params, workspace);
+  auto loopback_result =
+      dist::DistributedTopK(loopback, query, params, workspace);
   ASSERT_TRUE(remote_result.ok()) << remote_result.status().ToString();
   ASSERT_TRUE(loopback_result.ok()) << loopback_result.status().ToString();
 
@@ -314,7 +317,8 @@ TEST(RemoteGraphProcessorClusterTest, DegradedClusterStaysBitIdentical) {
   for (std::unique_ptr<net::GpServer>& s : servers) {
     if (s->shard() == 1) s->Stop();
   }
-  auto dead_result = dist::DistributedTopK(**remote, query, params);
+  auto dead_result =
+      dist::DistributedTopK(**remote, query, params, workspace);
   ASSERT_FALSE(dead_result.ok());
   EXPECT_EQ(dead_result.status().code(), StatusCode::kUnavailable);
 }

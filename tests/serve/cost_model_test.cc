@@ -1,6 +1,7 @@
 #include "serve/cost_model.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -47,10 +48,17 @@ TEST(CostFeaturesTest, OutOfRangeNodesContributeNothing) {
 TEST(CostFeaturesTest, EpsilonZeroIsClampedNotInfinite) {
   Graph g = StarGraph(4);
   core::TopKParams params;
-  params.epsilon = 0.0;
-  CostFeatures f = CostFeaturesOf(g, {1}, params);
-  EXPECT_TRUE(std::isfinite(f.x[3]));
-  EXPECT_DOUBLE_EQ(f.x[3], std::log2(1.0 / QueryCostModel::kEpsilonFloor));
+  // NaN compares false against the floor, so a plain std::max lets it by.
+  for (double epsilon : {0.0, std::nan("")}) {
+    params.epsilon = epsilon;
+    CostFeatures f = CostFeaturesOf(g, {1}, params);
+    EXPECT_TRUE(std::isfinite(f.x[3])) << epsilon;
+    EXPECT_DOUBLE_EQ(f.x[3], std::log2(1.0 / QueryCostModel::kEpsilonFloor))
+        << epsilon;
+  }
+  // +inf is legal engine input; its feature must stay finite too.
+  params.epsilon = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(CostFeaturesOf(g, {1}, params).x[3], 0.0);
 }
 
 TEST(QueryCostModelTest, FixedPriorIsDeterministic) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/topk_testing.h"
 #include "core/twosbound.h"
 #include "datasets/bibnet.h"
 #include "dist/distributed_topk.h"
@@ -95,7 +96,7 @@ void RunBitIdenticalStream(Backend backend) {
   std::vector<bool> have_reference(graph.num_nodes(), false);
   for (NodeId q : stream) {
     if (have_reference[q]) continue;
-    reference[q] = core::TopKRoundTripRank(graph, {q}, params).value();
+    reference[q] = core::FreshTopK(graph, {q}, params).value();
     have_reference[q] = true;
   }
 
@@ -378,7 +379,7 @@ TEST(QueryServiceTest, FromGraphFileServesSnapshot) {
   ASSERT_TRUE(response.ok());
   ASSERT_TRUE(response->status.ok());
   core::TopKResult expected =
-      core::TopKRoundTripRank(g, {query}, DefaultParams()).value();
+      core::FreshTopK(g, {query}, DefaultParams()).value();
   ExpectBitIdentical(response->topk, expected, query);
   (*service)->Shutdown();
 }
@@ -441,7 +442,7 @@ TEST(QueryServiceTest, LiveStoreServesNewGenerationsMidStream) {
   EXPECT_EQ(before->generation, 0u);
   ExpectBitIdentical(
       before->topk,
-      core::TopKRoundTripRank(*store->Current(), {query}, DefaultParams())
+      core::FreshTopK(*store->Current(), {query}, DefaultParams())
           .value(),
       query);
 
@@ -456,7 +457,7 @@ TEST(QueryServiceTest, LiveStoreServesNewGenerationsMidStream) {
   EXPECT_FALSE(after->cache_hit);  // the old generation's entry is dead
   ExpectBitIdentical(
       after->topk,
-      core::TopKRoundTripRank(*store->Current(), {query}, DefaultParams())
+      core::FreshTopK(*store->Current(), {query}, DefaultParams())
           .value(),
       query);
 
@@ -523,7 +524,7 @@ TEST(QueryServiceTest, DistLiveBackendRestripesOnSwap) {
   // engine on the same generation bit-for-bit.
   ExpectBitIdentical(
       after->topk,
-      core::TopKRoundTripRank(*store->Current(), {query}, DefaultParams())
+      core::FreshTopK(*store->Current(), {query}, DefaultParams())
           .value(),
       query);
   service.Shutdown();
@@ -631,7 +632,7 @@ TEST(QueryServiceTest, LiveSwapUnderConcurrentLoadStaysBitIdentical) {
     NodeId q = pool[i % pool.size()];
     ExpectBitIdentical(
         r.topk,
-        core::TopKRoundTripRank(served, {q}, DefaultParams()).value(), q);
+        core::FreshTopK(served, {q}, DefaultParams()).value(), q);
   }
 }
 

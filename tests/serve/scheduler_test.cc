@@ -1,5 +1,6 @@
 #include "serve/scheduler.h"
 
+#include <cmath>
 #include <future>
 #include <memory>
 #include <set>
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/topk_testing.h"
 #include "core/twosbound.h"
 #include "datasets/bibnet.h"
 #include "graph/graph.h"
@@ -209,7 +211,7 @@ TEST(SchedulerServiceTest, ScheduledBatchedResponsesBitIdenticalToSerial) {
     EXPECT_EQ(responses[i].effective_epsilon, params.epsilon);
     EXPECT_GT(responses[i].predicted_millis, 0.0);
     core::TopKResult expected =
-        core::TopKRoundTripRank(graph, {stream[i]}, params).value();
+        core::FreshTopK(graph, {stream[i]}, params).value();
     ExpectBitIdentical(responses[i].topk, expected, stream[i]);
   }
   ServiceStats stats = service.stats();
@@ -242,7 +244,7 @@ TEST(SchedulerServiceTest, SchedulerOffMatchesSerialEngine) {
     EXPECT_EQ(response->effective_epsilon, params.epsilon);
     EXPECT_EQ(response->predicted_millis, 0.0);
     core::TopKResult expected =
-        core::TopKRoundTripRank(graph, {q}, params).value();
+        core::FreshTopK(graph, {q}, params).value();
     ExpectBitIdentical(response->topk, expected, q);
   }
   ServiceStats stats = service.stats();
@@ -429,6 +431,34 @@ TEST(SchedulerServiceTest, SingleWorkerDrainsQueuedBacklogAsOneBatch) {
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.batched_queries, stream.size());
+}
+
+// A NaN epsilon is rejected by the engine, and the features admission
+// computes for it before the engine runs must not poison the cost model.
+TEST(SchedulerServiceTest, NanEpsilonIsRejectedAndCostModelStaysFinite) {
+  const Graph& graph = SharedNet().graph();
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.scheduler.enabled = true;
+  QueryService service(SharedGraphPtr(), options);
+  ASSERT_TRUE(service.Start().ok());
+  const NodeId q = QueryStream(graph, 1, 1, 41)[0];
+
+  core::TopKParams nan_params = DefaultParams();
+  nan_params.epsilon = std::nan("");
+  StatusOr<ServeResponse> rejected = service.Call({{q}, nan_params});
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected->status.code(), StatusCode::kInvalidArgument);
+  for (double w : service.cost_model().weights()) {
+    EXPECT_TRUE(std::isfinite(w)) << w;
+  }
+
+  StatusOr<ServeResponse> next = service.Call({{q}, DefaultParams()});
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(next->status.ok()) << next->status.ToString();
+  EXPECT_TRUE(std::isfinite(next->predicted_millis))
+      << next->predicted_millis;
+  service.Shutdown();
 }
 
 // Shutdown with queued scheduler work completes every callback exactly

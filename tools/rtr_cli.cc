@@ -517,20 +517,22 @@ int CmdTopK(const Flags& flags) {
     return 2;
   }
   rtr::WallTimer timer;
-  rtr::StatusOr<rtr::core::TopKResult> result =
-      rtr::core::TopKRoundTripRank(graph, query, params);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  rtr::core::QueryWorkspace workspace;
+  rtr::core::TopKResult result;
+  rtr::Status status =
+      rtr::core::TopKRoundTripRank(graph, query, params, workspace, &result);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   std::printf("%s top-%d in %.1f ms (%d rounds, active set %zu nodes, "
               "%.3f MB)%s:\n",
               rtr::core::TopKSchemeName(params.scheme), params.k,
-              timer.ElapsedMillis(), result->rounds, result->active_nodes,
-              result->active_set_bytes / 1e6,
-              result->converged ? "" : " [NOT CONVERGED]");
-  for (size_t i = 0; i < result->entries.size(); ++i) {
-    const rtr::core::TopKEntry& entry = result->entries[i];
+              timer.ElapsedMillis(), result.rounds, result.active_nodes,
+              result.active_set_bytes / 1e6,
+              result.converged ? "" : " [NOT CONVERGED]");
+  for (size_t i = 0; i < result.entries.size(); ++i) {
+    const rtr::core::TopKEntry& entry = result.entries[i];
     std::printf("%3zu. node %-9u (%s)  r in [%.6g, %.6g]\n", i + 1,
                 entry.node,
                 graph.type_name(graph.node_type(entry.node)).c_str(),
