@@ -6,7 +6,9 @@
 //   $ ./examples/distributed_topk [num_gps]
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/twosbound.h"
@@ -28,16 +30,26 @@ int main(int argc, char** argv) {
       rtr::datasets::BibNet::Generate(config).value();
   const rtr::Graph& graph = bibnet.graph();
 
+  // One in-process GraphProcessor per stripe; the cluster then holds them
+  // as its record sources, exactly as it would hold remote ones.
+  std::vector<std::unique_ptr<rtr::dist::GraphProcessor>> gps;
+  size_t stored_bytes = 0;
+  for (int id = 0; id < num_gps; ++id) {
+    gps.push_back(
+        std::make_unique<rtr::dist::GraphProcessor>(graph, id, num_gps));
+    stored_bytes += gps.back()->stored_bytes();
+  }
+  std::printf("graph: %zu nodes, %zu arcs (%.1f MB) striped over %d GPs\n",
+              graph.num_nodes(), graph.num_arcs(), stored_bytes / 1e6,
+              num_gps);
+  for (const auto& gp : gps) {
+    std::printf("  GP %d stores %zu nodes (%.1f MB)\n", gp->id(),
+                gp->num_owned_nodes(), gp->stored_bytes() / 1e6);
+  }
   // Aliasing shared_ptr: the BibNet owns the graph for the whole run.
   rtr::dist::Cluster cluster({std::shared_ptr<const rtr::Graph>{}, &graph},
-                             num_gps);
-  std::printf("graph: %zu nodes, %zu arcs (%.1f MB) striped over %d GPs\n",
-              graph.num_nodes(), graph.num_arcs(),
-              cluster.total_stored_bytes() / 1e6, num_gps);
-  for (const rtr::dist::GraphProcessor& gp : cluster.gps()) {
-    std::printf("  GP %d stores %zu nodes (%.1f MB)\n", gp.id(),
-                gp.num_owned_nodes(), gp.stored_bytes() / 1e6);
-  }
+                             {std::make_move_iterator(gps.begin()),
+                              std::make_move_iterator(gps.end())});
 
   rtr::core::TopKParams params;
   params.k = 10;
@@ -59,7 +71,7 @@ int main(int argc, char** argv) {
         "the graph), %zu GP requests\n",
         query, result.query_millis, result.active_nodes,
         result.active_set_bytes / 1e6,
-        100.0 * result.active_set_bytes / cluster.total_stored_bytes(),
+        100.0 * result.active_set_bytes / stored_bytes,
         result.requests_sent);
     std::printf("    top-3:");
     for (size_t r = 0; r < 3 && r < result.topk.entries.size(); ++r) {

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "graph/snapshot.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -47,22 +46,27 @@ GraphProcessor::GraphProcessor(const Graph& g, int id, int num_gps)
 
 Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
                              std::vector<NodeRecord>* out) const {
-  fetch_requests_.Add(1);
-  out->reserve(out->size() + nodes.size());
+  const size_t before = out->size();
+  auto fail = [out, before](Status status) {
+    out->resize(before);
+    return status;
+  };
+  out->reserve(before + nodes.size());
   const Stripe& s = *stripe_;
+  uint64_t record_bytes = 0;
   for (NodeId v : nodes) {
     if (!Owns(v)) {
-      return Status::InvalidArgument("GP " + std::to_string(id_) +
-                                     " does not own node " +
-                                     std::to_string(v));
+      return fail(Status::InvalidArgument("GP " + std::to_string(id_) +
+                                          " does not own node " +
+                                          std::to_string(v)));
     }
     // Owned nodes are the arithmetic progression id, id+num_gps, ...; the
     // stripe-local index is therefore direct, no search needed.
     size_t i = (v - static_cast<NodeId>(id_)) / static_cast<NodeId>(num_gps_);
     if (i >= owned_nodes_.size()) {
-      return Status::OutOfRange("node " + std::to_string(v) +
-                                " beyond GP " + std::to_string(id_) +
-                                "'s stripe");
+      return fail(Status::OutOfRange("node " + std::to_string(v) +
+                                     " beyond GP " + std::to_string(id_) +
+                                     "'s stripe"));
     }
     const size_t out_begin = s.out_offsets[i];
     const size_t n_out = s.out_offsets[i + 1] - out_begin;
@@ -77,21 +81,38 @@ Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
     record.in_weights = {s.in_weights.data() + in_begin, n_in};
     record.in_probs = {s.in_probs.data() + in_begin, n_in};
     record.storage = stripe_;
-    records_served_.Add(1);
-    bytes_served_.Add(record.WireBytes());
+    record_bytes += record.WireBytes();
   }
+  fetch_requests_.Increment();
+  records_served_.Add(nodes.size());
+  bytes_served_.Add(record_bytes);
   return Status::OK();
 }
 
+namespace {
+
+// The shards of Cluster(graph, num_gps): GP i serves stripe i of num_gps.
+std::vector<std::unique_ptr<RecordSource>> StripeAcross(const Graph* graph,
+                                                        int num_gps) {
+  CHECK(graph != nullptr) << "a cluster needs a graph";
+  CHECK_GE(num_gps, 1) << "a cluster needs at least one graph processor";
+  std::vector<std::unique_ptr<RecordSource>> gps;
+  gps.reserve(static_cast<size_t>(num_gps));
+  for (int id = 0; id < num_gps; ++id) {
+    gps.push_back(std::make_unique<GraphProcessor>(*graph, id, num_gps));
+  }
+  return gps;
+}
+
+}  // namespace
+
 Cluster::Cluster(std::shared_ptr<const Graph> graph, int num_gps,
                  uint64_t generation)
-    : graph_(std::move(graph)), generation_(generation) {
-  CHECK(graph_ != nullptr) << "a cluster needs a graph";
-  CHECK_GE(num_gps, 1) << "a cluster needs at least one graph processor";
-  gps_.reserve(static_cast<size_t>(num_gps));
-  for (int id = 0; id < num_gps; ++id) {
-    gps_.emplace_back(*graph_, id, num_gps);
-    total_stored_bytes_ += gps_.back().stored_bytes();
+    : Cluster(graph, StripeAcross(graph.get(), num_gps), generation) {
+  // Every shard is a GraphProcessor StripeAcross just built.
+  for (const std::unique_ptr<RecordSource>& gp : sources_) {
+    total_stored_bytes_ +=
+        static_cast<const GraphProcessor&>(*gp).stored_bytes();
   }
 }
 
@@ -102,17 +123,16 @@ Cluster::Cluster(std::shared_ptr<const Graph> graph,
       generation_(generation),
       sources_(std::move(sources)) {
   CHECK(graph_ != nullptr) << "a cluster needs a graph";
-  CHECK_GE(sources_.size(), 1u) << "a remote cluster needs record sources";
+  CHECK_GE(sources_.size(), 1u) << "a cluster needs record sources";
   for (const std::unique_ptr<RecordSource>& source : sources_) {
-    CHECK(source != nullptr) << "remote cluster sources must be non-null";
+    CHECK(source != nullptr) << "cluster sources must be non-null";
   }
 }
 
 const RecordSource& Cluster::source(int gp) const {
   CHECK_GE(gp, 0);
   CHECK_LT(gp, num_gps());
-  if (remote()) return *sources_[static_cast<size_t>(gp)];
-  return gps_[static_cast<size_t>(gp)];
+  return *sources_[static_cast<size_t>(gp)];
 }
 
 uint64_t Cluster::total_fetch_requests() const {
@@ -137,16 +157,6 @@ WireTraffic Cluster::total_wire() const {
   WireTraffic total;
   for (int gp = 0; gp < num_gps(); ++gp) total += wire(gp);
   return total;
-}
-
-StatusOr<std::unique_ptr<Cluster>> Cluster::FromGraphFile(
-    const std::string& path, int num_gps, MapMode map_mode) {
-  uint64_t generation = 0;
-  StatusOr<Graph> loaded = LoadGraphAuto(path, &generation, map_mode);
-  RTR_RETURN_IF_ERROR(loaded.status());
-  return std::make_unique<Cluster>(
-      std::make_shared<const Graph>(std::move(loaded).value()), num_gps,
-      generation);
 }
 
 namespace {

@@ -10,26 +10,26 @@
 // fraction of the graph (Sect. V-B1, Figs. 12-13), the AP's working set and
 // the GP traffic per query are small and nearly independent of graph size.
 //
-// This in-process simulation keeps the data movement honest: each
+// A Cluster holds one RecordSource per shard: an in-process GraphProcessor
+// (loopback) or a net::RemoteGraphProcessor (TCP, src/net/), behind one
+// interface. The data movement stays honest either way: each
 // GraphProcessor holds its own copy of its stripe's adjacency, every record
-// the AP assembles for the active set comes out of a GP response, and the
-// returned byte/request counts are measured from those responses, not
+// the AP assembles for the active set comes out of a source's response, and
+// the returned byte/request counts are measured from those responses, not
 // estimated. A record is a view: spans into the serving stripe (loopback)
 // or into the decoded reply (net/), plus a keep-alive for those bytes, so
 // the fetch path copies no arcs and allocates nothing per record.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/twosbound.h"
 #include "graph/graph.h"
-#include "graph/snapshot.h"
 #include "graph/types.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace rtr::dist {
@@ -106,7 +106,8 @@ class RecordSource {
   // Serves one batched request: appends a record per requested node to
   // `out`, in request order. Every node must be owned by this source's
   // shard. Each record carries its own keep-alive (NodeRecord::storage),
-  // so it stays valid after this source is destroyed.
+  // so it stays valid after this source is destroyed. On failure `out` and
+  // the counters below are unchanged.
   virtual Status Fetch(const std::vector<NodeId>& nodes,
                        std::vector<NodeRecord>* out) const = 0;
 
@@ -117,28 +118,6 @@ class RecordSource {
 
   // Cumulative wire-level traffic; all-zero for in-process sources.
   virtual WireTraffic wire() const { return WireTraffic{}; }
-};
-
-// Relaxed traffic counter that copies/moves by value snapshot, so the
-// structs holding one stay MoveInsertable (Cluster builds its GPs inside a
-// vector). Safe because GPs only move during single-threaded cluster
-// construction, never while Fetch traffic is in flight.
-class ShardCounter {
- public:
-  ShardCounter() = default;
-  ShardCounter(const ShardCounter& other)
-      : n_(other.n_.load(std::memory_order_relaxed)) {}
-  ShardCounter& operator=(const ShardCounter& other) {
-    n_.store(other.n_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-    return *this;
-  }
-
-  void Add(uint64_t delta) { n_.fetch_add(delta, std::memory_order_relaxed); }
-  uint64_t value() const { return n_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> n_{0};
 };
 
 // A graph processor owning one stripe of the node set (node v belongs to GP
@@ -163,10 +142,9 @@ class GraphProcessor : public RecordSource {
 
   bool Owns(NodeId v) const { return v % num_gps_ == static_cast<NodeId>(id_); }
 
-  // Serves one batched request: appends a record per requested node to
-  // `out`. Every node in `nodes` must be owned by this GP. The records view
-  // this GP's stripe and share its ownership: no arc is copied, and a warm
-  // `out` makes the call allocation-free.
+  // RecordSource::Fetch: every node in `nodes` must be owned by this GP.
+  // The records view this GP's stripe and share its ownership: no arc is
+  // copied, and a warm `out` makes the call allocation-free.
   Status Fetch(const std::vector<NodeId>& nodes,
                std::vector<NodeRecord>* out) const override;
 
@@ -199,15 +177,18 @@ class GraphProcessor : public RecordSource {
   std::shared_ptr<const Stripe> stripe_;
   size_t stored_bytes_ = 0;
   // Served-traffic counters; mutable because Fetch is logically const.
-  mutable ShardCounter fetch_requests_;
-  mutable ShardCounter records_served_;
-  mutable ShardCounter bytes_served_;
+  mutable obs::Counter fetch_requests_;
+  mutable obs::Counter records_served_;
+  mutable obs::Counter bytes_served_;
 };
 
-// A set of graph processors jointly storing one generation of one graph,
-// nodes striped round-robin. The cluster also keeps the full graph for the
-// AP-side algorithm run (in a real deployment the AP holds only the active
-// set; the simulation cross-checks that the GP responses reconstruct it
+// A set of record sources jointly serving one generation of one graph,
+// nodes striped round-robin (shard i serves stripe i of num_gps()). Every
+// shard is a RecordSource: an in-process GraphProcessor (loopback) or a
+// net::RemoteGraphProcessor (TCP), and nothing past construction tells the
+// two apart. The cluster also keeps the full graph for the AP-side
+// algorithm run (in a real deployment the AP holds only the active set;
+// the simulation cross-checks that the GP responses reconstruct it
 // exactly).
 //
 // Ownership: the cluster shares ownership of its graph generation via
@@ -217,39 +198,22 @@ class GraphProcessor : public RecordSource {
 // old one.
 class Cluster {
  public:
-  // Requires a non-null graph and num_gps >= 1 (CHECK-enforced).
-  // `generation` tags which graph generation the shards were built from.
+  // Loopback cluster: stripes `graph` across num_gps in-process
+  // GraphProcessors. Requires a non-null graph and num_gps >= 1
+  // (CHECK-enforced). `generation` tags which graph generation the shards
+  // were built from.
   Cluster(std::shared_ptr<const Graph> graph, int num_gps,
           uint64_t generation = 0);
 
-  // Remote cluster: the AP-side graph plus one RecordSource per shard
-  // (shard i must serve stripe i of sources.size() — e.g. a
+  // The AP-side graph plus one non-null RecordSource per shard (shard i
+  // must serve stripe i of sources.size() — e.g. a
   // net::RemoteGraphProcessor whose handshake verified exactly that).
-  // gps() is empty in this mode; everything else (OwnerOf, the traffic
-  // accessors, DistributedTopK) works unchanged through source().
   Cluster(std::shared_ptr<const Graph> graph,
           std::vector<std::unique_ptr<RecordSource>> sources,
           uint64_t generation = 0);
 
-  // Shard bring-up from a saved graph: loads `path` (binary snapshot or
-  // text, auto-detected by magic — see graph/snapshot.h) and stripes it
-  // across num_gps processors; the generation id comes from the snapshot
-  // header (0 for text graphs). `map_mode` picks the snapshot loader:
-  // kAuto honors RTR_GRAPH_MMAP, kPrefer goes zero-copy (the AP
-  // graph references the shared mapped columns; each GP copies its stripe
-  // out of them).
-  static StatusOr<std::unique_ptr<Cluster>> FromGraphFile(
-      const std::string& path, int num_gps,
-      MapMode map_mode = MapMode::kAuto);
-
-  int num_gps() const {
-    return static_cast<int>(remote() ? sources_.size() : gps_.size());
-  }
-  // True when the shards are served over the wire (remote-source mode).
-  bool remote() const { return !sources_.empty(); }
-  // In-process shards; empty for a remote cluster.
-  const std::vector<GraphProcessor>& gps() const { return gps_; }
-  // The record source for shard `gp`, local or remote.
+  int num_gps() const { return static_cast<int>(sources_.size()); }
+  // The record source for shard `gp`.
   const RecordSource& source(int gp) const;
   const Graph& graph() const { return *graph_; }
   const std::shared_ptr<const Graph>& graph_ptr() const { return graph_; }
@@ -261,13 +225,13 @@ class Cluster {
     return static_cast<int>(v % static_cast<NodeId>(num_gps()));
   }
 
-  // Sum of all GPs' stored bytes — the cluster-wide snapshot size (0 for a
-  // remote cluster: the stripes live in the serving processes).
+  // Sum of the in-process GPs' stored bytes — the cluster-wide snapshot
+  // size — for a loopback cluster; 0 for one built from sources (the
+  // stripes live wherever those sources serve them).
   size_t total_stored_bytes() const { return total_stored_bytes_; }
 
-  // Per-shard and cluster-wide traffic since construction, uniform across
-  // local and remote sources (serve::QueryService's rtr_dist_* callbacks
-  // read these).
+  // Per-shard and cluster-wide traffic since construction
+  // (serve::QueryService's rtr_dist_* and rtr_net_* callbacks read these).
   uint64_t fetch_requests(int gp) const { return source(gp).fetch_requests(); }
   uint64_t records_served(int gp) const { return source(gp).records_served(); }
   uint64_t bytes_served(int gp) const { return source(gp).bytes_served(); }
@@ -280,8 +244,7 @@ class Cluster {
  private:
   std::shared_ptr<const Graph> graph_;
   uint64_t generation_ = 0;
-  std::vector<GraphProcessor> gps_;                     // loopback mode
-  std::vector<std::unique_ptr<RecordSource>> sources_;  // remote mode
+  std::vector<std::unique_ptr<RecordSource>> sources_;
   size_t total_stored_bytes_ = 0;
 };
 

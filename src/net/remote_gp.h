@@ -3,15 +3,16 @@
 
 // Networked dist::RecordSource (DESIGN.md §12).
 //
-// RemoteGraphProcessor is the drop-in the AP plugs into a dist::Cluster in
-// place of an in-process GraphProcessor: same Fetch contract, same
-// record-level counters, but the records come off a TCP connection to a
-// `rtr_cli gp-serve` process and wire() reports the real frames/bytes/
-// retries instead of zeros. Each reply is decoded into one shared column
-// block that its records view (net::DecodeFetchReply), so a fetch costs a
-// constant number of allocations, not one per record. DistributedTopK
-// validates every remote record byte-for-byte against the AP graph, so the
-// two tiers are bit-checkable against each other
+// RemoteGraphProcessor is the dist::RecordSource a dist::Cluster holds for
+// a shard served by a `rtr_cli gp-serve` process, where a loopback cluster
+// holds an in-process GraphProcessor: same Fetch contract (on failure `out`
+// and the counters are unchanged), same record-level counters, but the
+// records come off a TCP connection and wire() reports the real frames/
+// bytes/retries instead of zeros. Each reply is decoded into one shared
+// column block that its records view (net::DecodeFetchReply), so a fetch
+// costs a constant number of allocations, not one per record.
+// DistributedTopK validates every remote record byte-for-byte against the
+// AP graph, so the two tiers are bit-checkable against each other
 // (tests/dist/remote_parity_test.cc).
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "dist/distributed_topk.h"
 #include "graph/graph.h"
 #include "net/rpc_client.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace rtr::net {
@@ -50,14 +52,14 @@ class RemoteGraphProcessor : public dist::RecordSource {
   // Fetch is const (the RecordSource contract); the client's state churn
   // is this source's internal business.
   mutable RpcClient client_;
-  mutable dist::ShardCounter fetch_requests_;
-  mutable dist::ShardCounter records_served_;
-  mutable dist::ShardCounter bytes_served_;
+  mutable obs::Counter fetch_requests_;
+  mutable obs::Counter records_served_;
+  mutable obs::Counter bytes_served_;
 };
 
 // Dials one RemoteGraphProcessor per endpoint (endpoint i serves shard i of
-// endpoints.size()), verifies every handshake eagerly, and assembles the
-// remote-mode Cluster over `graph`. Typed failures: kUnavailable when a
+// endpoints.size()), verifies every handshake eagerly, and assembles a
+// Cluster of them over `graph`. Typed failures: kUnavailable when a
 // peer cannot be reached, kFailedPrecondition when one serves the wrong
 // stripe/graph/generation.
 StatusOr<std::unique_ptr<dist::Cluster>> ConnectRemoteCluster(

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "graph/snapshot.h"
 #include "util/logging.h"
 
 namespace rtr::serve {
@@ -82,16 +81,6 @@ QueryService::QueryService(std::shared_ptr<GraphStore> store,
                               std::memory_order_relaxed);
   tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
   RegisterMetrics();
-}
-
-StatusOr<std::unique_ptr<QueryService>> QueryService::FromGraphFile(
-    const std::string& path, const ServiceOptions& options) {
-  uint64_t generation = 0;
-  StatusOr<Graph> loaded = LoadGraphAuto(path, &generation, options.map_mode);
-  RTR_RETURN_IF_ERROR(loaded.status());
-  auto store = std::make_shared<GraphStore>(
-      std::make_shared<const Graph>(std::move(loaded).value()), generation);
-  return std::make_unique<QueryService>(std::move(store), options);
 }
 
 QueryService::~QueryService() { Shutdown(); }
@@ -191,10 +180,9 @@ void QueryService::RegisterMetrics() {
           return dist_retired_bytes_[g] + cluster_->bytes_served(gp_index);
         }));
   }
-  if (!cluster_->remote()) return;
-  // Networked tier only: wire-level traffic summed over all GP peers. The
-  // cluster (and its remote sources) is fixed for the service's lifetime in
-  // this mode, so no retired-counter fold is needed.
+  // Wire-level traffic summed over all GP peers. A loopback cluster moves
+  // no wire bytes and reports 0; only a fixed cluster can be remote, and it
+  // is never restriped, so no retired-counter fold is needed.
   struct WireField {
     const char* name;
     uint64_t dist::WireTraffic::* field;
@@ -349,10 +337,9 @@ Status QueryService::SubmitAsync(ServeRequest request, DoneCallback done) {
       eps_widened_.Increment();
     }
     const double arrival = arrival_clock_.ElapsedMillis();
-    const double key =
-        admission_.enabled
-            ? PriorityKey(task.predicted_millis, arrival, admission_.age_boost)
-            : arrival;
+    const double key = admission_.enabled
+                           ? PriorityKey(task.predicted_millis, arrival)
+                           : arrival;
     task.admitted.Restart();
     queue_.Push(key, task.predicted_millis, std::move(task));
     // Count inside the critical section so no observer ever sees a task

@@ -6,7 +6,11 @@
 // fronting either the local 2SBound engine or the dist::Cluster replay
 // behind one API. Per-query latencies feed a util::LatencyHistogram for
 // p50/p95/p99 + QPS reporting, and results are memoized in a sharded LRU
-// ResultCache.
+// ResultCache. A service is built over a graph, a GraphStore or a Cluster;
+// a saved graph is loaded first with LoadGraphAuto (graph/snapshot.h). A
+// distributed service exports the per-shard rtr_dist_* series and the
+// rtr_net_* wire series whatever its shards are (loopback reports 0 wire
+// traffic).
 //
 // Thread-safety contract (audited in PR 2; see also graph/graph.h,
 // core/twosbound.h, dist/distributed_topk.h): each Graph generation is
@@ -85,11 +89,6 @@ struct ServiceOptions {
   bool enable_tracing = false;
   // How many slowest-query trace dumps to retain for SlowestTraces().
   size_t trace_keep = 8;
-  // Snapshot loader for FromGraphFile (graph/snapshot.h): kAuto honors
-  // RTR_GRAPH_MMAP; kPrefer serves straight off an mmapped
-  // snapshot, so N service processes on one host share one physical copy
-  // of the columns (`rtr_cli serve --mmap`).
-  MapMode map_mode = MapMode::kAuto;
   // Cost-model admission scheduling (serve/scheduler.h, DESIGN.md §11):
   // priority queue ordered by predicted cost, batched worker drains,
   // deadline shedding, adaptive epsilon. Disabled by default, which runs
@@ -210,14 +209,6 @@ class QueryService {
   // keep draining on the retired cluster they resolved).
   QueryService(std::shared_ptr<GraphStore> store, int num_gps,
                const ServiceOptions& options);
-
-  // Process bring-up from a saved graph: loads `path` (binary snapshot or
-  // text, auto-detected by magic — see graph/snapshot.h) into a fresh
-  // GraphStore seeded with the snapshot's generation id, and serves it
-  // from the local engine. The fast path for cold starts: a snapshot load
-  // skips the text-parse/GraphBuilder replay entirely.
-  static StatusOr<std::unique_ptr<QueryService>> FromGraphFile(
-      const std::string& path, const ServiceOptions& options);
 
   ~QueryService();
 
@@ -390,7 +381,7 @@ class QueryService {
   // Sorted slowest-first, capped at options_.trace_keep.
   std::vector<std::pair<double, std::string>> slowest_traces_;
 
-  // Dist-live restripes drop the retired cluster's ShardCounters; the
+  // Dist-live restripes drop the retired cluster's counters; the
   // per-GP traffic folded in here (guarded by cluster_mu_) keeps the
   // rtr_dist_* callback counters monotone across generations.
   std::vector<uint64_t> dist_retired_requests_;

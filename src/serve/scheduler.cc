@@ -23,9 +23,8 @@ CostClass ClassifyCost(double predicted_millis, double mean_predicted_millis) {
   return CostClass::kModerate;
 }
 
-double PriorityKey(double predicted_millis, double arrival_millis,
-                   double age_boost) {
-  return predicted_millis + arrival_millis * age_boost;
+double PriorityKey(double predicted_millis, double arrival_millis) {
+  return predicted_millis + arrival_millis * kAgeBoost;
 }
 
 double PredictedCompletionMillis(double queued_predicted_millis,
@@ -40,8 +39,7 @@ double EffectiveEpsilon(double base_epsilon, const SchedulerOptions& options,
   if (options.eps_max <= base_epsilon || queue_capacity == 0) {
     return base_epsilon;
   }
-  const double start = options.queue_watermark *
-                       static_cast<double>(queue_capacity);
+  const double start = kQueueWatermark * static_cast<double>(queue_capacity);
   const double depth = static_cast<double>(queue_depth);
   if (depth <= start) return base_epsilon;
   const double span = static_cast<double>(queue_capacity) - start;

@@ -12,12 +12,12 @@
 //  * PriorityKey: shortest-predicted-job-first with an age-based
 //    anti-starvation boost. The trick is that the key is computed once at
 //    admission and never re-keyed: a query's dynamic priority is
-//    predicted_ms − age·boost, and since age = now − arrival, ordering two
-//    queries by it is equivalent to ordering by the static key
-//    predicted_ms + arrival_ms·boost (the −now·boost term is common to
-//    every entry at compare time). A plain binary heap therefore suffices;
-//    an expensive query is overtaken by cheaper arrivals for at most
-//    Δpredicted/boost milliseconds before its head start wins.
+//    predicted_ms − age·kAgeBoost, and since age = now − arrival, ordering
+//    two queries by it is equivalent to ordering by the static key
+//    predicted_ms + arrival_ms·kAgeBoost (the −now·kAgeBoost term is
+//    common to every entry at compare time). A plain binary heap therefore
+//    suffices; an expensive query is overtaken by cheaper arrivals for at
+//    most Δpredicted/kAgeBoost milliseconds before its head start wins.
 //
 //  * PredictedCompletionMillis + deadline shedding: admission rejects a
 //    request whose predicted completion (queued predicted work divided
@@ -27,9 +27,10 @@
 //    and wait time.
 //
 //  * EffectiveEpsilon: adaptive precision under load. Past a queue-depth
-//    watermark epsilon widens linearly toward eps_max (degrade precision,
-//    not availability), quantized to a few steps so the result cache sees a
-//    handful of effective epsilons instead of a continuum of keys.
+//    watermark (kQueueWatermark) epsilon widens linearly toward eps_max
+//    (degrade precision, not availability), quantized to a few steps so the
+//    result cache sees a handful of effective epsilons instead of a
+//    continuum of keys.
 //
 //  * AdmissionQueue<TaskT>: a min-key binary heap with FIFO sequence
 //    tie-break and a running sum of queued predicted cost (the backlog
@@ -52,16 +53,16 @@ struct SchedulerOptions {
   // Most queued requests one worker drains into a single workspace-warm
   // batch (one generation pin + cache-evict check amortized across them).
   size_t batch_size = 8;
-  // Predicted milliseconds forgiven per millisecond a request has waited.
-  // 1.0 ≈ "a 5ms head start beats a 5ms cost advantage"; 0 is pure SJF
-  // (starvation possible — not recommended outside experiments).
-  double age_boost = 1.0;
   // Upper edge of the adaptive-epsilon band. <= the request's own epsilon
   // disables widening (the default 0 therefore turns the feature off).
   double eps_max = 0.0;
-  // Fraction of queue capacity where epsilon starts widening.
-  double queue_watermark = 0.5;
 };
+
+// Predicted milliseconds forgiven per millisecond a request has waited:
+// "a 5ms head start beats a 5ms cost advantage".
+inline constexpr double kAgeBoost = 1.0;
+// Fraction of queue capacity where epsilon starts widening.
+inline constexpr double kQueueWatermark = 0.5;
 
 // Priority classes derived from predicted cost, used to split queue-wait
 // reporting so degradation is observable per class, not inferred from an
@@ -79,8 +80,7 @@ const char* CostClassName(CostClass c);
 CostClass ClassifyCost(double predicted_millis, double mean_predicted_millis);
 
 // The static heap key described above. Lower = served sooner.
-double PriorityKey(double predicted_millis, double arrival_millis,
-                   double age_boost);
+double PriorityKey(double predicted_millis, double arrival_millis);
 
 // Admission-time completion estimate: the queued predicted work spread
 // across the pool, plus the request's own predicted cost. Ignores work
@@ -89,7 +89,7 @@ double PriorityKey(double predicted_millis, double arrival_millis,
 double PredictedCompletionMillis(double queued_predicted_millis,
                                  int num_workers, double own_predicted_millis);
 
-// Epsilon widened for load: base below watermark·capacity, ramping
+// Epsilon widened for load: base below kQueueWatermark·capacity, ramping
 // linearly to eps_max at a full queue, quantized to kEpsilonSteps levels so
 // cache keys stay few. Returns base whenever eps_max <= base.
 inline constexpr int kEpsilonSteps = 4;

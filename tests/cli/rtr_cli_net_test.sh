@@ -104,6 +104,16 @@ rc=$?
 [ "$rc" -ne 0 ]
 check "serve --gps with an unreachable shard fails" 0 $?
 
+# Endpoints only make sense for the remote backend: the in-process ones
+# must refuse them instead of silently striping local GPs.
+for backend in local dist; do
+  "$CLI" serve --graph "$TMP/g.rtrsnap" --backend "$backend" \
+    --gps 127.0.0.1:1,127.0.0.1:2 --queries 5 > /dev/null 2> "$TMP/mixed.err"
+  check "serve --backend $backend rejects --gps endpoints" 2 $?
+done
+grep -q "needs backend remote" "$TMP/mixed.err"
+check "the rejection names the remote backend" 0 $?
+
 "$CLI" gp-serve --graph "$TMP/g.rtrsnap" --shard "5/3" --port 0 \
   > /dev/null 2> /dev/null
 rc=$?

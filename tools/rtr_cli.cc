@@ -607,7 +607,7 @@ int CmdServe(const Flags& flags) {
   int queue_capacity = flags.GetInt("queue", 256);
   // --gps is dual-purpose: an integer stripes the graph across in-process
   // GPs (backend dist); a host:port,... list fronts remote gp-serve shards
-  // (backend remote).
+  // (backend remote, the only backend that accepts one).
   std::vector<std::string> gp_endpoints;
   const std::string gps_flag = flags.GetString("gps", "");
   if (gps_flag.find(':') != std::string::npos) {
@@ -779,6 +779,13 @@ int CmdServe(const Flags& flags) {
 
   std::string backend = flags.GetString(
       "backend", gp_endpoints.empty() ? "local" : "remote");
+  if (!gp_endpoints.empty() && backend != "remote") {
+    std::fprintf(stderr,
+                 "--gps host:port[,host:port...] needs backend remote, not "
+                 "'%s'\n",
+                 backend.c_str());
+    return 2;
+  }
   // The in-process backends serve (and --delta advances) this store. A
   // remote cluster is served from the service's own single-generation
   // store, so a second one here would duplicate the rtr_store_* series.
