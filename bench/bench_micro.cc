@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "core/two_stage.h"
 #include "core/twosbound.h"
 #include "core/workspace.h"
+#include "datasets/qlog.h"
 #include "dist/distributed_topk.h"
 #include "obs/trace.h"
 #include "graph/builder.h"
@@ -281,6 +283,24 @@ void BM_TopKNaiveExact(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKNaiveExact);
 
+// The dist-live restripe (DESIGN.md §4): a loopback Cluster of 3 GPs over
+// the default QLog graph (17420 nodes, 47932 arcs), the graph perfbench
+// serves. A dist-live service pays this once per published generation.
+void BM_ClusterRestripe(benchmark::State& state) {
+  static const auto* graph = [] {
+    rtr::StatusOr<rtr::datasets::QLog> log =
+        rtr::datasets::QLog::Generate(rtr::datasets::QLogConfig{});
+    CHECK(log.ok()) << log.status().ToString();
+    return new std::shared_ptr<const Graph>(
+        std::make_shared<const Graph>(log->graph()));
+  }();
+  for (auto _ : state) {
+    const rtr::dist::Cluster cluster(*graph, 3);
+    benchmark::DoNotOptimize(cluster.total_stored_bytes());
+  }
+}
+BENCHMARK(BM_ClusterRestripe)->Unit(benchmark::kMicrosecond);
+
 // Steady-state allocation audit (the CI gate). Runs a fixed query set once
 // to warm the arena, then replays it and demands zero operator-new calls.
 // Audited on built AND mapped graphs: the span accessors must not hide an
@@ -346,12 +366,13 @@ bool AuditSteadyStateAllocs() {
 
 // Fetch-path allocation audit (the AP<->GP leg, DESIGN.md §4/§12). A warm
 // GraphProcessor::Fetch into a reused vector must make no allocation: its
-// records view the stripe. DecodeFetchReply must make the same number of
+// records view the graph. DecodeFetchReply must make the same number of
 // allocations per reply whatever its record count: one shared column block
 // per reply, none per record.
 bool AuditFetchAllocs() {
-  const Graph g = MakeGraph(2000, 8000, 13);
-  const rtr::dist::GraphProcessor gp(g, 0, 1);
+  const auto graph = std::make_shared<const Graph>(MakeGraph(2000, 8000, 13));
+  const Graph& g = *graph;
+  const rtr::dist::GraphProcessor gp(graph, 0, 1);
   std::vector<NodeId> batch(rtr::dist::kMaxRecordsPerRequest);
   for (size_t i = 0; i < batch.size(); ++i) {
     batch[i] = static_cast<NodeId>(i * 7 % g.num_nodes());

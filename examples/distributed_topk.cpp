@@ -28,7 +28,10 @@ int main(int argc, char** argv) {
   config.num_authors = 2500;
   rtr::datasets::BibNet bibnet =
       rtr::datasets::BibNet::Generate(config).value();
-  const rtr::Graph& graph = bibnet.graph();
+  // The cluster and its GPs share this generation (a Graph copy shares the
+  // BibNet's storage).
+  auto shared = std::make_shared<const rtr::Graph>(bibnet.graph());
+  const rtr::Graph& graph = *shared;
 
   // One in-process GraphProcessor per stripe; the cluster then holds them
   // as its record sources, exactly as it would hold remote ones.
@@ -36,7 +39,7 @@ int main(int argc, char** argv) {
   size_t stored_bytes = 0;
   for (int id = 0; id < num_gps; ++id) {
     gps.push_back(
-        std::make_unique<rtr::dist::GraphProcessor>(graph, id, num_gps));
+        std::make_unique<rtr::dist::GraphProcessor>(shared, id, num_gps));
     stored_bytes += gps.back()->stored_bytes();
   }
   std::printf("graph: %zu nodes, %zu arcs (%.1f MB) striped over %d GPs\n",
@@ -46,8 +49,7 @@ int main(int argc, char** argv) {
     std::printf("  GP %d stores %zu nodes (%.1f MB)\n", gp->id(),
                 gp->num_owned_nodes(), gp->stored_bytes() / 1e6);
   }
-  // Aliasing shared_ptr: the BibNet owns the graph for the whole run.
-  rtr::dist::Cluster cluster({std::shared_ptr<const rtr::Graph>{}, &graph},
+  rtr::dist::Cluster cluster(shared,
                              {std::make_move_iterator(gps.begin()),
                               std::make_move_iterator(gps.end())});
 

@@ -9,39 +9,28 @@
 
 namespace rtr::dist {
 
-GraphProcessor::GraphProcessor(const Graph& g, int id, int num_gps)
-    : id_(id), num_gps_(num_gps) {
+GraphProcessor::GraphProcessor(std::shared_ptr<const Graph> graph, int id,
+                               int num_gps)
+    : graph_(std::move(graph)), id_(id), num_gps_(num_gps) {
+  CHECK(graph_ != nullptr) << "a graph processor needs a graph";
   CHECK_GE(id, 0);
   CHECK_LT(id, num_gps);
-  for (NodeId v = static_cast<NodeId>(id); v < g.num_nodes();
+  // What the stripe would occupy as a stand-alone CSR: the Fig. 12 per-GP
+  // series measures the shard, not how this process shares it.
+  size_t arcs = 0;
+  for (NodeId v = static_cast<NodeId>(id); v < graph_->num_nodes();
        v += static_cast<NodeId>(num_gps)) {
-    owned_nodes_.push_back(v);
+    arcs += graph_->out_degree(v) + graph_->in_degree(v);
   }
-  auto stripe = std::make_shared<Stripe>();
-  stripe->out_offsets.reserve(owned_nodes_.size() + 1);
-  stripe->in_offsets.reserve(owned_nodes_.size() + 1);
-  stripe->out_offsets.push_back(0);
-  stripe->in_offsets.push_back(0);
-  auto append = [](auto* column, auto span) {
-    column->insert(column->end(), span.begin(), span.end());
-  };
-  for (NodeId v : owned_nodes_) {
-    append(&stripe->out_targets, g.out_targets(v));
-    append(&stripe->out_weights, g.out_arc_weights(v));
-    append(&stripe->out_probs, g.out_probs(v));
-    stripe->out_offsets.push_back(stripe->out_targets.size());
-    append(&stripe->in_sources, g.in_sources(v));
-    append(&stripe->in_weights, g.in_arc_weights(v));
-    append(&stripe->in_probs, g.in_probs(v));
-    stripe->in_offsets.push_back(stripe->in_sources.size());
-  }
-  stored_bytes_ =
-      owned_nodes_.size() * sizeof(NodeId) +
-      (stripe->out_offsets.size() + stripe->in_offsets.size()) *
-          sizeof(size_t) +
-      (stripe->out_targets.size() + stripe->in_sources.size()) *
-          (sizeof(NodeId) + 2 * sizeof(double));
-  stripe_ = std::move(stripe);
+  const size_t owned = num_owned_nodes();
+  stored_bytes_ = owned * sizeof(NodeId) + 2 * (owned + 1) * sizeof(size_t) +
+                  arcs * (sizeof(NodeId) + 2 * sizeof(double));
+}
+
+size_t GraphProcessor::num_owned_nodes() const {
+  const size_t n = graph_->num_nodes();
+  const size_t id = static_cast<size_t>(id_);
+  return n > id ? (n - id - 1) / static_cast<size_t>(num_gps_) + 1 : 0;
 }
 
 Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
@@ -52,7 +41,7 @@ Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
     return status;
   };
   out->reserve(before + nodes.size());
-  const Stripe& s = *stripe_;
+  const Graph& g = *graph_;
   uint64_t record_bytes = 0;
   for (NodeId v : nodes) {
     if (!Owns(v)) {
@@ -60,27 +49,20 @@ Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
                                           " does not own node " +
                                           std::to_string(v)));
     }
-    // Owned nodes are the arithmetic progression id, id+num_gps, ...; the
-    // stripe-local index is therefore direct, no search needed.
-    size_t i = (v - static_cast<NodeId>(id_)) / static_cast<NodeId>(num_gps_);
-    if (i >= owned_nodes_.size()) {
+    if (v >= g.num_nodes()) {
       return fail(Status::OutOfRange("node " + std::to_string(v) +
                                      " beyond GP " + std::to_string(id_) +
                                      "'s stripe"));
     }
-    const size_t out_begin = s.out_offsets[i];
-    const size_t n_out = s.out_offsets[i + 1] - out_begin;
-    const size_t in_begin = s.in_offsets[i];
-    const size_t n_in = s.in_offsets[i + 1] - in_begin;
     NodeRecord& record = out->emplace_back();
     record.node = v;
-    record.out_targets = {s.out_targets.data() + out_begin, n_out};
-    record.out_weights = {s.out_weights.data() + out_begin, n_out};
-    record.out_probs = {s.out_probs.data() + out_begin, n_out};
-    record.in_sources = {s.in_sources.data() + in_begin, n_in};
-    record.in_weights = {s.in_weights.data() + in_begin, n_in};
-    record.in_probs = {s.in_probs.data() + in_begin, n_in};
-    record.storage = stripe_;
+    record.out_targets = g.out_targets(v);
+    record.out_weights = g.out_arc_weights(v);
+    record.out_probs = g.out_probs(v);
+    record.in_sources = g.in_sources(v);
+    record.in_weights = g.in_arc_weights(v);
+    record.in_probs = g.in_probs(v);
+    record.storage = graph_;
     record_bytes += record.WireBytes();
   }
   fetch_requests_.Increment();
@@ -92,14 +74,14 @@ Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
 namespace {
 
 // The shards of Cluster(graph, num_gps): GP i serves stripe i of num_gps.
-std::vector<std::unique_ptr<RecordSource>> StripeAcross(const Graph* graph,
-                                                        int num_gps) {
+std::vector<std::unique_ptr<RecordSource>> StripeAcross(
+    const std::shared_ptr<const Graph>& graph, int num_gps) {
   CHECK(graph != nullptr) << "a cluster needs a graph";
   CHECK_GE(num_gps, 1) << "a cluster needs at least one graph processor";
   std::vector<std::unique_ptr<RecordSource>> gps;
   gps.reserve(static_cast<size_t>(num_gps));
   for (int id = 0; id < num_gps; ++id) {
-    gps.push_back(std::make_unique<GraphProcessor>(*graph, id, num_gps));
+    gps.push_back(std::make_unique<GraphProcessor>(graph, id, num_gps));
   }
   return gps;
 }
@@ -108,7 +90,7 @@ std::vector<std::unique_ptr<RecordSource>> StripeAcross(const Graph* graph,
 
 Cluster::Cluster(std::shared_ptr<const Graph> graph, int num_gps,
                  uint64_t generation)
-    : Cluster(graph, StripeAcross(graph.get(), num_gps), generation) {
+    : Cluster(graph, StripeAcross(graph, num_gps), generation) {
   // Every shard is a GraphProcessor StripeAcross just built.
   for (const std::unique_ptr<RecordSource>& gp : sources_) {
     total_stored_bytes_ +=
@@ -162,7 +144,10 @@ WireTraffic Cluster::total_wire() const {
 namespace {
 
 // Cross-checks one GP response record against the AP-side graph; any
-// divergence means the shard storage or the fetch path is corrupt.
+// divergence means the shard storage or the fetch path is corrupt. A
+// loopback record views the AP's own columns, so there this checks only
+// that the right node's spans were served; over TCP it checks the bytes
+// that crossed the wire.
 Status ValidateRecord(const Graph& g, const NodeRecord& record) {
   auto equal = [](const auto& got, auto want) {
     return std::equal(got.begin(), got.end(), want.begin(), want.end());

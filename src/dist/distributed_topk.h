@@ -12,13 +12,12 @@
 //
 // A Cluster holds one RecordSource per shard: an in-process GraphProcessor
 // (loopback) or a net::RemoteGraphProcessor (TCP, src/net/), behind one
-// interface. The data movement stays honest either way: each
-// GraphProcessor holds its own copy of its stripe's adjacency, every record
-// the AP assembles for the active set comes out of a source's response, and
-// the returned byte/request counts are measured from those responses, not
-// estimated. A record is a view: spans into the serving stripe (loopback)
-// or into the decoded reply (net/), plus a keep-alive for those bytes, so
-// the fetch path copies no arcs and allocates nothing per record.
+// interface. Every record the AP assembles for the active set comes out of
+// a source's response, and the returned byte/request counts are measured
+// from those responses, not estimated. A record is a view: spans into the
+// pinned graph's columns (loopback) or into the decoded reply (net/), plus
+// a keep-alive for those bytes, so the fetch path copies no arcs and
+// allocates nothing per record.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +37,7 @@ namespace rtr::dist {
 // incident arc columns (the unit of transfer of Sect. V-B2). Columnar like
 // the Graph itself: entries at one index across a direction's spans
 // describe the same arc. `storage` keeps the viewed bytes alive — the
-// serving GraphProcessor's stripe, or the one block a decoded fetch reply
+// graph a GraphProcessor serves, or the one block a decoded fetch reply
 // copies its columns into — so a record stays valid after its source is
 // gone, and copying a record copies no arcs.
 struct NodeRecord {
@@ -120,9 +119,10 @@ class RecordSource {
   virtual WireTraffic wire() const { return WireTraffic{}; }
 };
 
-// A graph processor owning one stripe of the node set (node v belongs to GP
-// v mod num_gps). Stores the owned nodes' full adjacency in CSR form and
-// serves batched record fetches.
+// A graph processor serving one stripe of the node set (node v belongs to
+// GP v mod num_gps) out of the pinned graph generation it shares with the
+// AP: it holds the graph's shared_ptr, not a copy of its stripe, and serves
+// batched record fetches as views into the graph's columns.
 //
 // Thread safety: immutable after construction except the traffic counters;
 // Fetch and the accessors are const and may be called concurrently (the
@@ -130,21 +130,22 @@ class RecordSource {
 // cluster).
 class GraphProcessor : public RecordSource {
  public:
-  // Builds the stripe of `g` owned by processor `id` out of `num_gps`.
-  GraphProcessor(const Graph& g, int id, int num_gps);
+  // Serves the stripe of `graph` owned by processor `id` out of `num_gps`.
+  // Requires a non-null graph and 0 <= id < num_gps (CHECK-enforced).
+  GraphProcessor(std::shared_ptr<const Graph> graph, int id, int num_gps);
 
   int id() const { return id_; }
-  size_t num_owned_nodes() const { return owned_nodes_.size(); }
-  // Resident size of this stripe's storage, the per-GP series of Fig. 12.
+  // Owned nodes are id, id+num_gps, ... below the graph's node count.
+  size_t num_owned_nodes() const;
+  // Size of this stripe as a stand-alone CSR (owned ids, two offsets
+  // arrays, three columns per direction), the per-GP series of Fig. 12.
   size_t stored_bytes() const { return stored_bytes_; }
-  // Owned node ids, ascending.
-  const std::vector<NodeId>& owned_nodes() const { return owned_nodes_; }
 
   bool Owns(NodeId v) const { return v % num_gps_ == static_cast<NodeId>(id_); }
 
   // RecordSource::Fetch: every node in `nodes` must be owned by this GP.
-  // The records view this GP's stripe and share its ownership: no arc is
-  // copied, and a warm `out` makes the call allocation-free.
+  // The records view the graph's columns and share its ownership: no arc
+  // is copied, and a warm `out` makes the call allocation-free.
   Status Fetch(const std::vector<NodeId>& nodes,
                std::vector<NodeRecord>* out) const override;
 
@@ -157,24 +158,10 @@ class GraphProcessor : public RecordSource {
   uint64_t bytes_served() const override { return bytes_served_.value(); }
 
  private:
-  // Stripe-local columnar CSR, mirroring the Graph layout (one offsets
-  // array + three parallel columns per direction). Immutable once built and
-  // shared with every record Fetch serves, which views it in place.
-  struct Stripe {
-    std::vector<size_t> out_offsets;  // size owned_nodes_.size()+1
-    std::vector<NodeId> out_targets;
-    std::vector<double> out_weights;
-    std::vector<double> out_probs;
-    std::vector<size_t> in_offsets;   // size owned_nodes_.size()+1
-    std::vector<NodeId> in_sources;
-    std::vector<double> in_weights;
-    std::vector<double> in_probs;
-  };
-
+  // The served generation; also every record's keep-alive.
+  std::shared_ptr<const Graph> graph_;
   int id_ = 0;
   int num_gps_ = 1;
-  std::vector<NodeId> owned_nodes_;  // ascending
-  std::shared_ptr<const Stripe> stripe_;
   size_t stored_bytes_ = 0;
   // Served-traffic counters; mutable because Fetch is logically const.
   mutable obs::Counter fetch_requests_;

@@ -21,7 +21,7 @@ GpServer::GpServer(std::shared_ptr<const Graph> graph, int shard, int num_gps,
       num_gps_(num_gps),
       generation_(generation),
       options_(options),
-      gp_(*graph_, shard, num_gps) {}
+      gp_(graph_, shard, num_gps) {}
 
 StatusOr<std::unique_ptr<GpServer>> GpServer::Start(
     std::shared_ptr<const Graph> graph, int shard, int num_gps,

@@ -3,9 +3,10 @@
 
 // Network listener serving one GraphProcessor shard (DESIGN.md §12).
 //
-// A GpServer owns the stripe storage (dist::GraphProcessor) for shard
-// `shard` of `num_gps` and answers the frame protocol on a TCP port: kHello
-// is acked with the server's actual identity (the client compares and
+// A GpServer serves shard `shard` of `num_gps` through a
+// dist::GraphProcessor that views the server's graph (one copy of the graph
+// per process) and answers the frame protocol on a TCP port: kHello is
+// acked with the server's actual identity (the client compares and
 // refuses to proceed on mismatch), kFetch batches are answered with
 // kFetchReply or — when the shard-level Fetch fails — a kErrorReply
 // carrying the typed Status across the wire. One handler thread per
@@ -47,7 +48,7 @@ struct GpServerOptions {
 
 class GpServer {
  public:
-  // Builds the shard stripe and starts listening + accepting.
+  // Sets up the shard's GraphProcessor and starts listening + accepting.
   static StatusOr<std::unique_ptr<GpServer>> Start(
       std::shared_ptr<const Graph> graph, int shard, int num_gps,
       uint64_t generation, GpServerOptions options = {});

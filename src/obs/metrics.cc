@@ -302,11 +302,18 @@ std::string MetricsRegistry::RenderJson() const {
   for (const Sample& s : Collect()) {
     if (!first) out.push_back(',');
     first = false;
-    out += "{\"name\":\"" + EscapeValue(s.name) + "\",\"labels\":{";
+    // Appended piece by piece: a `"literal" + temporary` chain trips
+    // GCC 12's -Wrestrict in Release builds.
+    out += "{\"name\":\"";
+    out += EscapeValue(s.name);
+    out += "\",\"labels\":{";
     for (size_t i = 0; i < s.labels.size(); ++i) {
       if (i > 0) out.push_back(',');
-      out += "\"" + EscapeValue(s.labels[i].first) + "\":\"" +
-             EscapeValue(s.labels[i].second) + "\"";
+      out += '"';
+      out += EscapeValue(s.labels[i].first);
+      out += "\":\"";
+      out += EscapeValue(s.labels[i].second);
+      out += '"';
     }
     out += "},";
     switch (s.kind) {
@@ -334,9 +341,11 @@ std::string MetricsRegistry::RenderJson() const {
           cumulative += h.buckets[i];
           if (!first_bucket) out.push_back(',');
           first_bucket = false;
-          out += "[" +
-                 FormatDouble(LatencyHistogram::BucketLowerEdge(i + 1)) +
-                 "," + std::to_string(cumulative) + "]";
+          out += '[';
+          out += FormatDouble(LatencyHistogram::BucketLowerEdge(i + 1));
+          out += ',';
+          out += std::to_string(cumulative);
+          out += ']';
         }
         out += "]";
         break;

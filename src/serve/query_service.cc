@@ -151,6 +151,8 @@ void QueryService::RegisterMetrics() {
         &phase_latencies_[p]));
   }
   if (backend_ != Backend::kDistributed) return;
+  registrations_.push_back(registry.RegisterHistogram(
+      "rtr_dist_restripe_ms", labels, &restripe_latencies_));
   // Per-shard traffic series. The callbacks fold in traffic retired by
   // dist-live restripes (dist_retired_*) so the counters stay monotone
   // across generations; cluster_mu_ nests inside the registry mutex.
@@ -507,8 +509,8 @@ PinnedGraph QueryService::PinForQuery(
   // Serve from a cluster striped off the store's current generation. A
   // fixed cluster's store never advances, so only dist-live restripes: the
   // first worker to pin a new generation restripes while holding
-  // cluster_mu_ (an O(graph) rebuild — later generations' queries briefly
-  // queue on the mutex, while queries already holding the retired
+  // cluster_mu_ (its GPs view the pinned graph, so the only per-node work
+  // is each GP's degree sum; queries already holding the retired
   // cluster's shared_ptr keep draining untouched). If another worker
   // already striped a generation NEWER than our pin, serve from that: a
   // query must never run on a cluster older than the generation key it
@@ -524,10 +526,14 @@ PinnedGraph QueryService::PinForQuery(
       dist_retired_records_[g] += cluster_->records_served(gp);
       dist_retired_bytes_[g] += cluster_->bytes_served(gp);
     }
-    LOG(INFO) << "restriping generation " << pinned.generation << " across "
-              << num_gps << " graph processors";
+    WallTimer restripe_timer;
     cluster_ = std::make_shared<const dist::Cluster>(pinned.graph, num_gps,
                                                      pinned.generation);
+    const double restripe_millis = restripe_timer.ElapsedMillis();
+    restripe_latencies_.Record(restripe_millis);
+    LOG(INFO) << "restriping generation " << pinned.generation << " across "
+              << num_gps << " graph processors took " << restripe_millis
+              << " ms";
   } else if (cluster_->generation() > pinned.generation) {
     pinned = PinnedGraph{cluster_->graph_ptr(), cluster_->generation()};
   }

@@ -387,6 +387,8 @@ class QueryService {
   std::vector<uint64_t> dist_retired_requests_;
   std::vector<uint64_t> dist_retired_records_;
   std::vector<uint64_t> dist_retired_bytes_;
+  // Wall time of each dist-live restripe (rtr_dist_restripe_ms).
+  LatencyHistogram restripe_latencies_;
 
   // Declared last: unregisters before any of the metrics above die.
   std::vector<obs::MetricsRegistry::Registration> registrations_;

@@ -66,9 +66,13 @@ class ByteWriter {
   void PadTo8() { out_->resize(rtr::PadTo8(out_->size())); }
 
  private:
+  // Grow, then copy: one path for both buffer types, and no range insert
+  // (GCC 12 misreads its inlined memmove as out of bounds in Release).
   void Raw(const void* data, size_t n) {
-    const auto* p = static_cast<const typename Buffer::value_type*>(data);
-    out_->insert(out_->end(), p, p + n);
+    if (n == 0) return;
+    const size_t at = out_->size();
+    out_->resize(at + n);
+    std::memcpy(out_->data() + at, data, n);
   }
 
   Buffer* out_;

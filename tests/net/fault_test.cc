@@ -82,7 +82,7 @@ class RpcFaultTest : public ::testing::Test {
                                const std::vector<NodeId>& wanted) {
     std::vector<dist::NodeRecord> got;
     ASSERT_TRUE(client.Fetch(wanted, &got).ok());
-    dist::GraphProcessor local(*graph_, 0, 1);
+    dist::GraphProcessor local(graph_, 0, 1);
     std::vector<dist::NodeRecord> want;
     ASSERT_TRUE(local.Fetch(wanted, &want).ok());
     dist::ExpectSameRecords(got, want);

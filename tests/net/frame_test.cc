@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,8 +48,8 @@ struct Reply {
 };
 
 Reply EncodedReply() {
-  Graph g = TinyGraph();
-  dist::GraphProcessor gp(g, 0, 1);
+  // The records keep the graph alive after this function returns.
+  dist::GraphProcessor gp(std::make_shared<const Graph>(TinyGraph()), 0, 1);
   Reply reply;
   EXPECT_TRUE(gp.Fetch({0, 4, 5}, &reply.records).ok());
   net::EncodeFetchReply(reply.records, &reply.payload);

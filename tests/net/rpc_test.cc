@@ -112,8 +112,8 @@ TEST(TransportFrameTest, CorruptionIsDetected) {
 }
 
 TEST(TransportFrameTest, FetchReplyCodecRoundTrip) {
-  Graph g = SmallRandomishGraph();
-  dist::GraphProcessor gp(g, 0, 1);
+  dist::GraphProcessor gp(std::make_shared<const Graph>(SmallRandomishGraph()),
+                          0, 1);
   std::vector<dist::NodeRecord> records;
   ASSERT_TRUE(gp.Fetch({0, 1, 2, 3}, &records).ok());
 
@@ -134,8 +134,9 @@ TEST(TransportFrameTest, FetchReplyCodecRoundTrip) {
 // graph, pinned by size and checksum. Any change to the reply encoding
 // (field order, widths, padding) breaks this before it breaks a peer.
 TEST(TransportFrameTest, FetchReplyEncodingIsByteStable) {
-  Graph g = SmallRandomishGraph();
-  dist::GraphProcessor gp(g, 0, 1);
+  const auto graph = std::make_shared<const Graph>(SmallRandomishGraph());
+  const Graph& g = *graph;
+  dist::GraphProcessor gp(graph, 0, 1);
   std::vector<NodeId> all(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
   std::vector<dist::NodeRecord> records;
@@ -179,7 +180,7 @@ TEST(RemoteGraphProcessorTest, FetchMatchesLocalBitForBit) {
       "127.0.0.1", (*server)->port(), IdentityFor(*graph, 1, 3, 9));
   ASSERT_TRUE(remote.Connect().ok());
 
-  dist::GraphProcessor local(*graph, 1, 3);
+  dist::GraphProcessor local(graph, 1, 3);
   std::vector<NodeId> wanted;
   for (NodeId v = 1; v < graph->num_nodes(); v += 3) wanted.push_back(v);
 
@@ -242,7 +243,7 @@ TEST(RpcClientTest, ConcurrentFetchesMultiplexOneConnection) {
 
   net::RpcClient client("127.0.0.1", (*server)->port(),
                         IdentityFor(*graph, 0, 1, 0));
-  dist::GraphProcessor local(*graph, 0, 1);
+  dist::GraphProcessor local(graph, 0, 1);
 
   constexpr int kThreads = 8;
   constexpr int kFetchesPerThread = 20;

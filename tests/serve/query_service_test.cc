@@ -560,6 +560,33 @@ TEST(QueryServiceTest, DistLiveBackendRestripesOnSwap) {
   service.Shutdown();
 }
 
+// Each dist-live restripe is one rtr_dist_restripe_ms sample; the eager
+// striping at construction is not a restripe.
+TEST(QueryServiceTest, DistLiveRestripeIsTimed) {
+  auto store = std::make_shared<GraphStore>(LiveBaseGraph());
+  ServiceOptions options;
+  options.num_workers = 1;
+  QueryService service(store, /*num_gps=*/2, options);
+  ASSERT_TRUE(service.Start().ok());
+  const std::string count_series =
+      "rtr_dist_restripe_ms_count{backend=\"distributed\"} ";
+  std::string text = obs::MetricsRegistry::Default().RenderText();
+  EXPECT_NE(text.find(count_series + "0\n"), std::string::npos) << text;
+
+  NodeId query = 0;
+  while (store->Current()->out_degree(query) == 0) ++query;
+  ASSERT_TRUE(
+      store->Apply(GrowthDelta(0, store->Current()->num_nodes(), 19)).ok());
+  StatusOr<ServeResponse> response = service.Call({{query}, DefaultParams()});
+  ASSERT_TRUE(response.ok());
+  ASSERT_TRUE(response->status.ok());
+  EXPECT_EQ(response->generation, 1u);
+  service.Shutdown();
+
+  text = obs::MetricsRegistry::Default().RenderText();
+  EXPECT_NE(text.find(count_series + "1\n"), std::string::npos) << text;
+}
+
 // A scheduled batch pins its generation once, and that pin is its own
 // phase: it must not also be counted inside the batch's wait. A dist-live
 // restripe makes the pin large enough that a double count shows up as a
