@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <iterator>
 #include <limits>
 #include <ostream>
 #include <span>
@@ -60,7 +58,6 @@ struct SnapshotHeader {
   uint64_t num_arcs;
   uint64_t type_block_bytes;
   uint64_t payload_checksum;
-  // The v1 reserved word: always 0 there.
   uint64_t generation;
 };
 static_assert(sizeof(SnapshotHeader) == kHeaderBytes);
@@ -218,28 +215,21 @@ Status ParseSnapshotHeader(std::string_view buf, SnapshotHeader* h) {
   if (std::memcmp(h->magic, kSnapshotMagic, sizeof(h->magic)) != 0) {
     return Status::IoError("bad snapshot magic");
   }
-  if (h->version < kMinSnapshotVersion || h->version > kMaxSnapshotVersion) {
+  if (h->version != kSnapshotVersion) {
     return Status::IoError("unsupported snapshot version " +
                            std::to_string(h->version));
   }
   if (h->header_bytes != kHeaderBytes) {
     return Status::IoError("bad snapshot header size");
   }
-  // v1 wrote a zeroed reserved word where v2 keeps the generation id; either
-  // way the value is the generation the file represents.
-  if (h->version < 2 && h->generation != 0) {
-    return Status::IoError("v1 snapshot has nonzero reserved field");
-  }
   return Status::OK();
 }
 
 // Header parse + range checks + exact-size check, shared by the bulk and
-// mapped loaders. On OK, `payload` views everything after the header (the
-// checksummed bytes) and `columns` the prefix of it that Bind decodes: all
-// but a v3 file's two trailing f32 sections, which are never loaded.
+// mapped loaders. On OK, `payload` views everything after the header: the
+// checksummed bytes, all of which Bind decodes.
 Status CheckSnapshotShape(std::string_view buf, SnapshotHeader* h,
-                          std::string_view* payload,
-                          std::string_view* columns) {
+                          std::string_view* payload) {
   RTR_RETURN_IF_ERROR(ParseSnapshotHeader(buf, h));
   const uint64_t num_nodes = h->num_nodes;
   const uint64_t num_arcs = h->num_arcs;
@@ -262,15 +252,12 @@ Status CheckSnapshotShape(std::string_view buf, SnapshotHeader* h,
 
   // Exact-size check: truncated and oversized (trailing-garbage) files are
   // both rejected before the checksum pass.
-  const uint64_t column_bytes =
+  const uint64_t expected_payload =
       h->type_block_bytes + PadTo8(num_nodes * sizeof(NodeTypeId)) +
       2 * ((num_nodes + 1) * sizeof(uint64_t)) +     // offsets
       2 * PadTo8(num_arcs * sizeof(NodeId)) +        // targets + sources
       4 * (num_arcs * sizeof(double)) +              // arc weights + probs
       num_nodes * sizeof(double);                    // per-node out-weights
-  const uint64_t skipped_bytes =
-      h->version == 3 ? 2 * PadTo8(num_arcs * sizeof(float)) : 0;
-  const uint64_t expected_payload = column_bytes + skipped_bytes;
   if (buf.size() - kHeaderBytes != expected_payload) {
     return Status::IoError(
         buf.size() - kHeaderBytes < expected_payload
@@ -278,7 +265,6 @@ Status CheckSnapshotShape(std::string_view buf, SnapshotHeader* h,
             : "snapshot has trailing garbage");
   }
   *payload = buf.substr(kHeaderBytes);
-  *columns = payload->substr(0, column_bytes);
   return Status::OK();
 }
 
@@ -290,36 +276,17 @@ StatusOr<Graph> LoadSnapshotImage(std::string_view buf,
                                   uint64_t* generation) {
   SnapshotHeader header{};
   std::string_view payload;
-  std::string_view columns;
-  RTR_RETURN_IF_ERROR(CheckSnapshotShape(buf, &header, &payload, &columns));
+  RTR_RETURN_IF_ERROR(CheckSnapshotShape(buf, &header, &payload));
   if (verify_checksum && Fnv1a64Words(payload) != header.payload_checksum) {
     return Status::IoError("snapshot checksum mismatch");
   }
   StatusOr<Graph> g =
-      SnapshotCodec::Bind(header, columns, std::move(storage), mapped);
+      SnapshotCodec::Bind(header, payload, std::move(storage), mapped);
   if (g.ok() && generation != nullptr) *generation = header.generation;
   return g;
 }
 
-// The bulk loader's backing: an 8-aligned heap image of the file's `size`
-// bytes, in which the columns bind in place exactly as they do in a
-// mapping. Bulk loads always verify the payload checksum.
-StatusOr<Graph> LoadHeapImage(std::shared_ptr<std::vector<uint64_t>> image,
-                              size_t size, uint64_t* generation) {
-  const std::string_view buf(reinterpret_cast<const char*>(image->data()),
-                             size);
-  return LoadSnapshotImage(buf, std::move(image), /*mapped=*/false,
-                           /*verify_checksum=*/true, generation);
-}
-
 }  // namespace
-
-StatusOr<Graph> LoadGraphSnapshot(std::istream& in, uint64_t* generation) {
-  const std::string buf(std::istreambuf_iterator<char>(in), {});
-  auto image = std::make_shared<std::vector<uint64_t>>((buf.size() + 7) / 8);
-  if (!buf.empty()) std::memcpy(image->data(), buf.data(), buf.size());
-  return LoadHeapImage(std::move(image), buf.size(), generation);
-}
 
 StatusOr<Graph> LoadGraphSnapshotFromFile(const std::string& path,
                                           uint64_t* generation) {
@@ -330,15 +297,19 @@ StatusOr<Graph> LoadGraphSnapshotFromFile(const std::string& path,
     return Status::IoError("cannot determine snapshot size: " + path);
   }
   in.seekg(0);
-  // One bulk read of the whole file; the columns are then bound in place
-  // with no per-column copy and no per-arc work.
+  // One bulk read of the whole file into an 8-aligned heap image; the
+  // columns are then bound in place exactly as they are in a mapping, with
+  // no per-column copy and no per-arc work. Bulk loads always verify the
+  // payload checksum.
   auto image = std::make_shared<std::vector<uint64_t>>(
       (static_cast<size_t>(size) + 7) / 8);
   if (size > 0 && !in.read(reinterpret_cast<char*>(image->data()), size)) {
     return Status::IoError("failed reading snapshot: " + path);
   }
-  return LoadHeapImage(std::move(image), static_cast<size_t>(size),
-                       generation);
+  const std::string_view buf(reinterpret_cast<const char*>(image->data()),
+                             static_cast<size_t>(size));
+  return LoadSnapshotImage(buf, std::move(image), /*mapped=*/false,
+                           /*verify_checksum=*/true, generation);
 }
 
 MappedSnapshot::~MappedSnapshot() {
@@ -411,22 +382,12 @@ StatusOr<bool> IsSnapshotFile(const std::string& path) {
   return *head == std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic));
 }
 
-namespace {
-
-MapMode ResolveMapMode(MapMode mode) {
-  if (mode != MapMode::kAuto) return mode;
-  return EnvFlagSet("RTR_GRAPH_MMAP") ? MapMode::kPrefer : MapMode::kNever;
-}
-
-}  // namespace
-
 StatusOr<Graph> LoadGraphAuto(const std::string& path, uint64_t* generation,
                               MapMode map_mode) {
   StatusOr<bool> is_snapshot = IsSnapshotFile(path);
   RTR_RETURN_IF_ERROR(is_snapshot.status());
   if (*is_snapshot) {
-    const MapMode mode = ResolveMapMode(map_mode);
-    if (mode == MapMode::kPrefer) {
+    if (map_mode == MapMode::kPrefer) {
       StatusOr<Graph> mapped = LoadGraphMapped(path, generation);
       if (mapped.ok()) return mapped;
       LOG(WARNING) << "mmap load of " << path << " failed ("

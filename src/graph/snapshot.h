@@ -33,7 +33,7 @@ namespace rtr {
 //     u64      type_block_bytes (padded size of the type-name section)
 //     u64      payload_checksum (word-wise FNV-1a 64 over everything after
 //                                the header; util/bytes.h Fnv1a64Words)
-//     u64      generation       (v2+; the v1 reserved field, always 0 there)
+//     u64      generation       (graph/store.h generation id)
 //   payload:
 //     type names                num_types x (u32 length + bytes), padded
 //     node_types                num_nodes x u16, padded
@@ -46,8 +46,6 @@ namespace rtr {
 //     in_sources                num_arcs x u32, padded
 //     in_arc_weights            num_arcs x f64
 //     in_probs                  num_arcs x f64
-//   v3 only (read and skipped):
-//     two sections of num_arcs x f32, padded
 //
 // Both loaders decode through util/bytes.h's bounds-checked ByteReader, the
 // codec the delta files and RPC frames share. The bulk loader validates the
@@ -61,34 +59,27 @@ namespace rtr {
 // node-type pages) but skips the full payload checksum by default —
 // checksumming would fault in every page and defeat the O(page faults) cold
 // start. Set RTR_MMAP_VERIFY=1 to force the checksum pass on mapped loads
-// too.
+// too; it is the only integrity check a mapped load has.
 //
-// Versioning: v2 records the graph's generation id (graph/store.h) where v1
-// had a zeroed reserved field. Older writers could emit v3, which appended
-// f32 copies of the two prob columns; the loader still accepts v1..v3, and
-// for v3 it counts the two f32 sections in the exact-size check and the
-// checksum, then skips them, so a v3 file loads to the same Graph as its v2
-// twin. The writer emits v2 only. Together with delta files (graph/delta.h)
-// this is the on-disk story for live graphs: one base snapshot per epoch
-// plus a chain of deltas to catch up from.
+// Versioning: the loaders read exactly the version the writer emits. A
+// file of any other version (the retired v1 and v3 included) is an
+// IoError("unsupported snapshot version N"); `rtr convert` re-creates a
+// current snapshot from a text graph. Together with delta files
+// (graph/delta.h) this is the on-disk story for live graphs: one base
+// snapshot per epoch plus a chain of deltas to catch up from.
 
 inline constexpr char kSnapshotMagic[8] = {'r', 't', 'r', '-',
                                            's', 'n', 'a', 'p'};
-// Version the writer emits.
+// The one version the writer emits and the loaders read.
 inline constexpr uint32_t kSnapshotVersion = 2;
-// Version range the loader reads.
-inline constexpr uint32_t kMinSnapshotVersion = 1;
-inline constexpr uint32_t kMaxSnapshotVersion = 3;
 
 Status SaveGraphSnapshot(const Graph& g, std::ostream& out,
                          uint64_t generation = 0);
 Status SaveGraphSnapshotToFile(const Graph& g, const std::string& path,
                                uint64_t generation = 0);
 
-// `generation` (optional) receives the header's generation id (0 for v1
-// files) when the load succeeds.
-StatusOr<Graph> LoadGraphSnapshot(std::istream& in,
-                                  uint64_t* generation = nullptr);
+// The bulk loader. `generation` (optional) receives the header's
+// generation id when the load succeeds.
 StatusOr<Graph> LoadGraphSnapshotFromFile(const std::string& path,
                                           uint64_t* generation = nullptr);
 
@@ -124,16 +115,14 @@ class MappedSnapshot {
 // mmap-to-bulk-read fallback without an actually unmappable file.
 void SetMmapFailForTesting(bool fail);
 
-// How LoadGraphAuto brings a snapshot online.
+// How LoadGraphAuto brings a snapshot online. The caller chooses; nothing
+// in the environment overrides it.
 enum class MapMode {
-  // Resolve from the environment: RTR_GRAPH_MMAP=1 (or "on") means kPrefer,
-  // anything else means kNever. The default everywhere, so one env var
-  // flips every loader in a process (CI runs the whole suite both ways).
-  kAuto,
-  // Bulk read into a heap image (the classic path).
+  // Bulk read into a heap image (the default).
   kNever,
   // Try the mapped loader; on failure log a WARNING, bump the
   // `rtr_store_mmap_fallbacks` counter, and fall back to the bulk read.
+  // mmap can fail (ENODEV, ENOMEM) on a file a plain read still loads.
   kPrefer,
 };
 
@@ -166,7 +155,7 @@ StatusOr<bool> IsSnapshotFile(const std::string& path);
 // (text graphs are generation 0).
 StatusOr<Graph> LoadGraphAuto(const std::string& path,
                               uint64_t* generation = nullptr,
-                              MapMode map_mode = MapMode::kAuto);
+                              MapMode map_mode = MapMode::kNever);
 
 }  // namespace rtr
 

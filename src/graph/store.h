@@ -18,10 +18,10 @@
 // publish and every delta must name the generation it applies to — a stale
 // delta is rejected instead of silently rebased.
 //
-// Disk catch-up (the v2 storage story): Open() brings a store up from a
-// base snapshot (generation id in the snapshot header, graph/snapshot.h)
-// and CatchUp() replays checksummed delta files (graph/delta.h) until the
-// store reaches the producer's generation.
+// Disk catch-up: Open() brings a store up from a base snapshot (generation
+// id in the snapshot header, graph/snapshot.h), bulk-read unless the caller
+// asks for a mapping, and CatchUp() replays checksummed delta files
+// (graph/delta.h) until the store reaches the producer's generation.
 //
 // Thread safety: every member is safe to call concurrently; Pin() is a
 // mutex-protected pointer copy (no allocation, no graph access), and
@@ -63,12 +63,12 @@ class GraphStore {
   // Process bring-up from a saved base: binary snapshots carry their
   // generation id in the header; text graphs start at generation 0.
   // `map_mode` selects the snapshot loader (graph/snapshot.h): the default
-  // kAuto honors RTR_GRAPH_MMAP, kPrefer maps the file zero-copy.
+  // kNever bulk-reads the file, kPrefer maps it zero-copy.
   // A mapped base generation is safe here: Apply/CatchUp read the base only
   // through its column spans and assemble the next generation's columns
   // afresh (copy-on-write), never in place.
   static StatusOr<std::unique_ptr<GraphStore>> Open(
-      const std::string& path, MapMode map_mode = MapMode::kAuto);
+      const std::string& path, MapMode map_mode = MapMode::kNever);
 
   // Pins the current generation for the caller's lifetime-of-use.
   PinnedGraph Pin() const;

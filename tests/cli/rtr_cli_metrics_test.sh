@@ -32,13 +32,18 @@ check "metrics file is non-empty" 0 $?
 
 # --- exposition shape ----------------------------------------------------
 
-# The required coverage: serve, cache, store, pool, and per-phase series.
+# The required coverage: serve, cache, store, and per-phase series.
 for series in rtr_serve_completed_total rtr_serve_latency_ms_count \
               rtr_serve_qps rtr_cache_hits_total rtr_store_generation \
-              rtr_store_pins_total rtr_pool_jobs_total rtr_query_phase_ms; do
+              rtr_store_pins_total rtr_query_phase_ms; do
   grep -q "$series" "$TMP/metrics.txt"
   check "exposition covers $series" 0 $?
 done
+
+# Serving never runs the util::ParallelFor kernels, so serve must not start
+# the kernel pool: no rtr_pool_* series at all.
+grep -q "rtr_pool_jobs_total" "$TMP/metrics.txt"
+check "exposition has no rtr_pool_jobs_total (no kernel pool)" 1 $?
 
 grep -q '# TYPE rtr_serve_completed_total counter' "$TMP/metrics.txt"
 check "counters carry a # TYPE line" 0 $?

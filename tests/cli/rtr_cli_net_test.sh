@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end test of the networked tier CLI (DESIGN.md §12):
-# three `rtr_cli gp-serve` shards on ephemeral localhost ports, a
-# `rtr_cli serve --gps` front that ranks through them over TCP, then a
-# SIGTERM shutdown check — clean exit message, exit code 0, no orphan
-# processes, and the listening port actually released. Registered with
+# three `rtr_cli gp-serve` shards on ephemeral localhost ports (one of them
+# mapping its snapshot with --mmap), a `rtr_cli serve --gps` front that
+# ranks through them over TCP, `serve --mmap`, the --mmap and --graph usage
+# errors, then a SIGTERM shutdown check — clean exit message, exit code 0,
+# no orphan processes, and the listening port actually released. Registered with
 # ctest by the root CMakeLists; $1 is the path to the rtr_cli binary.
 set -u
 
@@ -46,10 +47,14 @@ check "convert text graph to snapshot" 0 $?
 
 # --- bring up three shards on ephemeral ports ----------------------------
 
+# Shard 0 maps the snapshot (--mmap); shards 1 and 2 bulk-read it, so the
+# front below ranks over both backings at once.
 NUM_GPS=3
 for shard in 0 1 2; do
+  mmap_flag=""
+  [ "$shard" -eq 0 ] && mmap_flag="--mmap"
   "$CLI" gp-serve --graph "$TMP/g.rtrsnap" --shard "$shard/$NUM_GPS" \
-    --port 0 > "$TMP/gp$shard.out" 2> "$TMP/gp$shard.err" &
+    --port 0 $mmap_flag > "$TMP/gp$shard.out" 2> "$TMP/gp$shard.err" &
   GP_PIDS="$GP_PIDS $!"
 done
 
@@ -96,6 +101,16 @@ check "wire summary shows no faults on localhost" 0 $?
 grep -q "rtr_net_frames_sent_total" "$TMP/serve.out"
 check "exposition covers rtr_net_frames_sent_total" 0 $?
 
+# --mmap on a snapshot maps it: a fallback would print a note on stderr.
+grep -q "fell back" "$TMP/gp0.err"
+check "gp-serve --mmap shard mapped its snapshot (no fallback note)" 1 $?
+
+"$CLI" serve --graph "$TMP/g.rtrsnap" --mmap --queries 20 \
+  > /dev/null 2> "$TMP/serve_mmap.err"
+check "serve --graph snapshot --mmap" 0 $?
+grep -q "fell back" "$TMP/serve_mmap.err"
+check "serve --mmap mapped its snapshot (no fallback note)" 1 $?
+
 # --- error paths ---------------------------------------------------------
 
 "$CLI" serve --graph "$TMP/g.rtrsnap" --gps "127.0.0.1:1" --queries 5 \
@@ -113,6 +128,24 @@ for backend in local dist; do
 done
 grep -q "needs backend remote" "$TMP/mixed.err"
 check "the rejection names the remote backend" 0 $?
+
+# A text graph is never mapped, so --mmap on one is a usage error, not a
+# silent bulk read.
+"$CLI" serve --graph "$TMP/g.txt" --mmap --queries 5 \
+  > /dev/null 2> "$TMP/serve_mmap_text.err"
+check "serve --mmap rejects a text graph" 2 $?
+grep -q -- "--mmap needs a snapshot file" "$TMP/serve_mmap_text.err"
+check "serve names the snapshot requirement" 0 $?
+"$CLI" gp-serve --graph "$TMP/g.txt" --shard 0/1 --port 0 --mmap \
+  > /dev/null 2> "$TMP/gp_mmap_text.err"
+check "gp-serve --mmap rejects a text graph" 2 $?
+grep -q -- "--mmap needs a snapshot file" "$TMP/gp_mmap_text.err"
+check "gp-serve names the snapshot requirement" 0 $?
+
+"$CLI" gp-serve --shard 0/1 --port 0 > /dev/null 2> "$TMP/gp_nograph.err"
+check "gp-serve without --graph is a usage error" 2 $?
+grep -q -- "missing --graph" "$TMP/gp_nograph.err"
+check "gp-serve names the missing --graph" 0 $?
 
 "$CLI" gp-serve --graph "$TMP/g.rtrsnap" --shard "5/3" --port 0 \
   > /dev/null 2> /dev/null

@@ -410,34 +410,39 @@ TEST(DistributedTopKTest, PropagatesInvalidQuery) {
 
 // Shard bring-up from a snapshot file: LoadGraphAuto plus the loopback
 // constructor must stripe the same storage as a cluster built over the
-// in-memory graph, carry the snapshot's generation, and agree on queries.
+// in-memory graph, carry the snapshot's generation, and agree on queries,
+// whether the snapshot is bulk-read or mapped.
 TEST(ClusterTest, SnapshotLoadedClusterMatchesInMemory) {
   Graph g = SmallRandomishGraph();
   const std::string path =
       testing::TempDir() + "/rtr_cluster_test.rtrsnap";
   ASSERT_TRUE(SaveGraphSnapshotToFile(g, path, /*generation=*/5).ok());
-
-  uint64_t generation = 0;
-  StatusOr<Graph> loaded = LoadGraphAuto(path, &generation);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  dist::Cluster cluster(std::make_shared<const Graph>(std::move(*loaded)), 3,
-                        generation);
   dist::Cluster reference(NoCopy(g), 3);
-  EXPECT_EQ(cluster.num_gps(), 3);
-  EXPECT_EQ(cluster.generation(), 5u);
-  EXPECT_EQ(cluster.total_stored_bytes(), reference.total_stored_bytes());
-
   core::TopKParams params;
   params.k = 5;
   params.epsilon = 0.001;
-  core::QueryWorkspace workspace;
-  StatusOr<dist::DistributedTopKResult> result =
-      dist::DistributedTopK(cluster, {0}, params, workspace);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
   core::TopKResult local = core::FreshTopK(g, {0}, params).value();
-  ASSERT_EQ(result->topk.entries.size(), local.entries.size());
-  for (size_t i = 0; i < local.entries.size(); ++i) {
-    EXPECT_EQ(result->topk.entries[i].node, local.entries[i].node);
+
+  for (const MapMode backing : {MapMode::kNever, MapMode::kPrefer}) {
+    SCOPED_TRACE(backing == MapMode::kPrefer ? "kPrefer" : "kNever");
+    uint64_t generation = 0;
+    StatusOr<Graph> loaded = LoadGraphAuto(path, &generation, backing);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->is_mapped(), backing == MapMode::kPrefer);
+    dist::Cluster cluster(std::make_shared<const Graph>(std::move(*loaded)),
+                          3, generation);
+    EXPECT_EQ(cluster.num_gps(), 3);
+    EXPECT_EQ(cluster.generation(), 5u);
+    EXPECT_EQ(cluster.total_stored_bytes(), reference.total_stored_bytes());
+
+    core::QueryWorkspace workspace;
+    StatusOr<dist::DistributedTopKResult> result =
+        dist::DistributedTopK(cluster, {0}, params, workspace);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->topk.entries.size(), local.entries.size());
+    for (size_t i = 0; i < local.entries.size(); ++i) {
+      EXPECT_EQ(result->topk.entries[i].node, local.entries[i].node);
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // Zero-copy mapped snapshot loading: bit-identity against the bulk loader,
-// MapMode resolution, bulk-read fallback (with its counter), the
+// the two MapMode values, bulk-read fallback (with its counter), the
 // RTR_MMAP_VERIFY checksum pass, column sharing between copies of every
-// Graph origin, read-and-skip of legacy v3 files, and the copy-on-write
-// contract of delta application on a mapped base generation.
+// Graph origin, and the copy-on-write contract of delta application on a
+// mapped base generation.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -190,31 +190,6 @@ TEST(MmapTest, MapModePreferMapsWhenPossible) {
   EXPECT_TRUE(g->is_mapped());
 }
 
-TEST(MmapTest, MapModeAutoHonorsEnv) {
-  const std::string path = WriteSnapshot(TrickyGraph(), "mmap_env.rtrsnap");
-  // The test owns the variable for its duration (the CI matrix also runs
-  // the whole suite under RTR_GRAPH_MMAP=1); restore the inherited value
-  // at the end.
-  const char* inherited = ::getenv("RTR_GRAPH_MMAP");
-  const std::string saved = inherited != nullptr ? inherited : "";
-
-  ::unsetenv("RTR_GRAPH_MMAP");
-  StatusOr<Graph> off = LoadGraphAuto(path);
-  ::setenv("RTR_GRAPH_MMAP", "1", /*overwrite=*/1);
-  StatusOr<Graph> on = LoadGraphAuto(path);
-  if (inherited != nullptr) {
-    ::setenv("RTR_GRAPH_MMAP", saved.c_str(), /*overwrite=*/1);
-  } else {
-    ::unsetenv("RTR_GRAPH_MMAP");
-  }
-
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off->is_mapped());
-  ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(on->is_mapped());
-  ExpectGraphsIdentical(*off, *on);
-}
-
 TEST(MmapTest, PreferFallsBackToBulkReadAndCounts) {
   const std::string path =
       WriteSnapshot(TrickyGraph(), "mmap_fallback.rtrsnap");
@@ -353,101 +328,9 @@ TEST(MmapTest, CopiesShareTheColumnsOfEveryOrigin) {
   }
 }
 
-// TrickyGraph() at generation 3 as written by the v3 writer (before the
-// f32 columns were retired): the v2 layout plus two padded f32 prob
-// sections, covered by the checksum.
-constexpr unsigned char kTrickyV3Snapshot[] = {
-    0x72, 0x74, 0x72, 0x2d, 0x73, 0x6e, 0x61, 0x70, 0x03, 0x00, 0x00, 0x00,
-    0x40, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x72, 0x7e, 0x42, 0xd2, 0xd3, 0x49, 0x08, 0x78, 0x03, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x75, 0x6e, 0x74, 0x79,
-    0x70, 0x65, 0x64, 0x05, 0x00, 0x00, 0x00, 0x70, 0x61, 0x70, 0x65, 0x72,
-    0x06, 0x00, 0x00, 0x00, 0x61, 0x75, 0x74, 0x68, 0x6f, 0x72, 0x00, 0x00,
-    0x01, 0x00, 0x02, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x01, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
-    0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1c, 0x40, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0xc0, 0x3f, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f,
-    0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xe3, 0x3f, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0xf0, 0x3f, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f,
-    0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xe5, 0x3f, 0x04, 0xf7, 0x11, 0xdc,
-    0x47, 0x70, 0xef, 0x3f, 0x70, 0x1f, 0xc1, 0x7d, 0x04, 0xf7, 0x91, 0x3f,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x40, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x80, 0x1c, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1c, 0x40,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
-    0x04, 0xf7, 0x11, 0xdc, 0x47, 0x70, 0xef, 0x3f, 0x9a, 0x99, 0x99, 0x99,
-    0x99, 0x99, 0xd9, 0x3f, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xd5, 0x3f,
-    0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xe3, 0x3f, 0x70, 0x1f, 0xc1, 0x7d,
-    0x04, 0xf7, 0x91, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
-    0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xe5, 0x3f, 0xcd, 0xcc, 0xcc, 0x3e,
-    0x9a, 0x99, 0x19, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0xab, 0xaa, 0xaa, 0x3e,
-    0xab, 0xaa, 0x2a, 0x3f, 0x3f, 0x82, 0x7b, 0x3f, 0x24, 0xb8, 0x8f, 0x3c,
-    0x00, 0x00, 0x00, 0x00, 0x3f, 0x82, 0x7b, 0x3f, 0xcd, 0xcc, 0xcc, 0x3e,
-    0xab, 0xaa, 0xaa, 0x3e, 0x9a, 0x99, 0x19, 0x3f, 0x24, 0xb8, 0x8f, 0x3c,
-    0x00, 0x00, 0x80, 0x3f, 0xab, 0xaa, 0x2a, 0x3f, 0x00, 0x00, 0x00, 0x00};
-
-// A legacy v3 file still loads, through both loaders, to exactly the graph
-// its v2 twin loads to: the f32 sections are size-checked and skipped.
-TEST(MmapTest, V3SnapshotLoadsLikeItsV2Twin) {
-  const std::string v3_path = testing::TempDir() + "/mmap_legacy_v3.rtrsnap";
-  {
-    std::FILE* f = std::fopen(v3_path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(kTrickyV3Snapshot, 1, sizeof(kTrickyV3Snapshot), f),
-              sizeof(kTrickyV3Snapshot));
-    std::fclose(f);
-  }
-  StatusOr<SnapshotFileInfo> info = ReadSnapshotFileInfo(v3_path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->version, 3u);
-
-  const std::string v2_path =
-      WriteSnapshot(TrickyGraph(), "mmap_twin_v2.rtrsnap", /*generation=*/3);
-  StatusOr<Graph> v2 = LoadGraphSnapshotFromFile(v2_path);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-
-  uint64_t bulk_generation = 0;
-  uint64_t mapped_generation = 0;
-  StatusOr<Graph> bulk = LoadGraphSnapshotFromFile(v3_path, &bulk_generation);
-  ASSERT_TRUE(bulk.ok()) << bulk.status().ToString();
-  StatusOr<Graph> mapped = LoadGraphMapped(v3_path, &mapped_generation);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->is_mapped());
-  EXPECT_EQ(bulk_generation, 3u);
-  EXPECT_EQ(mapped_generation, 3u);
-  ExpectGraphsIdentical(*v2, *bulk);
-  ExpectGraphsIdentical(*v2, *mapped);
-  EXPECT_EQ(bulk->MemoryBytes(), v2->MemoryBytes());
-}
-
-// The copy-on-write regression of the satellite list: applying a delta to
-// a mapped base generation must build the next generation in owning
-// storage, leave the mapped base untouched, and match a from-scratch
-// rebuild byte for byte.
+// Copy-on-write: applying a delta to a mapped base generation must build
+// the next generation in owning storage, leave the mapped base untouched,
+// and match a from-scratch rebuild byte for byte.
 TEST(MmapTest, StoreApplyOnMappedBaseCopiesOnWrite) {
   const Graph base = RandomGraph(21, 100);
   const std::string path =

@@ -1,6 +1,7 @@
 // Binary snapshot round-trips (bit-identical columns) and corruption
-// handling: truncation, trailing garbage, checksum flips, header lies, and
-// a seeded mutation sweep over both loaders.
+// handling: truncation, trailing garbage, checksum flips, header lies,
+// versions other than the one the writer emits, and a seeded mutation
+// sweep over both loaders.
 #include "graph/snapshot.h"
 
 #include <cstdint>
@@ -9,7 +10,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -88,15 +88,34 @@ void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
   ExpectColumnsEq(a.in_probs(), b.in_probs());
 }
 
-std::string Snapshot(const Graph& g) {
+// Header field offsets (see the layout in graph/snapshot.h).
+constexpr size_t kVersionAt = 8;
+constexpr size_t kNumTypesAt = 16;
+constexpr size_t kChecksumAt = 48;
+constexpr size_t kHeaderSize = 64;
+
+std::string Snapshot(const Graph& g, uint64_t generation = 0) {
   std::ostringstream out;
-  EXPECT_TRUE(SaveGraphSnapshot(g, out).ok());
+  EXPECT_TRUE(SaveGraphSnapshot(g, out, generation).ok());
   return out.str();
 }
 
-StatusOr<Graph> Load(const std::string& bytes) {
-  std::istringstream in(bytes);
-  return LoadGraphSnapshot(in);
+// Writes `bytes` to a file named after the running test (ctest runs tests
+// in parallel, so each needs its own) and returns the path.
+std::string WriteBytes(const std::string& bytes) {
+  const std::string path =
+      testing::TempDir() + "/rtr_snapshot_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".rtrsnap";
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(out.good());
+  return path;
+}
+
+// The bulk loader over `bytes`.
+StatusOr<Graph> Load(const std::string& bytes, uint64_t* generation = nullptr) {
+  return LoadGraphSnapshotFromFile(WriteBytes(bytes), generation);
 }
 
 TEST(SnapshotTest, RoundTripTrickyGraphBitIdentical) {
@@ -175,10 +194,27 @@ TEST(SnapshotTest, BadMagicRejected) {
   EXPECT_FALSE(Load(bytes).ok());
 }
 
+// The loaders read exactly the version the writer emits: the retired v1
+// and v3 and an unknown v99 are all refused, by both loaders and by the
+// header-only reader.
 TEST(SnapshotTest, BadVersionRejected) {
-  std::string bytes = Snapshot(TrickyGraph());
-  bytes[8] = 99;  // version field
-  EXPECT_FALSE(Load(bytes).ok());
+  for (const uint32_t version : {1u, 3u, 99u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string bytes = Snapshot(TrickyGraph());
+    std::memcpy(&bytes[kVersionAt], &version, sizeof(version));
+    const std::string path = WriteBytes(bytes);
+    const std::string expected =
+        "unsupported snapshot version " + std::to_string(version);
+    const StatusOr<Graph> bulk = LoadGraphSnapshotFromFile(path);
+    const StatusOr<Graph> mapped = LoadGraphMapped(path);
+    const StatusOr<SnapshotFileInfo> info = ReadSnapshotFileInfo(path);
+    for (const Status& status : {bulk.status(), mapped.status(),
+                                 info.status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kIoError);
+      EXPECT_NE(status.ToString().find(expected), std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
 TEST(SnapshotTest, LyingArcCountRejected) {
@@ -202,6 +238,9 @@ TEST(SnapshotTest, LyingNodeCountRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
+// Both backings a caller can choose for a snapshot.
+constexpr MapMode kBackings[] = {MapMode::kNever, MapMode::kPrefer};
+
 TEST(SnapshotTest, FileRoundTripAndAutoDetect) {
   Graph g = TrickyGraph();
   const std::string dir = testing::TempDir();
@@ -213,13 +252,19 @@ TEST(SnapshotTest, FileRoundTripAndAutoDetect) {
   EXPECT_TRUE(IsSnapshotFile(snap_path).value());
   EXPECT_FALSE(IsSnapshotFile(text_path).value());
 
-  // Auto-detection routes both formats to a working loader.
-  StatusOr<Graph> from_snap = LoadGraphAuto(snap_path);
-  ASSERT_TRUE(from_snap.ok());
-  ExpectGraphsIdentical(g, *from_snap);
-  StatusOr<Graph> from_text = LoadGraphAuto(text_path);
-  ASSERT_TRUE(from_text.ok());
-  EXPECT_EQ(from_text->num_arcs(), g.num_arcs());
+  // Auto-detection routes both formats to a working loader under either
+  // backing; only a snapshot is ever mapped.
+  for (const MapMode backing : kBackings) {
+    SCOPED_TRACE(backing == MapMode::kPrefer ? "kPrefer" : "kNever");
+    StatusOr<Graph> from_snap = LoadGraphAuto(snap_path, nullptr, backing);
+    ASSERT_TRUE(from_snap.ok());
+    EXPECT_EQ(from_snap->is_mapped(), backing == MapMode::kPrefer);
+    ExpectGraphsIdentical(g, *from_snap);
+    StatusOr<Graph> from_text = LoadGraphAuto(text_path, nullptr, backing);
+    ASSERT_TRUE(from_text.ok());
+    EXPECT_FALSE(from_text->is_mapped());
+    EXPECT_EQ(from_text->num_arcs(), g.num_arcs());
+  }
 }
 
 TEST(SnapshotTest, MissingFileRejected) {
@@ -243,52 +288,21 @@ TEST(SnapshotTest, LoadedGraphBehavesIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 generation field (graph/store.h) and v1 compatibility.
+// The generation field (graph/store.h).
 
 TEST(SnapshotTest, GenerationRoundTrip) {
   Graph g = TrickyGraph();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveGraphSnapshot(g, out, 42).ok());
-  std::istringstream in(out.str());
   uint64_t generation = 0;
-  StatusOr<Graph> loaded = LoadGraphSnapshot(in, &generation);
+  StatusOr<Graph> loaded = Load(Snapshot(g, 42), &generation);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(generation, 42u);
   ExpectGraphsIdentical(g, *loaded);
 }
 
 TEST(SnapshotTest, DefaultGenerationIsZero) {
-  std::istringstream in(Snapshot(TrickyGraph()));
   uint64_t generation = 99;
-  ASSERT_TRUE(LoadGraphSnapshot(in, &generation).ok());
+  ASSERT_TRUE(Load(Snapshot(TrickyGraph()), &generation).ok());
   EXPECT_EQ(generation, 0u);
-}
-
-TEST(SnapshotTest, V1SnapshotLoadsAsGenerationZero) {
-  // A v1 file is byte-identical to a v2 file at generation 0 except for the
-  // version word; rewriting it exercises the legacy-load path.
-  std::string bytes = Snapshot(TrickyGraph());
-  const uint32_t v1 = 1;
-  std::memcpy(&bytes[8], &v1, sizeof(v1));
-  std::istringstream in(bytes);
-  uint64_t generation = 99;
-  StatusOr<Graph> loaded = LoadGraphSnapshot(in, &generation);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(generation, 0u);
-  ExpectGraphsIdentical(TrickyGraph(), *loaded);
-}
-
-TEST(SnapshotTest, V1SnapshotWithNonzeroReservedFieldRejected) {
-  // v1 wrote a zeroed reserved word where v2 keeps the generation; a v1
-  // header with that word set is corrupt, not "a generation".
-  std::ostringstream out;
-  ASSERT_TRUE(SaveGraphSnapshot(TrickyGraph(), out, 7).ok());
-  std::string bytes = out.str();
-  const uint32_t v1 = 1;
-  std::memcpy(&bytes[8], &v1, sizeof(v1));
-  StatusOr<Graph> loaded = Load(bytes);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
 TEST(SnapshotTest, ReadSnapshotFileInfoReportsHeader) {
@@ -322,24 +336,25 @@ TEST(SnapshotTest, LoadGraphAutoReportsGeneration) {
   const std::string text_path = dir + "/rtr_snapshot_gen.txt";
   ASSERT_TRUE(SaveGraphSnapshotToFile(g, snap_path, 5).ok());
   ASSERT_TRUE(SaveGraphToFile(g, text_path).ok());
-  uint64_t generation = 99;
-  ASSERT_TRUE(LoadGraphAuto(snap_path, &generation).ok());
-  EXPECT_EQ(generation, 5u);
-  generation = 99;
-  ASSERT_TRUE(LoadGraphAuto(text_path, &generation).ok());
-  EXPECT_EQ(generation, 0u);  // text graphs carry no generation
+  for (const MapMode backing : kBackings) {
+    SCOPED_TRACE(backing == MapMode::kPrefer ? "kPrefer" : "kNever");
+    uint64_t generation = 99;
+    StatusOr<Graph> snap = LoadGraphAuto(snap_path, &generation, backing);
+    ASSERT_TRUE(snap.ok());
+    EXPECT_EQ(snap->is_mapped(), backing == MapMode::kPrefer);
+    EXPECT_EQ(generation, 5u);
+    generation = 99;
+    StatusOr<Graph> text = LoadGraphAuto(text_path, &generation, backing);
+    ASSERT_TRUE(text.ok());
+    EXPECT_FALSE(text->is_mapped());
+    EXPECT_EQ(generation, 0u);  // text graphs carry no generation
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Seeded mutation sweep over the decoder. Every mutant of a valid v1/v2/v3
-// file must map to OK or a typed IoError from both loaders; an accepted
-// graph must be safe to traverse end to end.
-
-// Header field offsets (see the layout in graph/snapshot.h).
-constexpr size_t kVersionAt = 8;
-constexpr size_t kNumTypesAt = 16;
-constexpr size_t kChecksumAt = 48;
-constexpr size_t kHeaderSize = 64;
+// Seeded mutation sweep over the decoder. Every mutant of a valid file
+// must map to OK or a typed IoError from both loaders; an accepted graph
+// must be safe to traverse end to end.
 
 // Recomputes the payload checksum, so a payload mutant gets past the
 // integrity pass and reaches the structural validation behind it.
@@ -356,35 +371,6 @@ const MutationFormat kSnapshotFormat = {
                       kNumTypesAt + 24},
     .reseal = Reseal,
 };
-
-void SetVersion(std::string* bytes, uint32_t version) {
-  std::memcpy(bytes->data() + kVersionAt, &version, sizeof(version));
-}
-
-void AppendF32Section(std::string* bytes, std::span<const double> probs) {
-  for (double p : probs) {
-    const float f = static_cast<float>(p);
-    bytes->append(reinterpret_cast<const char*>(&f), sizeof(f));
-  }
-  bytes->append((8 - bytes->size() % 8) % 8, '\0');
-}
-
-// The three on-disk versions of one graph: v1 (generation word zero), v2
-// at a nonzero generation, and v3 (v2 plus the two legacy f32 prob
-// sections under the checksum).
-std::vector<std::string> AllVersions(const Graph& g) {
-  std::string v1 = Snapshot(g);
-  SetVersion(&v1, 1);
-  std::ostringstream out;
-  EXPECT_TRUE(SaveGraphSnapshot(g, out, 9).ok());
-  const std::string v2 = out.str();
-  std::string v3 = v2;
-  SetVersion(&v3, 3);
-  AppendF32Section(&v3, g.out_probs());
-  AppendF32Section(&v3, g.in_probs());
-  Reseal(&v3);
-  return {v1, v2, v3};
-}
 
 // Reads every element of every span an algorithm may touch; under ASan an
 // out-of-bounds offset, endpoint or type id fails here.
@@ -436,64 +422,56 @@ TEST(SnapshotTest, NonzeroTypeNamePaddingRejectedByBothLoaders) {
   bytes[kHeaderSize + names_bytes] = 1;
   Reseal(&bytes);
 
-  const std::string path = testing::TempDir() + "/rtr_snapshot_pad.rtrsnap";
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-  for (const StatusOr<Graph>& result : {Load(bytes), LoadGraphMapped(path)}) {
+  const std::string path = WriteBytes(bytes);
+  for (const StatusOr<Graph>& result :
+       {LoadGraphSnapshotFromFile(path), LoadGraphMapped(path)}) {
     EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   }
 }
 
 TEST(SnapshotTest, SeededMutantsGiveOkOrIoErrorFromBothLoaders) {
-  const std::string path =
-      testing::TempDir() + "/rtr_snapshot_mutant.rtrsnap";
   Rng rng(20130408);
   size_t accepted = 0;
   size_t rejected = 0;
   for (const Graph& g : {TrickyGraph(), RandomGraph(3), RandomGraph(4, 17)}) {
-    for (const std::string& original : AllVersions(g)) {
-      ASSERT_TRUE(Load(original).ok());  // each unmutated version loads
-      for (int i = 0; i < 160; ++i) {
-        const Mutant mutant = Mutate(original, kSnapshotFormat, rng);
-        const std::string& bytes = mutant.bytes;
-        SCOPED_TRACE("mutation " +
-                     std::to_string(static_cast<int>(mutant.kind)) +
-                     (mutant.sealed ? " (resealed)" : "") + ", version " +
-                     std::to_string(ReadWord(original, kVersionAt, 4)) +
-                     ", iteration " + std::to_string(i));
+    // At a nonzero generation, as a store that has applied deltas saves it.
+    const std::string original = Snapshot(g, 9);
+    ASSERT_TRUE(Load(original).ok());  // the unmutated file loads
+    for (int i = 0; i < 480; ++i) {
+      const Mutant mutant = Mutate(original, kSnapshotFormat, rng);
+      SCOPED_TRACE("mutation " +
+                   std::to_string(static_cast<int>(mutant.kind)) +
+                   (mutant.sealed ? " (resealed)" : "") + ", iteration " +
+                   std::to_string(i));
 
-        std::istringstream in(bytes);
-        StatusOr<Graph> bulk = LoadGraphSnapshot(in);
-        {
-          std::ofstream out(path, std::ios::binary | std::ios::trunc);
-          out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        }
-        StatusOr<Graph> mapped = LoadGraphMapped(path);
+      const std::string path = WriteBytes(mutant.bytes);
+      StatusOr<Graph> bulk = LoadGraphSnapshotFromFile(path);
+      StatusOr<Graph> mapped = LoadGraphMapped(path);
 
-        for (const StatusOr<Graph>* result : {&bulk, &mapped}) {
-          if (result->ok()) {
-            TraverseEverySpan(**result);
-          } else {
-            EXPECT_EQ(result->status().code(), StatusCode::kIoError)
-                << result->status().ToString();
-          }
-        }
-        if (mutant.kind == Mutation::kTruncate) {
-          EXPECT_FALSE(bulk.ok());
-          EXPECT_FALSE(mapped.ok());
-        }
-        if (bulk.ok()) {
-          // The mapped loader runs the same structural checks, skipping
-          // only the checksum, so it accepts whatever the bulk loader does
-          // and exposes the same columns.
-          ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-          ExpectSameBytes(*bulk, *mapped);
-          // Without a resealed checksum, only the header-only generation
-          // word can change and still load.
-          if (!mutant.sealed) ExpectGraphsIdentical(g, *bulk);
-          ++accepted;
+      for (const StatusOr<Graph>* result : {&bulk, &mapped}) {
+        if (result->ok()) {
+          TraverseEverySpan(**result);
         } else {
-          ++rejected;
+          EXPECT_EQ(result->status().code(), StatusCode::kIoError)
+              << result->status().ToString();
         }
+      }
+      if (mutant.kind == Mutation::kTruncate) {
+        EXPECT_FALSE(bulk.ok());
+        EXPECT_FALSE(mapped.ok());
+      }
+      if (bulk.ok()) {
+        // The mapped loader runs the same structural checks, skipping
+        // only the checksum, so it accepts whatever the bulk loader does
+        // and exposes the same columns.
+        ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+        ExpectSameBytes(*bulk, *mapped);
+        // Without a resealed checksum, only the header-only generation
+        // word can change and still load.
+        if (!mutant.sealed) ExpectGraphsIdentical(g, *bulk);
+        ++accepted;
+      } else {
+        ++rejected;
       }
     }
   }

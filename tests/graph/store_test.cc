@@ -126,25 +126,32 @@ TEST(GraphStoreTest, OpenSnapshotAndCatchUpFromDeltaFiles) {
   ASSERT_TRUE(SaveGraphDeltaToFile(GrowChain(5, 4), d1_path).ok());
   ASSERT_TRUE(SaveGraphDeltaToFile(GrowChain(6, 5), d2_path).ok());
 
-  StatusOr<std::unique_ptr<GraphStore>> store = GraphStore::Open(base_path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->generation(), 5u);
-
-  // Replaying out of order is a FailedPrecondition, not a rebase.
-  StatusOr<uint64_t> wrong = (*store)->CatchUp(d2_path);
-  ASSERT_FALSE(wrong.ok());
-  EXPECT_EQ(wrong.status().code(), StatusCode::kFailedPrecondition);
-
-  ASSERT_EQ((*store)->CatchUp(d1_path).value(), 6u);
-  ASSERT_EQ((*store)->CatchUp(d2_path).value(), 7u);
-  EXPECT_EQ((*store)->Pin().graph->num_nodes(), 6u);
-
   // The caught-up store matches an in-memory application chain.
   GraphStore reference(ChainGraph(4), 5);
   ASSERT_TRUE(reference.Apply(GrowChain(5, 4)).ok());
   ASSERT_TRUE(reference.Apply(GrowChain(6, 5)).ok());
-  EXPECT_EQ((*store)->Pin().graph->num_arcs(),
-            reference.Pin().graph->num_arcs());
+
+  // Either backing of the base; the deltas build owning generations on top.
+  for (const MapMode backing : {MapMode::kNever, MapMode::kPrefer}) {
+    SCOPED_TRACE(backing == MapMode::kPrefer ? "kPrefer" : "kNever");
+    StatusOr<std::unique_ptr<GraphStore>> store =
+        GraphStore::Open(base_path, backing);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->generation(), 5u);
+    EXPECT_EQ((*store)->Pin().graph->is_mapped(),
+              backing == MapMode::kPrefer);
+
+    // Replaying out of order is a FailedPrecondition, not a rebase.
+    StatusOr<uint64_t> wrong = (*store)->CatchUp(d2_path);
+    ASSERT_FALSE(wrong.ok());
+    EXPECT_EQ(wrong.status().code(), StatusCode::kFailedPrecondition);
+
+    ASSERT_EQ((*store)->CatchUp(d1_path).value(), 6u);
+    ASSERT_EQ((*store)->CatchUp(d2_path).value(), 7u);
+    EXPECT_EQ((*store)->Pin().graph->num_nodes(), 6u);
+    EXPECT_EQ((*store)->Pin().graph->num_arcs(),
+              reference.Pin().graph->num_arcs());
+  }
 }
 
 TEST(GraphStoreTest, OpenTextGraphStartsAtGenerationZero) {

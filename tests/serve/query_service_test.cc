@@ -361,33 +361,39 @@ TEST(QueryServiceTest, ShutdownWithoutStartCompletesQueuedAsUnavailable) {
 
 // Snapshot-based bring-up: LoadGraphAuto plus the GraphStore constructor
 // must serve a snapshot-loaded graph at the snapshot's generation, with
-// results identical to a service over the in-memory original.
+// results identical to a service over the in-memory original, whether the
+// snapshot is bulk-read or mapped.
 TEST(QueryServiceTest, SnapshotLoadedServiceServesSnapshot) {
   const Graph& g = SharedNet().graph();
   const std::string path =
       testing::TempDir() + "/rtr_query_service_test.rtrsnap";
   ASSERT_TRUE(SaveGraphSnapshotToFile(g, path, /*generation=*/3).ok());
-
-  uint64_t generation = 0;
-  StatusOr<Graph> loaded = LoadGraphAuto(path, &generation);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ServiceOptions options;
-  options.num_workers = 2;
-  QueryService service(
-      std::make_shared<GraphStore>(
-          std::make_shared<const Graph>(std::move(*loaded)), generation),
-      options);
-  ASSERT_TRUE(service.Start().ok());
-
-  NodeId query = MixedQueryStream(g, 1, 1, 17)[0];
-  StatusOr<ServeResponse> response = service.Call({{query}, DefaultParams()});
-  ASSERT_TRUE(response.ok());
-  ASSERT_TRUE(response->status.ok());
-  EXPECT_EQ(response->generation, 3u);
-  core::TopKResult expected =
+  const NodeId query = MixedQueryStream(g, 1, 1, 17)[0];
+  const core::TopKResult expected =
       core::FreshTopK(g, {query}, DefaultParams()).value();
-  ExpectBitIdentical(response->topk, expected, query);
-  service.Shutdown();
+
+  for (const MapMode backing : {MapMode::kNever, MapMode::kPrefer}) {
+    SCOPED_TRACE(backing == MapMode::kPrefer ? "kPrefer" : "kNever");
+    uint64_t generation = 0;
+    StatusOr<Graph> loaded = LoadGraphAuto(path, &generation, backing);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->is_mapped(), backing == MapMode::kPrefer);
+    ServiceOptions options;
+    options.num_workers = 2;
+    QueryService service(
+        std::make_shared<GraphStore>(
+            std::make_shared<const Graph>(std::move(*loaded)), generation),
+        options);
+    ASSERT_TRUE(service.Start().ok());
+
+    StatusOr<ServeResponse> response =
+        service.Call({{query}, DefaultParams()});
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response->status.ok());
+    EXPECT_EQ(response->generation, 3u);
+    ExpectBitIdentical(response->topk, expected, query);
+    service.Shutdown();
+  }
 }
 
 TEST(QueryServiceTest, SnapshotLoadRejectsMissingAndCorruptFiles) {

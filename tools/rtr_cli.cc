@@ -14,31 +14,31 @@
 //                   [--queries 200] [--qps 200] [--workers 4] [--queue 256]
 //                   [--cache 1] [--cache-capacity 1024]
 //                   [--backend local|dist] [--gps 4] [--k 10] [--eps 0.01]
-//                   [--slo-ms 50] [--repeat 0.5] [--seed 7] [--threads N]
+//                   [--slo-ms 50] [--repeat 0.5] [--seed 7]
 //                   [--metrics-out metrics.txt] [--metrics-interval-ms 1000]
 //                   [--trace N] [--tracing 0|1]
 //                   [--scheduler] [--batch 8] [--deadline-ms D]
 //                   [--eps-band MAX] [--replay stream.rtrq]
+//   rtr gp-serve    --graph g.rtrsnap --shard k/N [--port 0] [--mmap]
 //
 // Every --graph flag accepts either the text format of graph/io.h or the
 // binary snapshot format of graph/snapshot.h, auto-detected by magic;
 // `convert` translates between the two (a text input becomes a snapshot and
-// vice versa). `serve --mmap` loads a snapshot graph zero-copy via mmap
-// (MapMode::kPrefer, with a logged bulk-read fallback); without the flag,
-// the RTR_GRAPH_MMAP env var decides. `generate` emits the synthetic
-// datasets used by the benchmark suite. `info` on a binary snapshot or
-// delta file prints the header (format version, generation, counts,
-// checksum) without loading the payload. `diff` computes the delta between two append-only graph
-// versions; `apply-delta` replays delta files onto a base through a
-// graph::GraphStore and writes the resulting generation as a v2 snapshot.
+// vice versa). A snapshot is bulk-read unless the caller passes --mmap:
+// `serve --mmap` and `gp-serve --mmap` map it zero-copy instead
+// (MapMode::kPrefer, with a logged bulk-read fallback) and refuse a text
+// graph, which is never mapped; no environment variable picks the loader.
+// `generate` emits the synthetic datasets used by the benchmark suite.
+// `info` on a binary snapshot or delta file prints the header (format
+// version, generation, counts, checksum) without loading the payload.
+// `diff` computes the delta between two append-only graph versions;
+// `apply-delta` replays delta files onto a base through a graph::GraphStore
+// and writes the resulting generation as a v2 snapshot.
 // `serve` replays a synthetic QLog query stream (or random queries on a
 // loaded graph) at a target QPS through the concurrent serve::QueryService
 // and reports throughput, tail latency, and cache behavior; with --delta, a
 // writer thread applies the listed delta files mid-replay, exercising the
 // live generation-swap path while queries are in flight.
-//
-// `serve --threads N` (or the RTR_NUM_THREADS env var) sizes the
-// util::ParallelFor kernel pool; results are bit-identical at any setting.
 //
 // Scheduling (DESIGN.md §11): `serve --scheduler` turns on cost-model
 // admission — shortest-predicted-job-first with batched worker drains of up
@@ -90,7 +90,6 @@
 #include "ranking/combinators.h"
 #include "ranking/pagerank.h"
 #include "serve/query_service.h"
-#include "util/parallel_for.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -180,6 +179,42 @@ Graph LoadGraphOrDie(const Flags& flags) {
     std::exit(1);
   }
   return std::move(graph).value();
+}
+
+// The --graph of `serve` and `gp-serve`. --mmap maps a snapshot zero-copy
+// (MapMode::kPrefer; a failed mapping falls back to a bulk read with a
+// logged warning). A text graph is never mapped, so --mmap on one is a
+// usage error instead of a silent bulk read. Returns 0, or the exit code
+// after printing why the graph did not load.
+int LoadServedGraph(const Flags& flags, std::shared_ptr<const Graph>* graph,
+                    uint64_t* generation) {
+  const std::string path = flags.GetString("graph", "");
+  if (path.empty()) {
+    std::fprintf(stderr, "missing --graph\n");
+    return 2;
+  }
+  const bool mmap = flags.GetBool("mmap");
+  if (mmap) {
+    rtr::StatusOr<bool> is_snapshot = rtr::IsSnapshotFile(path);
+    if (is_snapshot.ok() && !*is_snapshot) {
+      std::fprintf(stderr, "--mmap needs a snapshot file\n");
+      return 2;
+    }
+  }
+  rtr::StatusOr<Graph> loaded = rtr::LoadGraphAuto(
+      path, generation, mmap ? rtr::MapMode::kPrefer : rtr::MapMode::kNever);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "cannot load graph: %s\n",
+                 loaded.status().ToString().c_str());
+    return 1;
+  }
+  if (mmap && !loaded->is_mapped()) {
+    std::fprintf(stderr,
+                 "note: --mmap fell back to a bulk read (see warning "
+                 "above)\n");
+  }
+  *graph = std::make_shared<const Graph>(std::move(loaded).value());
+  return 0;
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -551,29 +586,11 @@ int CmdServe(const Flags& flags) {
   uint64_t generation = 0;
   std::unique_ptr<rtr::datasets::QLog> qlog;
   std::vector<NodeId> query_pool_source;  // candidate query nodes
-  // --mmap asks for the zero-copy snapshot loader (with bulk-read
-  // fallback); the default kAuto honors RTR_GRAPH_MMAP instead.
-  const rtr::MapMode map_mode =
-      flags.GetBool("mmap") ? rtr::MapMode::kPrefer : rtr::MapMode::kAuto;
-  if (flags.Has("graph")) {
-    rtr::StatusOr<Graph> loaded = rtr::LoadGraphAuto(
-        flags.GetString("graph", ""), &generation, map_mode);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "cannot load graph: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    if (flags.GetBool("mmap") && !loaded->is_mapped()) {
-      std::fprintf(stderr,
-                   "note: --mmap fell back to a bulk read (see warning "
-                   "above)\n");
-    }
-    graph_sp = std::make_shared<const Graph>(std::move(loaded).value());
+  // --mmap needs a file to map, so it makes --graph required.
+  if (flags.Has("graph") || flags.GetBool("mmap")) {
+    const int rc = LoadServedGraph(flags, &graph_sp, &generation);
+    if (rc != 0) return rc;
   } else {
-    if (flags.GetBool("mmap")) {
-      std::fprintf(stderr, "--mmap needs --graph <snapshot file>\n");
-      return 2;
-    }
     rtr::datasets::QLogConfig config;
     uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
     if (seed != 0) config.seed = seed;
@@ -670,16 +687,6 @@ int CmdServe(const Flags& flags) {
   if (metrics_interval_ms < 1) {
     std::fprintf(stderr, "--metrics-interval-ms must be >= 1\n");
     return 2;
-  }
-
-  // Kernel-pool width: --threads beats the RTR_NUM_THREADS env default.
-  if (flags.Has("threads")) {
-    int threads = flags.GetInt("threads", 0);
-    if (threads < 1) {
-      std::fprintf(stderr, "--threads must be >= 1\n");
-      return 2;
-    }
-    rtr::util::SetNumThreads(threads);
   }
 
   rtr::core::TopKParams params;
@@ -835,12 +842,12 @@ int CmdServe(const Flags& flags) {
 
   std::printf("serving %zu-node graph (generation %llu): %d queries at "
               "%.0f QPS, %d workers, queue %zu, cache %s, backend %s, "
-              "kernel threads %d, %zu pending deltas\n",
+              "%zu pending deltas\n",
               graph->num_nodes(),
               static_cast<unsigned long long>(generation), num_queries,
               target_qps, options.num_workers, options.queue_capacity,
               options.enable_cache ? "on" : "off", backend.c_str(),
-              rtr::util::NumThreads(), delta_paths.size());
+              delta_paths.size());
   if (options.scheduler.enabled) {
     std::printf("scheduler on: batch %zu, deadline %.1fms, eps band "
                 "[%.4f, %.4f]%s\n",
@@ -1030,8 +1037,8 @@ volatile std::sig_atomic_t g_gp_serve_signal = 0;
 void GpServeSignalHandler(int signum) { g_gp_serve_signal = signum; }
 
 // Hosts one GraphProcessor shard over TCP: `rtr gp-serve --graph g.rtrsnap
-// --shard k/N [--port P]`. Prints the bound port (supports --port 0) and
-// serves until SIGTERM/SIGINT.
+// --shard k/N [--port P] [--mmap]`. Prints the bound port (supports
+// --port 0) and serves until SIGTERM/SIGINT.
 int CmdGpServe(const Flags& flags) {
   const std::string shard_spec = flags.GetString("shard", "");
   int shard = -1;
@@ -1048,16 +1055,9 @@ int CmdGpServe(const Flags& flags) {
     return 2;
   }
   uint64_t generation = 0;
-  const rtr::MapMode map_mode =
-      flags.GetBool("mmap") ? rtr::MapMode::kPrefer : rtr::MapMode::kAuto;
-  rtr::StatusOr<Graph> loaded = rtr::LoadGraphAuto(
-      flags.GetString("graph", ""), &generation, map_mode);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "cannot load graph: %s\n",
-                 loaded.status().ToString().c_str());
-    return 1;
-  }
-  auto graph = std::make_shared<const Graph>(std::move(loaded).value());
+  std::shared_ptr<const Graph> graph;
+  const int rc = LoadServedGraph(flags, &graph, &generation);
+  if (rc != 0) return rc;
 
   rtr::net::GpServerOptions options;
   options.port = static_cast<uint16_t>(port);
@@ -1114,7 +1114,7 @@ void PrintUsage(std::FILE* out) {
                "                                 shedding, adaptive "
                "epsilon)\n"
                "       rtr gp-serve --graph <snapshot> --shard k/N "
-               "[--port P]\n"
+               "[--port P] [--mmap]\n"
                "                                (host one graph-processor "
                "shard over TCP;\n"
                "                                 --port 0 picks a free port, "
