@@ -214,12 +214,16 @@ void RunIngestionExperiment(int num_queries, int num_workers) {
 // --------------------------------------------------------------------------
 
 // The paper's Sect. V-B cost model counts record bytes shipped from GPs to
-// the AP. The networked tier ships those same records in checksummed frames
-// over TCP, so the wire adds a measurable framing overhead. This experiment
-// runs one query stream twice — over the in-process loopback cluster and
-// over real gp-serve shards on localhost — and reports both ledgers side by
-// side. The record-level columns must match exactly (the wire is invisible
-// to the cost model); the wire column shows what the network really moved.
+// the AP in the Figs. 12-13 unit: id + 4 bounds per node, endpoint + weight
+// + prob per arc (DESIGN.md §4). The networked tier ships only what 2SBound
+// reads (endpoint + prob per arc, a 12-byte record header) in checksummed
+// frames over TCP, so wire/simulated reads below 1: the ledger charges 8 B
+// per arc for the weight the wire no longer carries, framing adds a little
+// back. This experiment runs one query stream twice — over the in-process
+// loopback cluster and over real gp-serve shards on localhost — and reports
+// both ledgers side by side. The record-level columns must match exactly
+// (the wire is invisible to the cost model); the wire column shows what the
+// network really moved.
 void RunWireTrafficExperiment(int num_queries, int num_gps) {
   std::printf("\n(d) AP<->GP traffic — simulated record bytes vs actual "
               "wire bytes (%d queries, %d GPs)\n",

@@ -37,9 +37,9 @@ struct TopKParams {
   TopKScheme scheme = TopKScheme::k2SBound;
 };
 
-// Wire/storage size of one active-set node record (id + 4 bounds) and one
-// arc record (endpoint + weight + prob). Shared by the local active-set
-// accounting and the distributed replay so their byte counts agree.
+// The Figs. 12-13 accounting unit of one active-set node record (id + 4
+// bounds) and one arc record (endpoint + weight + prob), shared by the local
+// and distributed active-set bytes. Not the frame size (DESIGN.md §4).
 inline constexpr size_t kActiveNodeRecordBytes =
     sizeof(NodeId) + 4 * sizeof(double);
 inline constexpr size_t kActiveArcRecordBytes =

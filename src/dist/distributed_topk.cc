@@ -15,8 +15,8 @@ GraphProcessor::GraphProcessor(std::shared_ptr<const Graph> graph, int id,
   CHECK(graph_ != nullptr) << "a graph processor needs a graph";
   CHECK_GE(id, 0);
   CHECK_LT(id, num_gps);
-  // What the stripe would occupy as a stand-alone CSR: the Fig. 12 per-GP
-  // series measures the shard, not how this process shares it.
+  // The stripe as a stand-alone three-column CSR, the Figs. 12-13 unit
+  // (DESIGN §4), not how this process shares it or what a reply ships.
   size_t arcs = 0;
   for (NodeId v = static_cast<NodeId>(id); v < graph_->num_nodes();
        v += static_cast<NodeId>(num_gps)) {
@@ -57,13 +57,11 @@ Status GraphProcessor::Fetch(const std::vector<NodeId>& nodes,
     NodeRecord& record = out->emplace_back();
     record.node = v;
     record.out_targets = g.out_targets(v);
-    record.out_weights = g.out_arc_weights(v);
     record.out_probs = g.out_probs(v);
     record.in_sources = g.in_sources(v);
-    record.in_weights = g.in_arc_weights(v);
     record.in_probs = g.in_probs(v);
     record.storage = graph_;
-    record_bytes += record.WireBytes();
+    record_bytes += record.LedgerBytes();
   }
   fetch_requests_.Increment();
   records_served_.Add(nodes.size());
@@ -153,10 +151,8 @@ Status ValidateRecord(const Graph& g, const NodeRecord& record) {
     return std::equal(got.begin(), got.end(), want.begin(), want.end());
   };
   bool ok = equal(record.out_targets, g.out_targets(record.node)) &&
-            equal(record.out_weights, g.out_arc_weights(record.node)) &&
             equal(record.out_probs, g.out_probs(record.node)) &&
             equal(record.in_sources, g.in_sources(record.node)) &&
-            equal(record.in_weights, g.in_arc_weights(record.node)) &&
             equal(record.in_probs, g.in_probs(record.node));
   if (!ok) {
     return Status::Internal("GP record for node " +
@@ -225,7 +221,7 @@ StatusOr<DistributedTopKResult> DistributedTopK(
                                   " was requested");
         }
         ++result.active_nodes;
-        result.active_set_bytes += record.WireBytes();
+        result.active_set_bytes += record.LedgerBytes();
       }
     }
   }

@@ -14,9 +14,9 @@
 // (loopback) or a net::RemoteGraphProcessor (TCP, src/net/), behind one
 // interface. Every record the AP assembles for the active set comes out of
 // a source's response, and the returned byte/request counts are measured
-// from those responses, not estimated. A record is a view: spans into the
-// pinned graph's columns (loopback) or into the decoded reply (net/), plus
-// a keep-alive for those bytes, so the fetch path copies no arcs and
+// from those responses, not estimated. A record is a view of four columns:
+// spans into the pinned graph (loopback) or into the decoded reply (net/),
+// plus a keep-alive for those bytes, so the fetch path copies no arcs and
 // allocates nothing per record.
 
 #include <cstddef>
@@ -33,29 +33,28 @@
 
 namespace rtr::dist {
 
-// One node's shard record as served by a GP: the node id plus views of its
-// incident arc columns (the unit of transfer of Sect. V-B2). Columnar like
-// the Graph itself: entries at one index across a direction's spans
-// describe the same arc. `storage` keeps the viewed bytes alive — the
-// graph a GraphProcessor serves, or the one block a decoded fetch reply
-// copies its columns into — so a record stays valid after its source is
-// gone, and copying a record copies no arcs.
+// One node's shard record as served by a GP (the unit of transfer of
+// Sect. V-B2): the node id plus views of the four arc columns 2SBound
+// reads, endpoints and probabilities per direction (never arc weights).
+// Entries at one index across a direction's spans describe the same arc.
+// `storage` keeps the viewed bytes alive — the graph a GraphProcessor
+// serves, or the one block a decoded fetch reply copies its columns into —
+// so a record outlives its source, and copying a record copies no arcs.
 struct NodeRecord {
   NodeId node = kInvalidNode;
   std::span<const NodeId> out_targets;
-  std::span<const double> out_weights;
   std::span<const double> out_probs;
   std::span<const NodeId> in_sources;
-  std::span<const double> in_weights;
   std::span<const double> in_probs;
   std::shared_ptr<const void> storage;
 
   size_t num_out_arcs() const { return out_targets.size(); }
   size_t num_in_arcs() const { return in_sources.size(); }
 
-  // Wire size of this record, in the same units as the local active-set
-  // accounting so local and distributed byte counts agree.
-  size_t WireBytes() const {
+  // This record in the Figs. 12-13 accounting unit the local active-set
+  // bytes use (id + 4 bounds per node, endpoint + weight + prob per arc),
+  // so local and distributed counts agree. Not the frame size (WireTraffic).
+  size_t LedgerBytes() const {
     return core::kActiveNodeRecordBytes +
            (num_out_arcs() + num_in_arcs()) * core::kActiveArcRecordBytes;
   }
@@ -63,7 +62,7 @@ struct NodeRecord {
 
 // Wire-level traffic actually put on (or read off) a socket by a networked
 // record source, as opposed to the simulated record-byte accounting of
-// NodeRecord::WireBytes. All zero for in-process sources: the loopback
+// NodeRecord::LedgerBytes. All zero for in-process sources: the loopback
 // Cluster moves no wire bytes, which is exactly what the Sect. V-B traffic
 // tables should show for it (bench_fig13_growth reports both columns).
 struct WireTraffic {

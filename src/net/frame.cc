@@ -108,12 +108,6 @@ Status DecodeFetchRequest(std::span<const uint8_t> payload,
   return r.status();
 }
 
-// Bytes one arc occupies in a kFetchReply: its endpoint id plus its weight
-// and probability.
-constexpr size_t kReplyArcBytes = sizeof(NodeId) + 2 * sizeof(double);
-// Bytes of a kFetchReply record before its columns: node, n_out, n_in.
-constexpr size_t kReplyRecordHeaderBytes = 3 * sizeof(uint32_t);
-
 void EncodeFetchReply(std::span<const dist::NodeRecord> records,
                       std::vector<uint8_t>* out) {
   size_t bytes = sizeof(uint32_t);
@@ -130,10 +124,8 @@ void EncodeFetchReply(std::span<const dist::NodeRecord> records,
     w.Pod(static_cast<uint32_t>(record.num_out_arcs()));
     w.Pod(static_cast<uint32_t>(record.num_in_arcs()));
     w.Items(record.out_targets);
-    w.Items(record.out_weights);
     w.Items(record.out_probs);
     w.Items(record.in_sources);
-    w.Items(record.in_weights);
     w.Items(record.in_probs);
   }
 }
@@ -161,17 +153,17 @@ Status DecodeFetchReply(std::span<const uint8_t> payload,
   if (!r.End()) return r.status();
 
   // Pass 2: copy the columns into one block per reply — ids in one array,
-  // weights and probs in another, record after record — and hand out
-  // records that view it. The sizes are exact and were checked above.
+  // probs in another, record after record — and hand out records that
+  // view it. The sizes are exact and were checked above.
   struct Block {
     std::unique_ptr<NodeId[]> ids;
-    std::unique_ptr<double[]> values;
+    std::unique_ptr<double[]> probs;
   };
   auto block = std::make_shared<Block>();
   block->ids = std::make_unique_for_overwrite<NodeId[]>(total_arcs);
-  block->values = std::make_unique_for_overwrite<double[]>(2 * total_arcs);
+  block->probs = std::make_unique_for_overwrite<double[]>(total_arcs);
   NodeId* ids = block->ids.get();
-  double* values = block->values.get();
+  double* probs = block->probs.get();
   ByteReader columns(payload, "fetch reply payload");
   // Copies the next `n` values to `*cursor` and returns a view of the copy.
   auto take = [&columns](auto*& cursor, uint32_t n) {
@@ -190,11 +182,9 @@ Status DecodeFetchReply(std::span<const uint8_t> payload,
     columns.Pod(&n_out);
     columns.Pod(&n_in);
     record.out_targets = take(ids, n_out);
-    record.out_weights = take(values, n_out);
-    record.out_probs = take(values, n_out);
+    record.out_probs = take(probs, n_out);
     record.in_sources = take(ids, n_in);
-    record.in_weights = take(values, n_in);
-    record.in_probs = take(values, n_in);
+    record.in_probs = take(probs, n_in);
     record.storage = block;
   }
   return Status::OK();

@@ -35,9 +35,8 @@
 //   kHelloAck    HelloPayload — the server's actual shard identity.
 //   kFetch       u32 count, count * u32 node ids.
 //   kFetchReply  u32 count, then per record: u32 node, u32 n_out, u32 n_in,
-//                u32 out_targets[n_out], f64 out_weights[n_out],
-//                f64 out_probs[n_out], u32 in_sources[n_in],
-//                f64 in_weights[n_in], f64 in_probs[n_in].
+//                u32 out_targets[n_out], f64 out_probs[n_out],
+//                u32 in_sources[n_in], f64 in_probs[n_in].
 //   kErrorReply  u32 status code, u32 length, message bytes.
 
 #include <cstddef>
@@ -52,7 +51,7 @@
 namespace rtr::net {
 
 inline constexpr uint32_t kFrameMagic = 0x46525452;  // "RTRF"
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 32;
 // Hard cap on a single frame's payload; a header announcing more is treated
 // as corrupt (it would otherwise make a reader allocate unboundedly).
@@ -108,6 +107,11 @@ void EncodeFetchRequest(const std::vector<NodeId>& nodes,
                         std::vector<uint8_t>* out);
 Status DecodeFetchRequest(std::span<const uint8_t> payload,
                           std::vector<NodeId>* nodes);
+
+// A kFetchReply record's bytes before its columns (node, n_out, n_in), and
+// per arc (endpoint id and probability).
+inline constexpr size_t kReplyRecordHeaderBytes = 3 * sizeof(uint32_t);
+inline constexpr size_t kReplyArcBytes = sizeof(NodeId) + sizeof(double);
 
 // Encodes straight from the records' column spans, sizing `out` once.
 void EncodeFetchReply(std::span<const dist::NodeRecord> records,

@@ -18,7 +18,7 @@ Status RemoteGraphProcessor::Fetch(const std::vector<NodeId>& nodes,
   fetch_requests_.Add(1);
   uint64_t record_bytes = 0;
   for (size_t i = before; i < out->size(); ++i) {
-    record_bytes += (*out)[i].WireBytes();
+    record_bytes += (*out)[i].LedgerBytes();
   }
   records_served_.Add(out->size() - before);
   bytes_served_.Add(record_bytes);

@@ -2,8 +2,10 @@
 # End-to-end test of the serve observability surface (DESIGN.md §9):
 # `rtr_cli serve --metrics-out` writes a Prometheus-style exposition whose
 # series names are unique, whose counters are monotone across dumps, and
-# whose final dump agrees with the summary printed to stdout. Registered
-# with ctest by the root CMakeLists; $1 is the path to the rtr_cli binary.
+# whose final dump agrees with the summary printed to stdout; its error
+# paths include the strict flag parser (an unknown flag or a value that does
+# not parse exits 2). Registered with ctest by the root CMakeLists; $1 is
+# the path to the rtr_cli binary.
 set -u
 
 CLI="${1:?usage: rtr_cli_metrics_test.sh <path-to-rtr_cli>}"
@@ -144,6 +146,28 @@ check "--metrics-interval-ms 0 exits 2" 2 $?
 "$CLI" serve --queries 5 --qps 500 --metrics-out "$TMP/nodir/m.txt" \
   > /dev/null 2>&1
 check "unwritable --metrics-out exits 1" 1 $?
+
+# Each subcommand takes only its own flags, and numbers must parse in full.
+"$CLI" serve --queries 20 --threads 2 > /dev/null 2> "$TMP/unknown.err"
+check "a flag serve does not take (--threads) exits 2" 2 $?
+grep -q "unknown flag '--threads' for serve" "$TMP/unknown.err"
+check "the refused flag and subcommand are named" 0 $?
+"$CLI" gp-serve --shard 0/1 --queries 5 > /dev/null 2>&1
+check "a serve flag on gp-serve exits 2" 2 $?
+"$CLI" serve --queries abc > /dev/null 2> "$TMP/int.err"
+check "--queries abc exits 2" 2 $?
+grep -q "flag '--queries' expects an integer, got 'abc'" "$TMP/int.err"
+check "the unparsable integer is named" 0 $?
+"$CLI" serve --queries 5x > /dev/null 2>&1
+check "--queries 5x (trailing garbage) exits 2" 2 $?
+"$CLI" serve --queries 5 --qps 500 --eps 0.01x > /dev/null 2>&1
+check "--eps 0.01x exits 2" 2 $?
+"$CLI" serve --queries 5 --qps 500 --scheduler no > /dev/null 2>&1
+check "--scheduler no exits 2" 2 $?
+"$CLI" topk --graph "$TMP/none.txt" --query 3,abc > /dev/null 2> "$TMP/query.err"
+check "topk --query 3,abc exits 2" 2 $?
+grep -q "flag '--query' expects node ids" "$TMP/query.err"
+check "the unparsable query is named" 0 $?
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails check(s) failed"

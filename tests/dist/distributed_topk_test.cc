@@ -261,10 +261,8 @@ TEST(GraphProcessorTest, RecordsViewTheGraph) {
     for (const dist::NodeRecord& record : records) {
       const NodeId v = record.node;
       EXPECT_EQ(record.out_targets.data(), g.out_targets(v).data()) << v;
-      EXPECT_EQ(record.out_weights.data(), g.out_arc_weights(v).data()) << v;
       EXPECT_EQ(record.out_probs.data(), g.out_probs(v).data()) << v;
       EXPECT_EQ(record.in_sources.data(), g.in_sources(v).data()) << v;
-      EXPECT_EQ(record.in_weights.data(), g.in_arc_weights(v).data()) << v;
       EXPECT_EQ(record.in_probs.data(), g.in_probs(v).data()) << v;
       EXPECT_EQ(record.num_out_arcs(), g.out_degree(v)) << v;
       EXPECT_EQ(record.num_in_arcs(), g.in_degree(v)) << v;
@@ -303,10 +301,8 @@ TEST(GraphProcessorTest, RecordsOutliveTheirCluster) {
   for (const dist::NodeRecord& record : records) {
     const NodeId v = record.node;
     EXPECT_TRUE(same(record.out_targets, g.out_targets(v))) << v;
-    EXPECT_TRUE(same(record.out_weights, g.out_arc_weights(v))) << v;
     EXPECT_TRUE(same(record.out_probs, g.out_probs(v))) << v;
     EXPECT_TRUE(same(record.in_sources, g.in_sources(v))) << v;
-    EXPECT_TRUE(same(record.in_weights, g.in_arc_weights(v))) << v;
     EXPECT_TRUE(same(record.in_probs, g.in_probs(v))) << v;
   }
 }

@@ -3,7 +3,7 @@
 
 // Record equality for tests: NodeRecord columns are spans, which have no
 // operator==, so tests compare records through these helpers. Equality is
-// the node id plus every element of all six columns.
+// the node id plus every element of all four columns.
 
 #include <algorithm>
 #include <cstddef>
@@ -34,14 +34,10 @@ inline ::testing::AssertionResult SameRecords(
       differs = "node";
     } else if (!same(a.out_targets, b.out_targets)) {
       differs = "out_targets";
-    } else if (!same(a.out_weights, b.out_weights)) {
-      differs = "out_weights";
     } else if (!same(a.out_probs, b.out_probs)) {
       differs = "out_probs";
     } else if (!same(a.in_sources, b.in_sources)) {
       differs = "in_sources";
-    } else if (!same(a.in_weights, b.in_weights)) {
-      differs = "in_weights";
     } else if (!same(a.in_probs, b.in_probs)) {
       differs = "in_probs";
     }

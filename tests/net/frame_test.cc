@@ -174,7 +174,8 @@ std::vector<size_t> ReplyCountOffsets(
   for (const dist::NodeRecord& record : records) {
     offsets.push_back(at + 4);
     offsets.push_back(at + 8);
-    at += 12 + 20 * (record.num_out_arcs() + record.num_in_arcs());
+    at += net::kReplyRecordHeaderBytes +
+          net::kReplyArcBytes * (record.num_out_arcs() + record.num_in_arcs());
   }
   return offsets;
 }
@@ -187,17 +188,15 @@ void ExpectInRangeColumns(const std::vector<dist::NodeRecord>& records,
   size_t bytes = sizeof(uint32_t);
   double sink = 0.0;
   for (const dist::NodeRecord& record : records) {
-    ASSERT_EQ(record.out_weights.size(), record.out_targets.size());
     ASSERT_EQ(record.out_probs.size(), record.out_targets.size());
-    ASSERT_EQ(record.in_weights.size(), record.in_sources.size());
     ASSERT_EQ(record.in_probs.size(), record.in_sources.size());
-    bytes += 12 + 20 * (record.num_out_arcs() + record.num_in_arcs());
+    bytes += net::kReplyRecordHeaderBytes +
+             net::kReplyArcBytes *
+                 (record.num_out_arcs() + record.num_in_arcs());
     for (NodeId v : record.out_targets) sink += v;
     for (NodeId v : record.in_sources) sink += v;
-    for (auto column : {record.out_weights, record.out_probs,
-                        record.in_weights, record.in_probs}) {
-      for (double x : column) sink += x;
-    }
+    for (double x : record.out_probs) sink += x;
+    for (double x : record.in_probs) sink += x;
   }
   EXPECT_EQ(bytes, payload_bytes);
   volatile double keep = sink;
@@ -207,11 +206,12 @@ void ExpectInRangeColumns(const std::vector<dist::NodeRecord>& records,
 // Decodes `payload` as a `type` payload: OK or kIoError, and no allocation
 // larger than the payload (or than an error message). The record vector
 // already has room for as many records as the payload could hold (each
-// takes at least 12 bytes), so only the decoder's own allocations count.
+// takes at least its header's bytes), so only the decoder's own
+// allocations count.
 // Returns whether the payload decoded.
 bool DecodesSafely(net::FrameType type, std::span<const uint8_t> payload) {
   std::vector<dist::NodeRecord> records;
-  records.reserve(payload.size() / 12 + 1);
+  records.reserve(payload.size() / net::kReplyRecordHeaderBytes + 1);
   std::vector<NodeId> nodes;
   net::HelloPayload hello;
   Status remote = Status::OK();

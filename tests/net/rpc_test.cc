@@ -78,6 +78,14 @@ TEST(TransportFrameTest, CorruptionIsDetected) {
   EXPECT_EQ(net::DecodeFrameHeader(bad.data(), &header).code(),
             StatusCode::kIoError);
 
+  // Protocol version 1 (the six-column kFetchReply layout): a v1 peer is
+  // refused at the header, before its payload is read as four columns.
+  ASSERT_EQ(frame[4], net::kProtocolVersion);
+  bad = frame;
+  bad[4] = 1;
+  EXPECT_EQ(net::DecodeFrameHeader(bad.data(), &header).code(),
+            StatusCode::kIoError);
+
   // Nonzero reserved bytes (header offsets 6-7 and 20-23).
   for (size_t at : {size_t{6}, size_t{7}, size_t{20}, size_t{23}}) {
     bad = frame;
@@ -144,8 +152,8 @@ TEST(TransportFrameTest, FetchReplyEncodingIsByteStable) {
 
   std::vector<uint8_t> payload;
   net::EncodeFetchReply(records, &payload);
-  EXPECT_EQ(payload.size(), 14644u);
-  EXPECT_EQ(Fnv1a64Bytes(payload), 0x70c8f7a5658b6cb1ull);
+  EXPECT_EQ(payload.size(), 9076u);
+  EXPECT_EQ(Fnv1a64Bytes(payload), 0x0b50106211837a11ull);
 }
 
 TEST(TransportFrameTest, ErrorReplyCarriesStatus) {

@@ -21,6 +21,10 @@
 //                   [--eps-band MAX] [--replay stream.rtrq]
 //   rtr gp-serve    --graph g.rtrsnap --shard k/N [--port 0] [--mmap]
 //
+// A subcommand refuses any flag outside its list above, and any value that
+// does not parse in full (a number, a --query id list, a 0/1 switch), with
+// exit code 2.
+//
 // Every --graph flag accepts either the text format of graph/io.h or the
 // binary snapshot format of graph/snapshot.h, auto-detected by magic;
 // `convert` translates between the two (a text input becomes a snapshot and
@@ -61,15 +65,19 @@
 // (info|warn|error|off; default warn).
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -98,20 +106,29 @@ namespace {
 using rtr::Graph;
 using rtr::NodeId;
 
-// Minimal --flag value parser; flags may appear in any order.
+// Strict --flag value parser; flags may appear in any order. Each
+// subcommand names the flags it reads: any other flag, or a value its
+// getter cannot parse in full, is a usage error (exit 2).
 class Flags {
  public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc;) {
+  Flags(int argc, char** argv, const char* command,
+        std::initializer_list<std::string_view> accepted) {
+    for (int i = 2; i < argc;) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
         std::exit(2);
       }
+      const char* name = argv[i] + 2;
+      if (std::find(accepted.begin(), accepted.end(), name) ==
+          accepted.end()) {
+        std::fprintf(stderr, "unknown flag '%s' for %s\n", argv[i], command);
+        std::exit(2);
+      }
       // Known boolean flags may stand alone (`serve --mmap`); an explicit
       // value (`--mmap 0`) still works.
-      if (IsBooleanFlag(argv[i] + 2) &&
+      if (IsBooleanFlag(name) &&
           (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        values_[argv[i] + 2] = "1";
+        values_[name] = "1";
         i += 1;
         continue;
       }
@@ -119,7 +136,7 @@ class Flags {
         std::fprintf(stderr, "flag '%s' is missing a value\n", argv[i]);
         std::exit(2);
       }
-      values_[argv[i] + 2] = argv[i + 1];
+      values_[name] = argv[i + 1];
       i += 2;
     }
   }
@@ -130,21 +147,43 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return GetNumber(key, fallback, "a number");
   }
   int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    return GetNumber(key, fallback, "an integer");
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
   bool GetBool(const std::string& key) const {
     auto it = values_.find(key);
-    return it != values_.end() && it->second != "0" && it->second != "off" &&
-           it->second != "false";
+    if (it == values_.end()) return false;
+    const std::string& text = it->second;
+    if (text == "1" || text == "on" || text == "true") return true;
+    if (text == "0" || text == "off" || text == "false") return false;
+    std::fprintf(stderr,
+                 "flag '--%s' expects 1|0|on|off|true|false, got '%s'\n",
+                 key.c_str(), text.c_str());
+    std::exit(2);
   }
 
  private:
+  // The value of `key` parsed in full as a T (exit 2 if it is not one), or
+  // `fallback` when the flag is absent.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback, const char* what) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error != std::errc() || end != text.data() + text.size()) {
+      std::fprintf(stderr, "flag '--%s' expects %s, got '%s'\n", key.c_str(),
+                   what, text.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
   static bool IsBooleanFlag(const char* name) {
     return std::strcmp(name, "mmap") == 0 ||
            std::strcmp(name, "scheduler") == 0;
@@ -153,14 +192,22 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
+// The comma-separated node ids of --query; anything else exits 2.
 std::vector<NodeId> ParseQuery(const std::string& text) {
   std::vector<NodeId> nodes;
   size_t start = 0;
   while (start < text.size()) {
     size_t comma = text.find(',', start);
     if (comma == std::string::npos) comma = text.size();
-    nodes.push_back(static_cast<NodeId>(
-        std::strtoul(text.substr(start, comma - start).c_str(), nullptr, 10)));
+    NodeId node = 0;
+    const char* last = text.data() + comma;
+    const auto [end, error] = std::from_chars(text.data() + start, last, node);
+    if (error != std::errc() || end != last) {
+      std::fprintf(stderr, "flag '--query' expects node ids, got '%s'\n",
+                   text.c_str());
+      std::exit(2);
+    }
+    nodes.push_back(node);
     start = comma + 1;
   }
   return nodes;
@@ -217,7 +264,8 @@ int LoadServedGraph(const Flags& flags, std::shared_ptr<const Graph>* graph,
   return 0;
 }
 
-int CmdGenerate(const Flags& flags) {
+int CmdGenerate(int argc, char** argv) {
+  const Flags flags(argc, argv, "generate", {"dataset", "out", "seed"});
   std::string dataset = flags.GetString("dataset", "bibnet");
   std::string out = flags.GetString("out", dataset + ".graph.txt");
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 0));
@@ -374,7 +422,8 @@ int CmdInfoPath(const std::string& path) {
   return 0;
 }
 
-int CmdInfo(const Flags& flags) {
+int CmdInfo(int argc, char** argv) {
+  const Flags flags(argc, argv, "info", {"graph"});
   Graph graph = LoadGraphOrDie(flags);
   PrintGraphSummary(graph);
   return 0;
@@ -461,13 +510,15 @@ int CmdApplyDelta(int argc, char** argv) {
   return 0;
 }
 
-int CmdRank(const Flags& flags) {
-  Graph graph = LoadGraphOrDie(flags);
+int CmdRank(int argc, char** argv) {
+  const Flags flags(argc, argv, "rank",
+                    {"graph", "query", "measure", "beta", "k", "type"});
   std::vector<NodeId> query = ParseQuery(flags.GetString("query", ""));
   if (query.empty()) {
     std::fprintf(stderr, "missing --query\n");
     return 2;
   }
+  Graph graph = LoadGraphOrDie(flags);
   for (NodeId q : query) {
     if (q >= graph.num_nodes()) {
       std::fprintf(stderr, "query node %u out of range\n", q);
@@ -526,13 +577,15 @@ int CmdRank(const Flags& flags) {
   return 0;
 }
 
-int CmdTopK(const Flags& flags) {
-  Graph graph = LoadGraphOrDie(flags);
+int CmdTopK(int argc, char** argv) {
+  const Flags flags(argc, argv, "topk",
+                    {"graph", "query", "k", "eps", "scheme"});
   std::vector<NodeId> query = ParseQuery(flags.GetString("query", ""));
   if (query.empty()) {
     std::fprintf(stderr, "missing --query\n");
     return 2;
   }
+  Graph graph = LoadGraphOrDie(flags);
   rtr::core::TopKParams params;
   params.k = flags.GetInt("k", 10);
   params.epsilon = flags.GetDouble("eps", 0.01);
@@ -578,7 +631,13 @@ int CmdTopK(const Flags& flags) {
 
 // Replays a synthetic query stream at a target QPS through the concurrent
 // serve::QueryService and prints throughput / tail-latency / cache figures.
-int CmdServe(const Flags& flags) {
+int CmdServe(int argc, char** argv) {
+  const Flags flags(
+      argc, argv, "serve",
+      {"graph", "mmap", "delta", "queries", "qps", "workers", "queue",
+       "cache", "cache-capacity", "backend", "gps", "k", "eps", "slo-ms",
+       "repeat", "seed", "metrics-out", "metrics-interval-ms", "trace",
+       "tracing", "scheduler", "batch", "deadline-ms", "eps-band", "replay"});
   // The served graph: an explicit --graph file, or the synthetic QLog
   // (whose phrase nodes make a natural query stream). The QLog stays alive
   // so its graph is referenced, not copied.
@@ -1039,7 +1098,8 @@ void GpServeSignalHandler(int signum) { g_gp_serve_signal = signum; }
 // Hosts one GraphProcessor shard over TCP: `rtr gp-serve --graph g.rtrsnap
 // --shard k/N [--port P] [--mmap]`. Prints the bound port (supports
 // --port 0) and serves until SIGTERM/SIGINT.
-int CmdGpServe(const Flags& flags) {
+int CmdGpServe(int argc, char** argv) {
+  const Flags flags(argc, argv, "gp-serve", {"graph", "shard", "port", "mmap"});
   const std::string shard_spec = flags.GetString("shard", "");
   int shard = -1;
   int num_gps = 0;
@@ -1144,8 +1204,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::string command = argv[1];
-  // convert/diff/apply-delta take positionals, so they dispatch before the
-  // strict --flag/value parser runs; info accepts both forms.
+  // convert/diff/apply-delta take positionals; info accepts both forms.
+  // Every other subcommand parses its own --flag list.
   if (command == "convert") return CmdConvert(argc, argv);
   if (command == "diff") return CmdDiff(argc, argv);
   if (command == "apply-delta") return CmdApplyDelta(argc, argv);
@@ -1153,13 +1213,12 @@ int main(int argc, char** argv) {
       std::strncmp(argv[2], "--", 2) != 0) {
     return CmdInfoPath(argv[2]);
   }
-  Flags flags(argc, argv, 2);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "info") return CmdInfo(flags);
-  if (command == "rank") return CmdRank(flags);
-  if (command == "topk") return CmdTopK(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "gp-serve") return CmdGpServe(flags);
+  if (command == "generate") return CmdGenerate(argc, argv);
+  if (command == "info") return CmdInfo(argc, argv);
+  if (command == "rank") return CmdRank(argc, argv);
+  if (command == "topk") return CmdTopK(argc, argv);
+  if (command == "serve") return CmdServe(argc, argv);
+  if (command == "gp-serve") return CmdGpServe(argc, argv);
   PrintUsage(stderr);
   return 2;
 }
