@@ -5,17 +5,18 @@
 // them, so QPS here is saturation throughput, not an offered load.
 //
 // A second scenario drives the service past saturation: FIFO capacity is
-// measured closed-loop, then a Zipf-skewed stream is offered open-loop at a
-// multiple of that rate, FIFO admission vs the cost-model scheduler
-// (serve/scheduler.h: SJF batching, deadline shedding, adaptive epsilon).
-// The comparison metric is goodput — completions inside the SLO per second
-// — plus tail latency and shed rate.
+// measured closed-loop on a Zipf-skewed stream with the overload rows' own
+// options (cache off, so every request runs the engine), then the same
+// stream is offered open-loop at a multiple of that rate, FIFO admission vs
+// the cost-model scheduler (serve/scheduler.h: SJF, deadline shedding,
+// adaptive epsilon). The comparison metric is goodput — completions inside
+// the SLO per second — plus tail latency and shed rate.
 //
 // Environment knobs (beyond bench_common.h's):
 //   RTR_SERVE_QUERIES      — stream length per configuration    (default 240)
 //   RTR_SERVE_PAPERS       — BibNet paper count                 (default 4000)
 //   RTR_SERVE_GPS          — graph processors for the distributed backend (4)
-//   RTR_SERVE_OVERLOAD_QUERIES — offered stream in the overload scenario (400)
+//   RTR_SERVE_OVERLOAD_QUERIES — offered stream in the overload scenario (4000)
 //   RTR_SERVE_OVERLOAD_PCT — offered load as % of measured capacity   (200)
 //   RTR_SERVE_SLO_MS       — SLO/deadline for the overload scenario; 0 =
 //                            derive 8x the measured per-query service time (0)
@@ -42,26 +43,15 @@ namespace {
 using rtr::Graph;
 using rtr::NodeId;
 
-struct Row {
-  const char* backend;
-  bool cache;
-  int workers;
-  rtr::serve::ServiceStats stats;
-};
-
-// Runs one configuration to completion and returns its stats. The stream
-// mixes repeated queries (uniform draws from a pool half the stream's size)
-// so the cache-on rows serve a realistic skew of hits and misses.
+// Runs one configuration to completion and returns its stats: the whole
+// stream is submitted as fast as admission accepts it, so QPS is the
+// saturation throughput of `options` (with an unbounded queue).
 rtr::serve::ServiceStats RunConfig(
     const std::shared_ptr<const Graph>& graph,
     const std::shared_ptr<const rtr::dist::Cluster>& cluster,
-    bool enable_cache, int workers, const std::vector<NodeId>& stream,
+    rtr::serve::ServiceOptions options, const std::vector<NodeId>& stream,
     const rtr::core::TopKParams& params) {
-  rtr::serve::ServiceOptions options;
-  options.num_workers = workers;
   options.queue_capacity = stream.size();  // measure saturation, not shedding
-  options.enable_cache = enable_cache;
-  options.cache_capacity = 4096;
   std::unique_ptr<rtr::serve::QueryService> service;
   if (cluster != nullptr) {
     service = std::make_unique<rtr::serve::QueryService>(cluster, options);
@@ -78,9 +68,7 @@ rtr::serve::ServiceStats RunConfig(
 
 // Zipf-skewed query stream over `pool` ranked by index: P(rank r) is
 // proportional to 1/(r+1)^1.1. Serving overload is never uniform — a few
-// hot entities absorb most of the traffic — and the skew is what gives the
-// scheduler's cache-aware epsilon widening and SJF ordering something to
-// exploit.
+// hot entities absorb most of the traffic.
 std::vector<NodeId> ZipfStream(const std::vector<NodeId>& pool, int length,
                                rtr::Rng& rng) {
   std::vector<double> cdf(pool.size());
@@ -102,10 +90,25 @@ std::vector<NodeId> ZipfStream(const std::vector<NodeId>& pool, int length,
 
 struct OverloadResult {
   rtr::serve::ServiceStats stats;
-  uint64_t offered = 0;
   double goodput_qps = 0.0;  // completions inside the SLO per second
   double shed_rate = 0.0;    // rejected / offered
 };
+
+// The overload rows' service options. The cache is off so that every
+// request runs the engine: the offered load is engine load, not lookups.
+rtr::serve::ServiceOptions OverloadOptions(int workers, bool scheduler,
+                                           double epsilon) {
+  rtr::serve::ServiceOptions options;
+  options.num_workers = workers;
+  options.queue_capacity = 64;  // bounded: overload must shed, not buffer
+  options.enable_cache = false;
+  if (scheduler) {
+    options.scheduler.enabled = true;
+    // Widen up to 5x the request epsilon when the queue runs hot.
+    options.scheduler.eps_max = epsilon * 5.0;
+  }
+  return options;
+}
 
 // Offers `stream` at a fixed rate (open loop: arrival times are scheduled
 // up front and submission sleeps until each one, so a slow service builds
@@ -113,20 +116,8 @@ struct OverloadResult {
 OverloadResult RunOverload(const std::shared_ptr<const Graph>& graph,
                            const std::vector<NodeId>& stream,
                            const rtr::core::TopKParams& params,
-                           double offered_qps, double slo_millis,
-                           int workers, bool scheduler) {
-  rtr::serve::ServiceOptions options;
-  options.num_workers = workers;
-  options.queue_capacity = 64;  // bounded: overload must shed, not buffer
-  options.enable_cache = true;
-  options.cache_capacity = 4096;
-  options.slo_millis = slo_millis;
-  if (scheduler) {
-    options.scheduler.enabled = true;
-    options.scheduler.batch_size = 8;
-    // Widen up to 5x the request epsilon when the queue runs hot.
-    options.scheduler.eps_max = params.epsilon * 5.0;
-  }
+                           double offered_qps,
+                           const rtr::serve::ServiceOptions& options) {
   rtr::serve::QueryService service(graph, options);
   CHECK(service.Start().ok());
 
@@ -142,7 +133,8 @@ OverloadResult RunOverload(const std::shared_ptr<const Graph>& graph,
     request.params = params;
     // The deadline mirrors the SLO: with the scheduler on, work predicted
     // to finish past it is shed at admission instead of served late.
-    request.deadline_millis = scheduler ? slo_millis : 0.0;
+    request.deadline_millis =
+        options.scheduler.enabled ? options.slo_millis : 0.0;
     // Rejections are the measurement here, not an error.
     (void)service.SubmitAsync(std::move(request), nullptr);
   }
@@ -150,7 +142,6 @@ OverloadResult RunOverload(const std::shared_ptr<const Graph>& graph,
 
   OverloadResult result;
   result.stats = service.stats();
-  result.offered = stream.size();
   const uint64_t good = result.stats.completed - result.stats.failed -
                         result.stats.slo_violations;
   result.goodput_qps = result.stats.elapsed_seconds <= 0.0
@@ -158,7 +149,7 @@ OverloadResult RunOverload(const std::shared_ptr<const Graph>& graph,
                            : static_cast<double>(good) /
                                  result.stats.elapsed_seconds;
   result.shed_rate = static_cast<double>(result.stats.rejected) /
-                     static_cast<double>(result.offered);
+                     static_cast<double>(stream.size());
   return result;
 }
 
@@ -188,7 +179,9 @@ int main() {
               "%d GPs\n\n",
               graph.num_nodes(), graph.num_arcs(), num_queries, num_gps);
 
-  // One fixed stream for every configuration, so rows are comparable.
+  // One fixed stream for every configuration, so rows are comparable. It
+  // mixes repeated queries (uniform draws from a pool half the stream's
+  // size) so the cache-on rows serve a realistic skew of hits and misses.
   rtr::Rng rng(515);
   std::vector<NodeId> pool;
   for (int i = 0; i < std::max(1, num_queries / 2); ++i) {
@@ -216,8 +209,12 @@ int main() {
         backend[0] == 'l' ? nullptr : cluster;
     for (bool cache : {false, true}) {
       for (int workers : worker_counts) {
-        rtr::serve::ServiceStats stats = RunConfig(
-            graph_ptr, maybe_cluster, cache, workers, stream, params);
+        rtr::serve::ServiceOptions options;
+        options.num_workers = workers;
+        options.enable_cache = cache;
+        options.cache_capacity = 4096;
+        rtr::serve::ServiceStats stats =
+            RunConfig(graph_ptr, maybe_cluster, options, stream, params);
         uint64_t lookups = stats.cache_hits + stats.cache_misses;
         std::printf("%-12s %-6s %8d %10.1f %9.2f %9.2f %9.2f %5.1f%%\n",
                     backend, cache ? "on" : "off", workers, stats.qps,
@@ -240,16 +237,20 @@ int main() {
   // ----------------------------------------------------------------------
   const int overload_workers = 2;
   const int overload_queries =
-      rtr::bench::EnvInt("RTR_SERVE_OVERLOAD_QUERIES", 400);
+      rtr::bench::EnvInt("RTR_SERVE_OVERLOAD_QUERIES", 4000);
   const double overload_factor =
       rtr::bench::EnvInt("RTR_SERVE_OVERLOAD_PCT", 200) / 100.0;
+  rtr::Rng zipf_rng(909);
+  std::vector<NodeId> overload_stream =
+      ZipfStream(pool, overload_queries, zipf_rng);
 
-  // Capacity is what this machine actually sustains closed-loop with the
-  // same worker count and cache config the overload rows use.
-  rtr::serve::ServiceStats capacity_stats = RunConfig(
-      graph_ptr, nullptr, /*enable_cache=*/true, overload_workers, stream,
-      params);
-  const double capacity_qps = capacity_stats.qps;
+  // Capacity is what this machine actually sustains closed-loop on the
+  // offered stream itself, under the FIFO overload row's options.
+  const double capacity_qps =
+      RunConfig(graph_ptr, nullptr,
+                OverloadOptions(overload_workers, false, params.epsilon),
+                overload_stream, params)
+          .qps;
   const double offered_qps = capacity_qps * overload_factor;
   double slo_millis =
       static_cast<double>(rtr::bench::EnvInt("RTR_SERVE_SLO_MS", 0));
@@ -259,27 +260,25 @@ int main() {
     slo_millis = 8.0 * 1000.0 * overload_workers / capacity_qps;
   }
   std::printf("Overload: capacity %.1f QPS (%d workers) -> offering %.1f "
-              "QPS (%.0f%%), SLO/deadline %.2f ms, Zipf-skewed pool\n\n",
+              "QPS (%.0f%%), SLO/deadline %.2f ms, Zipf-skewed pool, "
+              "cache off\n\n",
               capacity_qps, overload_workers, offered_qps,
               100.0 * overload_factor, slo_millis);
 
-  rtr::Rng zipf_rng(909);
-  std::vector<NodeId> overload_stream =
-      ZipfStream(pool, overload_queries, zipf_rng);
-
-  std::printf("%-10s %10s %10s %9s %9s %7s %7s %7s\n", "admission",
-              "goodput", "QPS", "p50 ms", "p99 ms", "shed%", "eps+", "batch");
+  std::printf("%-10s %10s %10s %9s %9s %7s %7s\n", "admission", "goodput",
+              "QPS", "p50 ms", "p99 ms", "shed%", "eps+");
   OverloadResult fifo;
   OverloadResult sched;
   for (bool scheduler : {false, true}) {
+    rtr::serve::ServiceOptions options =
+        OverloadOptions(overload_workers, scheduler, params.epsilon);
+    options.slo_millis = slo_millis;
     OverloadResult r =
-        RunOverload(graph_ptr, overload_stream, params, offered_qps,
-                    slo_millis, overload_workers, scheduler);
-    std::printf("%-10s %10.1f %10.1f %9.2f %9.2f %6.1f%% %7llu %7llu\n",
+        RunOverload(graph_ptr, overload_stream, params, offered_qps, options);
+    std::printf("%-10s %10.1f %10.1f %9.2f %9.2f %6.1f%% %7llu\n",
                 scheduler ? "scheduler" : "fifo", r.goodput_qps, r.stats.qps,
                 r.stats.p50_millis, r.stats.p99_millis, 100.0 * r.shed_rate,
-                static_cast<unsigned long long>(r.stats.eps_widened),
-                static_cast<unsigned long long>(r.stats.batches));
+                static_cast<unsigned long long>(r.stats.eps_widened));
     (scheduler ? sched : fifo) = r;
   }
   const double goodput_gain =
@@ -295,8 +294,8 @@ int main() {
   std::printf("Expected shape: FIFO serves every admitted request however\n"
               "late, so overload turns into deep queue waits and SLO\n"
               "misses; the scheduler sheds predicted-late work at\n"
-              "admission, widens epsilon under pressure, and batches the\n"
-              "drain, converting the same offered load into completions\n"
-              "that still land inside the SLO.\n");
+              "admission, serves predicted-cheap work first and widens\n"
+              "epsilon under pressure, converting the same offered load\n"
+              "into completions that still land inside the SLO.\n");
   return 0;
 }

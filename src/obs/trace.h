@@ -38,7 +38,7 @@ enum class Phase : uint8_t {
   kStage1Expand = 3,   // Stage I: bound-convergence expansion rounds
   kStage2Refine = 4,   // Stage II: candidate refinement sweeps
   kFinalize = 5,       // candidate assembly, sort, top-K emit
-  kSchedWait = 6,      // scheduler admission: enqueue -> batch drain pickup
+  kSchedWait = 6,      // scheduler admission: enqueue -> worker pickup
 };
 inline constexpr size_t kNumPhases = 7;
 

@@ -72,11 +72,7 @@ QueryService::QueryService(std::shared_ptr<GraphStore> store,
   CHECK(store_ != nullptr) << "a query service needs a graph store";
   CHECK_GE(options_.num_workers, 1);
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  if (!admission_.enabled) {  // the FIFO configuration (see admission_)
-    admission_.batch_size = 1;
-    admission_.eps_max = 0.0;
-  }
-  admission_.batch_size = std::max<size_t>(1, admission_.batch_size);
+  if (!admission_.enabled) admission_.eps_max = 0.0;  // FIFO (admission_)
   last_seen_generation_.store(store_->generation(),
                               std::memory_order_relaxed);
   tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
@@ -112,10 +108,6 @@ void QueryService::RegisterMetrics() {
       "rtr_sched_shed_predicted_total", labels, &shed_predicted_));
   registrations_.push_back(registry.RegisterCounter(
       "rtr_sched_eps_widened_total", labels, &eps_widened_));
-  registrations_.push_back(
-      registry.RegisterCounter("rtr_sched_batches_total", labels, &batches_));
-  registrations_.push_back(registry.RegisterCounter(
-      "rtr_sched_batched_queries_total", labels, &batched_queries_));
   for (size_t c = 0; c < kNumCostClasses; ++c) {
     obs::Labels class_labels = labels;
     class_labels.emplace_back("class",
@@ -374,78 +366,56 @@ void QueryService::WorkerLoop() {
   // The worker's trace recorder, reused across queries; only wired into
   // the workspace while tracing is on.
   obs::TraceRecorder trace;
-  std::vector<Task> batch;
-  batch.reserve(admission_.batch_size);
   for (;;) {
-    batch.clear();
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and fully drained
-      // Fair drain: take up to batch_size, but leave work behind for idle
-      // peers — a worker only batches beyond one query when the queue is
-      // deeper than the pool could cover one-each.
-      const size_t workers = static_cast<size_t>(options_.num_workers);
-      const size_t take = std::min(admission_.batch_size,
-                                   1 + (queue_.size() - 1) / workers);
-      while (batch.size() < take) batch.push_back(queue_.Pop());
+      task = queue_.Pop();
     }
-    // One generation pin, observe-generation cache walk, and (in dist-live
-    // mode) restripe check amortized over the whole batch; the workspace
-    // stays warm across its queries, so a batch of repeats of one hot
-    // query also reuses the teleport vector (core/workspace.h).
-    std::shared_ptr<const dist::Cluster> cluster;
-    WallTimer pin_timer;
-    PinnedGraph pinned = PinForQuery(&cluster);
-    const double pin_millis = pin_timer.ElapsedMillis();
-    ObserveGeneration(pinned.generation);
-    if (admission_.enabled) {
-      batches_.Increment();
-      batched_queries_.Add(batch.size());
-    }
-    for (Task& task : batch) {
-      RunTask(task, pinned, cluster.get(), pin_millis, &workspace, &trace);
-    }
+    RunTask(task, &workspace, &trace);
   }
 }
 
-void QueryService::RunTask(Task& task, const PinnedGraph& pinned,
-                           const dist::Cluster* cluster, double pin_millis,
-                           core::QueryWorkspace* workspace,
+void QueryService::RunTask(Task& task, core::QueryWorkspace* workspace,
                            obs::TraceRecorder* trace) {
   ServeResponse response;
-  // The batch pin ran after this task left the queue and is traced as its
-  // own phase, so it is not part of the wait.
-  response.queue_millis =
-      std::max(0.0, task.admitted.ElapsedMillis() - pin_millis);
+  // Read at dequeue, so the pin below is not part of the wait.
+  response.queue_millis = task.admitted.ElapsedMillis();
   response.effective_epsilon = task.effective_epsilon;
   if (admission_.enabled) response.predicted_millis = task.predicted_millis;
-  response.generation = pinned.generation;
   class_queue_wait_[static_cast<size_t>(task.cost_class)].Record(
       response.queue_millis);
   const bool traced = tracing_.load(std::memory_order_relaxed);
   if (traced) {
     trace->BeginQuery(static_cast<int64_t>(
         next_query_id_.fetch_add(1, std::memory_order_relaxed)));
-    // Wait, then pin, laid end to end up to now.
-    const int64_t pin_nanos = static_cast<int64_t>(pin_millis * 1e6);
-    const int64_t now = trace->NowNanos();
-    trace->AddSpanAt(
+    trace->AddSpan(
         admission_.enabled ? obs::Phase::kSchedWait : obs::Phase::kQueueWait,
-        now - pin_nanos, static_cast<int64_t>(response.queue_millis * 1e6));
-    trace->AddSpanAt(obs::Phase::kGenerationPin, now, pin_nanos);
+        static_cast<int64_t>(response.queue_millis * 1e6));
     workspace->trace = trace;
   } else {
     workspace->trace = nullptr;
   }
+  // Each query pins the generation current at its pickup; in dist-live
+  // mode the pin also restripes a cluster for a new generation.
+  std::shared_ptr<const dist::Cluster> cluster;
+  PinnedGraph pinned;
+  {
+    obs::ScopedSpan span(workspace->trace, obs::Phase::kGenerationPin);
+    pinned = PinForQuery(&cluster);
+  }
+  ObserveGeneration(pinned.generation);
+  response.generation = pinned.generation;
   // The widened epsilon is what actually runs — and what the cache keys
   // on, so a widened answer is never returned to a full-precision request
   // (or vice versa).
   core::TopKParams effective_params = task.request.params;
   effective_params.epsilon = task.effective_epsilon;
   double engine_millis = -1.0;
-  Execute(task.request.query, effective_params, pinned, cluster, &response,
-          workspace, &engine_millis);
+  Execute(task.request.query, effective_params, pinned, cluster.get(),
+          &response, workspace, &engine_millis);
   response.total_millis = task.admitted.ElapsedMillis();
   if (traced) {
     workspace->trace = nullptr;
@@ -566,8 +536,9 @@ ServiceStats QueryService::stats() const {
   stats.failed = failed_.value();
   stats.slo_violations = slo_violations_.value();
   stats.eps_widened = eps_widened_.value();
-  stats.batches = batches_.value();
-  stats.batched_queries = batched_queries_.value();
+  if (admission_.enabled) {  // one query per wakeup (see ServiceStats)
+    stats.batches = stats.batched_queries = latencies_.Count();
+  }
   for (size_t c = 0; c < kNumCostClasses; ++c) {
     const uint64_t count = class_queue_wait_[c].Count();
     stats.queue_wait[c].count = count;

@@ -24,8 +24,8 @@
 // instantiated per worker.
 //
 // Live updates (DESIGN.md §8): a service constructed over a
-// graph::GraphStore pins the store's current generation per worker batch
-// (GraphStore::Pin — a refcount bump, never a graph copy), so a writer
+// graph::GraphStore pins the store's current generation per query at worker
+// pickup (GraphStore::Pin — a refcount bump, never a graph copy), so a writer
 // publishing new generations through GraphStore::Apply/Publish swaps the
 // served graph without stopping the pool: in-flight queries drain on the
 // generation they pinned while new arrivals pick up the new one. Cache
@@ -90,10 +90,9 @@ struct ServiceOptions {
   // How many slowest-query trace dumps to retain for SlowestTraces().
   size_t trace_keep = 8;
   // Cost-model admission scheduling (serve/scheduler.h, DESIGN.md §11):
-  // priority queue ordered by predicted cost, batched worker drains,
-  // deadline shedding, adaptive epsilon. Disabled by default, which runs
-  // the same queue as FIFO: arrival order, one query per drain, no
-  // shedding, no widening.
+  // priority queue ordered by predicted cost, deadline shedding, adaptive
+  // epsilon. Disabled by default, which runs the same queue as FIFO:
+  // arrival order, no shedding, no widening.
   SchedulerOptions scheduler;
 };
 
@@ -151,10 +150,13 @@ struct ServiceStats {
   uint64_t cache_insertions = 0;
   uint64_t cache_evictions = 0;      // LRU capacity evictions
   uint64_t cache_invalidations = 0;  // reclaimed after generation swaps
-  // Scheduler-mode activity: queries that ran with a widened epsilon,
-  // worker batch drains, and queries served through those drains
-  // (batched_queries / batches = achieved batch occupancy).
+  // Queries that ran with a widened epsilon (scheduler mode only).
   uint64_t eps_widened = 0;
+  // Legacy view of the removed batched drains: every worker wakeup now
+  // serves one query, so with the scheduler on both read the number of
+  // queries workers served, and under FIFO both read 0. Kept only because
+  // perfbench derives its sched batch-size figure from them; they go once
+  // a benchmark change drops that figure.
   uint64_t batches = 0;
   uint64_t batched_queries = 0;
   // Highest graph generation the service has observed: the generation at
@@ -282,17 +284,15 @@ class QueryService {
                std::shared_ptr<const dist::Cluster> cluster,
                const ServiceOptions& options);
 
-  // Drains batches from queue_, pinning the generation once per batch.
-  // Each worker owns one core::QueryWorkspace (the per-query arena of
-  // DESIGN.md §7) for its whole lifetime, so steady-state cache misses run
-  // the engine without O(num_nodes) allocation or zeroing.
+  // Pops one task per wakeup and runs it. Each worker owns one
+  // core::QueryWorkspace (the per-query arena of DESIGN.md §7) for its
+  // whole lifetime, so steady-state cache misses run the engine without
+  // O(num_nodes) allocation or zeroing.
   void WorkerLoop();
-  // Serves one dequeued task on its batch's pinned generation and fires
-  // its callback. pin_millis is the batch's pin duration, traced as its
-  // own phase and left out of the task's queue wait.
-  void RunTask(Task& task, const PinnedGraph& pinned,
-               const dist::Cluster* cluster, double pin_millis,
-               core::QueryWorkspace* workspace, obs::TraceRecorder* trace);
+  // Serves one dequeued task and fires its callback: reads its queue wait,
+  // then pins the generation (and cluster) the query runs on.
+  void RunTask(Task& task, core::QueryWorkspace* workspace,
+               obs::TraceRecorder* trace);
   // Cache lookup + backend dispatch against a pinned generation, with the
   // task's (possibly widened) params. Sets *engine_millis to the measured
   // engine time, or leaves it negative on a cache hit.
@@ -307,7 +307,7 @@ class QueryService {
   // slowest-trace ring.
   void RecordTrace(const obs::TraceRecorder& trace, double total_millis);
   // Resolves the graph generation (and, for kDistributed, the cluster)
-  // a batch runs on. In dist-live mode this is where a new generation's
+  // a query runs on. In dist-live mode this is where a new generation's
   // cluster gets striped.
   PinnedGraph PinForQuery(std::shared_ptr<const dist::Cluster>* cluster);
   // Raises the observed-generation watermark; the winning caller reclaims
@@ -323,8 +323,8 @@ class QueryService {
   Backend backend_;
   ServiceOptions options_;
   // options_.scheduler resolved at construction. Scheduler off is the
-  // FIFO configuration: arrival-order key, batch_size 1, no deadline
-  // shedding (enabled stays false), eps_max 0 (no widening).
+  // FIFO configuration: arrival-order key, no deadline shedding (enabled
+  // stays false), eps_max 0 (no widening).
   SchedulerOptions admission_;
   ResultCache cache_;
   LatencyHistogram latencies_;
@@ -360,14 +360,12 @@ class QueryService {
   obs::Counter completed_;
   obs::Counter failed_;
   obs::Counter slo_violations_;
-  // Scheduler series (rtr_sched_*): split rejection reasons, widened-
-  // epsilon queries, batch drains. shed_overflow_ also counts FIFO-mode
-  // queue-full rejections so the reason split covers both modes.
+  // Scheduler series (rtr_sched_*): split rejection reasons and widened-
+  // epsilon queries. shed_overflow_ also counts FIFO-mode queue-full
+  // rejections so the reason split covers both modes.
   obs::Counter shed_overflow_;
   obs::Counter shed_predicted_;
   obs::Counter eps_widened_;
-  obs::Counter batches_;
-  obs::Counter batched_queries_;
   // Queue wait split by predicted-cost class
   // (rtr_serve_queue_wait_ms{class=...}).
   std::array<LatencyHistogram, kNumCostClasses> class_queue_wait_;

@@ -6,8 +6,8 @@
 // This header holds the scheduling *policy* — pure, allocation-light,
 // deterministically testable pieces — and the admission queue that
 // QueryService runs in both modes. With SchedulerOptions::enabled off the
-// service configures it as FIFO (arrival-order key, batches of one, no
-// deadline shedding, no widening); with it on:
+// service configures it as FIFO (arrival-order key, no deadline shedding,
+// no widening); with it on:
 //
 //  * PriorityKey: shortest-predicted-job-first with an age-based
 //    anti-starvation boost. The trick is that the key is computed once at
@@ -47,12 +47,9 @@ namespace rtr::serve {
 
 struct SchedulerOptions {
   // Master switch. Off runs QueryService's admission queue as FIFO:
-  // arrival-order key, batch_size 1, no deadline shedding, no widening
-  // (the fields below are ignored).
+  // arrival-order key, no deadline shedding, no widening (eps_max is
+  // ignored).
   bool enabled = false;
-  // Most queued requests one worker drains into a single workspace-warm
-  // batch (one generation pin + cache-evict check amortized across them).
-  size_t batch_size = 8;
   // Upper edge of the adaptive-epsilon band. <= the request's own epsilon
   // disables widening (the default 0 therefore turns the feature off).
   double eps_max = 0.0;
@@ -84,8 +81,8 @@ double PriorityKey(double predicted_millis, double arrival_millis);
 
 // Admission-time completion estimate: the queued predicted work spread
 // across the pool, plus the request's own predicted cost. Ignores work
-// already in flight on the workers — an under-estimate of roughly one
-// batch, which errs on the side of admitting.
+// already in flight on the workers — an under-estimate of at most one
+// query per worker, which errs on the side of admitting.
 double PredictedCompletionMillis(double queued_predicted_millis,
                                  int num_workers, double own_predicted_millis);
 

@@ -59,8 +59,8 @@ grep -q 'admission: accepted 3, rejected 2 (queue overflow 0, '\
 'predicted-deadline shed 2, stopping 0)' "$TMP/mixed_out.txt"
 check "exactly the two tiny-deadline records were shed" 0 $?
 
-grep -q 'scheduler: .* batches, 3 batched queries' "$TMP/mixed_out.txt"
-check "admitted records were served through batch drains" 0 $?
+grep -q 'scheduler: 0 widened-epsilon queries' "$TMP/mixed_out.txt"
+check "no --eps-band: the summary counts 0 widened-epsilon queries" 0 $?
 
 grep -q 'queue wait \[moderate\]:' "$TMP/mixed_out.txt"
 check "summary reports per-class queue wait" 0 $?
@@ -68,10 +68,14 @@ check "summary reports per-class queue wait" 0 $?
 # --- scheduler metrics series --------------------------------------------
 
 for series in rtr_sched_shed_overflow_total rtr_sched_shed_predicted_total \
-              rtr_sched_eps_widened_total rtr_sched_batches_total \
-              rtr_sched_batched_queries_total; do
+              rtr_sched_eps_widened_total; do
   grep -q "$series" "$TMP/metrics.txt"
   check "exposition covers $series" 0 $?
+done
+# Workers serve one query per wakeup; the batch-drain series are gone.
+for series in rtr_sched_batches_total rtr_sched_batched_queries_total; do
+  grep -q "$series" "$TMP/metrics.txt"
+  check "exposition has no $series" 1 $?
 done
 shed=$(grep '^rtr_sched_shed_predicted_total' "$TMP/metrics.txt" |
        tail -1 | awk '{printf "%.0f", $NF}')
@@ -81,13 +85,15 @@ check "rtr_sched_shed_predicted_total agrees with the summary (got $shed)" \
 
 # --- synthetic stream with scheduler knobs --------------------------------
 
-# No replay file: the synthetic pool honors --deadline-ms, --batch and
-# --eps-band. A generous deadline sheds nothing.
-"$CLI" serve --scheduler --queries 40 --qps 2000 --workers 2 --batch 4 \
+# No replay file: the synthetic pool honors --deadline-ms and --eps-band.
+# A generous deadline sheds nothing.
+"$CLI" serve --scheduler --queries 40 --qps 2000 --workers 2 \
   --eps-band 0.05 --deadline-ms 60000 > "$TMP/synth_out.txt" 2>&1
 check "synthetic stream with scheduler knobs" 0 $?
 grep -q 'admission: accepted 40, rejected 0' "$TMP/synth_out.txt"
 check "generous deadline admits the whole synthetic stream" 0 $?
+grep -Eq '^scheduler: [0-9]+ widened-epsilon queries$' "$TMP/synth_out.txt"
+check "summary reports the widened-epsilon count" 0 $?
 
 # --- error paths ---------------------------------------------------------
 
@@ -99,8 +105,10 @@ check "malformed replay record exits 2" 2 $?
 printf '3 junk\n' > "$TMP/bad_deadline.rtrq"
 "$CLI" serve --replay "$TMP/bad_deadline.rtrq" > /dev/null 2>&1
 check "malformed deadline column exits 2" 2 $?
-"$CLI" serve --scheduler --batch 0 > /dev/null 2>&1
-check "--batch 0 exits 2" 2 $?
+"$CLI" serve --scheduler --batch 4 > "$TMP/batch_out.txt" 2>&1
+check "retired --batch is refused (exit 2)" 2 $?
+grep -q "unknown flag '--batch' for serve" "$TMP/batch_out.txt"
+check "--batch is reported as an unknown serve flag" 0 $?
 "$CLI" serve --deadline-ms -1 > /dev/null 2>&1
 check "negative --deadline-ms exits 2" 2 $?
 

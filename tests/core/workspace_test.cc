@@ -302,7 +302,7 @@ TEST(QueryWorkspaceTest, NaiveSchemeThroughWorkspace) {
 }
 
 TEST(QueryWorkspaceTest, RepeatedQueryIsBitIdenticalToFresh) {
-  // Back-to-back runs of one (query, alpha), as a scheduler batch of a hot
+  // Back-to-back runs of one (query, alpha), as a worker serving a hot
   // query produces, must not move a single bit.
   Graph g = RandomGraph(11);
   QueryWorkspace reused;

@@ -619,10 +619,10 @@ std::vector<DumpedSpan> DumpedSpans(const std::string& json) {
   return spans;
 }
 
-// A scheduled batch pins its generation once, and that pin is its own
-// phase: the batch's wait ends where the pin starts and does not contain
-// it. Read off the dumped trace of a query that restripes, so the check
-// does not depend on how long the pin takes.
+// A scheduled query pins its generation once, at pickup, and that pin is
+// its own phase: the query's wait ends before the pin starts and does not
+// contain it. Read off the dumped trace of a query that restripes, so the
+// check does not depend on how long the pin takes.
 TEST(QueryServiceTest, ScheduledRestripePinIsTracedOnce) {
   auto store = std::make_shared<GraphStore>(SharedGraphPtr());
   ServiceOptions options;

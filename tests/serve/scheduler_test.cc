@@ -12,7 +12,9 @@
 #include "core/topk_testing.h"
 #include "core/twosbound.h"
 #include "datasets/bibnet.h"
+#include "graph/delta.h"
 #include "graph/graph.h"
+#include "graph/store.h"
 #include "serve/query_service.h"
 #include "util/random.h"
 
@@ -169,9 +171,9 @@ TEST(AdmissionQueueTest, RandomizedAgainstSortedReference) {
 // QueryService integration
 // ---------------------------------------------------------------------------
 
-// Scheduler on (batching, aging, the lot) but no deadline and no epsilon
+// Scheduler on (SJF, aging, the cost model) but no deadline and no epsilon
 // band: responses must stay bit-identical to the serial engine.
-TEST(SchedulerServiceTest, ScheduledBatchedResponsesBitIdenticalToSerial) {
+TEST(SchedulerServiceTest, ScheduledResponsesBitIdenticalToSerial) {
   const Graph& graph = SharedNet().graph();
   core::TopKParams params = DefaultParams();
   std::vector<NodeId> stream = QueryStream(graph, 30, 100, 99);
@@ -182,7 +184,6 @@ TEST(SchedulerServiceTest, ScheduledBatchedResponsesBitIdenticalToSerial) {
   options.enable_cache = true;
   options.cache_capacity = 64;
   options.scheduler.enabled = true;
-  options.scheduler.batch_size = 4;
   QueryService service(SharedGraphPtr(), options);
   ASSERT_TRUE(service.Start().ok());
 
@@ -213,8 +214,10 @@ TEST(SchedulerServiceTest, ScheduledBatchedResponsesBitIdenticalToSerial) {
   }
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, stream.size());
-  EXPECT_GT(stats.batches, 0u);
-  EXPECT_EQ(stats.batched_queries, stream.size());
+  // One query per worker wakeup: the legacy batch counters both read the
+  // served-query count.
+  EXPECT_EQ(stats.batches, stats.completed);
+  EXPECT_EQ(stats.batched_queries, stats.completed);
   EXPECT_EQ(stats.shed_predicted, 0u);
   EXPECT_EQ(stats.eps_widened, 0u);
   // The model learned from this stream's engine runs.
@@ -354,7 +357,6 @@ TEST(SchedulerServiceTest, AdaptiveEpsilonStampsResponsesAndKeysCache) {
   options.queue_capacity = 8;
   options.enable_cache = true;
   options.scheduler.enabled = true;
-  options.scheduler.batch_size = 8;
   options.scheduler.eps_max = 0.08;
   QueryService service(SharedGraphPtr(), options);
 
@@ -395,27 +397,37 @@ TEST(SchedulerServiceTest, AdaptiveEpsilonStampsResponsesAndKeysCache) {
   EXPECT_EQ(stats.cache_hits, 4u);
 }
 
-// A single worker drains everything queued before Start as one batch
-// (capped by batch_size), amortizing the generation pin.
-TEST(SchedulerServiceTest, SingleWorkerDrainsQueuedBacklogAsOneBatch) {
+// Each query pins the generation current when a worker picks it up, not
+// one shared by everything queued alongside it: a swap published by the
+// first query's callback is what the second query runs on.
+TEST(SchedulerServiceTest, ScheduledQueryPinsGenerationAtPickup) {
   const Graph& graph = SharedNet().graph();
-  core::TopKParams params = DefaultParams();
-  std::vector<NodeId> stream = QueryStream(graph, 6, 6, 23);
+  auto store = std::make_shared<GraphStore>(SharedGraphPtr());
+  const NodeId q = QueryStream(graph, 1, 1, 23)[0];
+  GraphDelta delta;
+  delta.base_generation = 0;
+  delta.added_arcs.push_back({q, graph.out_targets(q)[0], 1.0});
 
   ServiceOptions options;
   options.num_workers = 1;
-  options.queue_capacity = 16;
+  options.enable_cache = false;
   options.scheduler.enabled = true;
-  options.scheduler.batch_size = 8;
-  QueryService service(SharedGraphPtr(), options);
+  QueryService service(store, options);
 
+  // Both queued before Start, so the one worker finds them together. The
+  // two requests are the same query, so SJF serves them in arrival order.
+  std::vector<ServeResponse> responses(2);
   std::vector<std::future<void>> futures;
-  for (NodeId q : stream) {
+  for (size_t i = 0; i < 2; ++i) {
     auto promise = std::make_shared<std::promise<void>>();
     futures.push_back(promise->get_future());
     ASSERT_TRUE(service
-                    .SubmitAsync({{q}, params},
-                                 [promise](const ServeResponse&) {
+                    .SubmitAsync({{q}, DefaultParams()},
+                                 [&, i, promise](const ServeResponse& r) {
+                                   responses[i] = r;
+                                   if (i == 0) {
+                                     EXPECT_TRUE(store->Apply(delta).ok());
+                                   }
                                    promise->set_value();
                                  })
                     .ok());
@@ -424,9 +436,13 @@ TEST(SchedulerServiceTest, SingleWorkerDrainsQueuedBacklogAsOneBatch) {
   for (auto& f : futures) f.wait();
   service.Shutdown();
 
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batched_queries, stream.size());
+  ASSERT_TRUE(responses[0].status.ok());
+  ASSERT_TRUE(responses[1].status.ok());
+  EXPECT_EQ(responses[0].generation, 0u);
+  EXPECT_EQ(responses[1].generation, 1u);
+  ExpectBitIdentical(
+      responses[1].topk,
+      core::FreshTopK(*store->Current(), {q}, DefaultParams()).value(), q);
 }
 
 // A NaN epsilon is rejected by the engine, and the features admission

@@ -17,8 +17,8 @@
 //                   [--slo-ms 50] [--repeat 0.5] [--seed 7]
 //                   [--metrics-out metrics.txt] [--metrics-interval-ms 1000]
 //                   [--trace N] [--tracing 0|1]
-//                   [--scheduler] [--batch 8] [--deadline-ms D]
-//                   [--eps-band MAX] [--replay stream.rtrq]
+//                   [--scheduler] [--deadline-ms D] [--eps-band MAX]
+//                   [--replay stream.rtrq]
 //   rtr gp-serve    --graph g.rtrsnap --shard k/N [--port 0] [--mmap]
 //
 // A subcommand refuses any flag outside its list above, and any value that
@@ -45,10 +45,10 @@
 // live generation-swap path while queries are in flight.
 //
 // Scheduling (DESIGN.md §11): `serve --scheduler` turns on cost-model
-// admission — shortest-predicted-job-first with batched worker drains of up
-// to --batch requests, deadline shedding (--deadline-ms gives every request
-// a completion budget; 0 = none), and adaptive epsilon up to --eps-band
-// under queue pressure. `--replay file` replaces the synthetic stream with
+// admission — shortest-predicted-job-first (each worker wakeup serves one
+// request), deadline shedding (--deadline-ms gives every request a
+// completion budget; 0 = none), and adaptive epsilon up to --eps-band under
+// queue pressure. `--replay file` replaces the synthetic stream with
 // a recorded one: one record per line, `node [deadline_ms]`, `#` comments
 // and blank lines skipped. The deadline column is optional per record —
 // old node-only logs parse unchanged (records without it fall back to
@@ -637,7 +637,7 @@ int CmdServe(int argc, char** argv) {
       {"graph", "mmap", "delta", "queries", "qps", "workers", "queue",
        "cache", "cache-capacity", "backend", "gps", "k", "eps", "slo-ms",
        "repeat", "seed", "metrics-out", "metrics-interval-ms", "trace",
-       "tracing", "scheduler", "batch", "deadline-ms", "eps-band", "replay"});
+       "tracing", "scheduler", "deadline-ms", "eps-band", "replay"});
   // The served graph: an explicit --graph file, or the synthetic QLog
   // (whose phrase nodes make a natural query stream). The QLog stays alive
   // so its graph is referenced, not copied.
@@ -715,12 +715,6 @@ int CmdServe(int argc, char** argv) {
 
   // Cost-model admission scheduling (serve/scheduler.h).
   options.scheduler.enabled = flags.GetBool("scheduler");
-  int batch_size = flags.GetInt("batch", 8);
-  if (batch_size < 1) {
-    std::fprintf(stderr, "--batch must be >= 1\n");
-    return 2;
-  }
-  options.scheduler.batch_size = static_cast<size_t>(batch_size);
   options.scheduler.eps_max = flags.GetDouble("eps-band", 0.0);
   // Per-request completion budget; replay records may override it.
   double default_deadline_ms = flags.GetDouble("deadline-ms", 0.0);
@@ -908,10 +902,8 @@ int CmdServe(int argc, char** argv) {
               options.enable_cache ? "on" : "off", backend.c_str(),
               delta_paths.size());
   if (options.scheduler.enabled) {
-    std::printf("scheduler on: batch %zu, deadline %.1fms, eps band "
-                "[%.4f, %.4f]%s\n",
-                options.scheduler.batch_size, default_deadline_ms,
-                params.epsilon,
+    std::printf("scheduler on: deadline %.1fms, eps band [%.4f, %.4f]%s\n",
+                default_deadline_ms, params.epsilon,
                 std::max(options.scheduler.eps_max, params.epsilon),
                 replay.empty() ? "" : ", replayed stream");
   }
@@ -1051,13 +1043,8 @@ int CmdServe(int argc, char** argv) {
                 static_cast<unsigned long long>(wait.count),
                 wait.mean_millis, wait.p99_millis);
   }
-  if (options.scheduler.enabled && stats.batches > 0) {
-    std::printf("scheduler: %llu batches, %llu batched queries "
-                "(occupancy %.2f), %llu widened-epsilon queries\n",
-                static_cast<unsigned long long>(stats.batches),
-                static_cast<unsigned long long>(stats.batched_queries),
-                static_cast<double>(stats.batched_queries) /
-                    static_cast<double>(stats.batches),
+  if (options.scheduler.enabled) {
+    std::printf("scheduler: %llu widened-epsilon queries\n",
                 static_cast<unsigned long long>(stats.eps_widened));
   }
   if (remote_cluster != nullptr) {
@@ -1167,10 +1154,10 @@ void PrintUsage(std::FILE* out) {
                "<out.rtrsnap>\n"
                "       rtr serve --graph <snapshot> [--mmap]  (zero-copy "
                "mapped load)\n"
-               "       rtr serve --scheduler [--batch 8] [--deadline-ms D]\n"
+               "       rtr serve --scheduler [--deadline-ms D]\n"
                "                 [--eps-band MAX] [--replay stream.rtrq]\n"
                "                                (cost-model admission: "
-               "batching, deadline\n"
+               "SJF, deadline\n"
                "                                 shedding, adaptive "
                "epsilon)\n"
                "       rtr gp-serve --graph <snapshot> --shard k/N "
