@@ -24,10 +24,12 @@
 #include "core/two_stage.h"
 #include "core/twosbound.h"
 #include "core/workspace.h"
+#include "datasets/bibnet.h"
 #include "datasets/qlog.h"
 #include "dist/distributed_topk.h"
 #include "obs/trace.h"
 #include "graph/builder.h"
+#include "graph/delta.h"
 #include "graph/snapshot.h"
 #include "net/frame.h"
 #include "ranking/pagerank.h"
@@ -300,6 +302,65 @@ void BM_ClusterRestripe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterRestripe)->Unit(benchmark::kMicrosecond);
+
+// One live-update delta (DESIGN.md §8) applied to a default-sized graph;
+// each iteration assembles the whole next generation. Arg 0: perfbench's
+// delta shape on the default QLog graph, 16 new phrases that each click
+// 1-3 existing URLs (both arc directions). Arg 1: 64 random arc inserts on
+// the default BibNet (about 350k arcs).
+struct DeltaCase {
+  Graph base;
+  rtr::GraphDelta delta;
+};
+
+DeltaCase QLogDeltaCase() {
+  rtr::StatusOr<rtr::datasets::QLog> log =
+      rtr::datasets::QLog::Generate(rtr::datasets::QLogConfig{});
+  CHECK(log.ok()) << log.status().ToString();
+  DeltaCase c{log->graph(), {}};
+  const std::vector<NodeId> urls = c.base.NodesOfType(log->url_type());
+  rtr::Rng rng(2);
+  for (int p = 0; p < 16; ++p) {
+    const NodeId phrase = static_cast<NodeId>(
+        c.base.num_nodes() + c.delta.added_node_types.size());
+    c.delta.added_node_types.push_back(log->phrase_type());
+    const int clicks = 1 + static_cast<int>(rng.NextUint64(3));
+    for (int k = 0; k < clicks; ++k) {
+      const NodeId url = urls[rng.NextUint64(urls.size())];
+      const double weight = 1.0 + static_cast<double>(rng.NextUint64(10));
+      c.delta.added_arcs.push_back({phrase, url, weight});
+      c.delta.added_arcs.push_back({url, phrase, weight});
+    }
+  }
+  return c;
+}
+
+DeltaCase BibNetDeltaCase() {
+  rtr::StatusOr<rtr::datasets::BibNet> net =
+      rtr::datasets::BibNet::Generate(rtr::datasets::BibNetConfig{});
+  CHECK(net.ok()) << net.status().ToString();
+  DeltaCase c{net->graph(), {}};
+  rtr::Rng rng(3);
+  const size_t n = c.base.num_nodes();
+  for (int a = 0; a < 64; ++a) {
+    c.delta.added_arcs.push_back({static_cast<NodeId>(rng.NextUint64(n)),
+                                  static_cast<NodeId>(rng.NextUint64(n)),
+                                  0.5 + rng.NextDouble()});
+  }
+  return c;
+}
+
+void BM_ApplyDelta(benchmark::State& state) {
+  static const DeltaCase* qlog = new DeltaCase(QLogDeltaCase());
+  static const DeltaCase* bibnet = new DeltaCase(BibNetDeltaCase());
+  const DeltaCase& c = state.range(0) == 0 ? *qlog : *bibnet;
+  for (auto _ : state) {
+    rtr::StatusOr<Graph> next = rtr::ApplyDelta(c.base, c.delta);
+    benchmark::DoNotOptimize(next->num_arcs());
+  }
+  state.SetLabel(state.range(0) == 0 ? "qlog" : "bibnet");
+}
+BENCHMARK(BM_ApplyDelta)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // Steady-state allocation audit (the CI gate). Runs a fixed query set once
 // to warm the arena, then replays it and demands zero operator-new calls.

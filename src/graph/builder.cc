@@ -52,67 +52,95 @@ StatusOr<Graph> GraphBuilder::Build() const {
     }
   }
 
-  // Sort by (source, target) and merge parallel arcs.
+  // Sort by (source, target) and merge parallel arcs straight into the
+  // out-rows. The sort is stable, so an arc's copies are summed in staging
+  // order (the order ApplyDelta accumulates repeated inserts in).
   std::vector<StagedArc> sorted = arcs_;
-  std::sort(sorted.begin(), sorted.end(),
+  std::stable_sort(sorted.begin(), sorted.end(),
             [](const StagedArc& a, const StagedArc& b) {
               if (a.source != b.source) return a.source < b.source;
               return a.target < b.target;
             });
-  std::vector<StagedArc> merged;
-  merged.reserve(sorted.size());
-  for (const StagedArc& arc : sorted) {
-    if (!merged.empty() && merged.back().source == arc.source &&
-        merged.back().target == arc.target) {
-      merged.back().weight += arc.weight;
+  std::vector<size_t> out_offsets(n + 1, 0);
+  std::vector<NodeId> out_targets;
+  std::vector<double> out_arc_weights;
+  out_targets.reserve(sorted.size());
+  out_arc_weights.reserve(sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const StagedArc& arc = sorted[i];
+    if (i > 0 && sorted[i - 1].source == arc.source &&
+        sorted[i - 1].target == arc.target) {
+      out_arc_weights.back() += arc.weight;
     } else {
-      merged.push_back(arc);
+      out_offsets[arc.source + 1]++;
+      out_targets.push_back(arc.target);
+      out_arc_weights.push_back(arc.weight);
     }
   }
+  std::partial_sum(out_offsets.begin(), out_offsets.end(),
+                   out_offsets.begin());
+  return Freeze(type_names_, node_types_, std::move(out_offsets),
+                std::move(out_targets), std::move(out_arc_weights));
+}
+
+Graph GraphBuilder::Freeze(std::vector<std::string> type_names,
+                           std::vector<NodeTypeId> node_types,
+                           std::vector<size_t> out_offsets,
+                           std::vector<NodeId> out_targets,
+                           std::vector<double> out_arc_weights) {
+  const size_t n = node_types.size();
+  const size_t num_arcs = out_targets.size();
+  DCHECK_EQ(out_offsets.size(), n + 1);
+  DCHECK_EQ(out_offsets[n], num_arcs);
+  DCHECK_EQ(out_arc_weights.size(), num_arcs);
 
   Graph::Columns c;
-  c.node_types = node_types_;
+  c.node_types = std::move(node_types);
+  c.out_offsets = std::move(out_offsets);
+  c.out_targets = std::move(out_targets);
+  c.out_arc_weights = std::move(out_arc_weights);
 
-  // Out-CSR columns with transition probabilities.
-  c.out_offsets.assign(n + 1, 0);
-  for (const StagedArc& arc : merged) c.out_offsets[arc.source + 1]++;
-  std::partial_sum(c.out_offsets.begin(), c.out_offsets.end(),
-                   c.out_offsets.begin());
-  c.out_weights.assign(n, 0.0);
-  for (const StagedArc& arc : merged) c.out_weights[arc.source] += arc.weight;
-
-  c.out_targets.resize(merged.size());
-  c.out_arc_weights.resize(merged.size());
-  c.out_probs.resize(merged.size());
-  {
-    std::vector<size_t> cursor(c.out_offsets.begin(), c.out_offsets.end() - 1);
-    for (const StagedArc& arc : merged) {
-      size_t slot = cursor[arc.source]++;
-      c.out_targets[slot] = arc.target;
-      c.out_arc_weights[slot] = arc.weight;
-      c.out_probs[slot] = arc.weight / c.out_weights[arc.source];
+  // Out-side: weight totals in target order, then w / total per arc. Count
+  // in-degrees on the way.
+  c.out_weights.resize(n);
+  c.out_probs.resize(num_arcs);
+  c.in_offsets.assign(n + 1, 0);
+  for (size_t v = 0; v < n; ++v) {
+    const size_t begin = c.out_offsets[v];
+    const size_t end = c.out_offsets[v + 1];
+    double total = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      DCHECK_LT(c.out_targets[i], n);
+      DCHECK(i == begin || c.out_targets[i - 1] < c.out_targets[i])
+          << "out-row " << v << " not strictly increasing";
+      DCHECK_GT(c.out_arc_weights[i], 0.0);
+      total += c.out_arc_weights[i];
+      c.in_offsets[c.out_targets[i] + 1]++;
+    }
+    c.out_weights[v] = total;
+    for (size_t i = begin; i < end; ++i) {
+      c.out_probs[i] = c.out_arc_weights[i] / total;
     }
   }
-
-  // In-CSR columns mirroring the same probabilities.
-  c.in_offsets.assign(n + 1, 0);
-  for (const StagedArc& arc : merged) c.in_offsets[arc.target + 1]++;
   std::partial_sum(c.in_offsets.begin(), c.in_offsets.end(),
                    c.in_offsets.begin());
-  c.in_sources.resize(merged.size());
-  c.in_arc_weights.resize(merged.size());
-  c.in_probs.resize(merged.size());
-  {
-    std::vector<size_t> cursor(c.in_offsets.begin(), c.in_offsets.end() - 1);
-    for (const StagedArc& arc : merged) {
-      size_t slot = cursor[arc.target]++;
-      c.in_sources[slot] = arc.source;
-      c.in_arc_weights[slot] = arc.weight;
-      c.in_probs[slot] = arc.weight / c.out_weights[arc.source];
+
+  // In-side: one counting pass over the out-rows in source order, so each
+  // in-row's sources come out ascending and mirror the out-side values.
+  c.in_sources.resize(num_arcs);
+  c.in_arc_weights.resize(num_arcs);
+  c.in_probs.resize(num_arcs);
+  std::vector<size_t> cursor(c.in_offsets.begin(), c.in_offsets.end() - 1);
+  for (size_t v = 0; v < n; ++v) {
+    for (size_t i = c.out_offsets[v]; i < c.out_offsets[v + 1]; ++i) {
+      const size_t slot = cursor[c.out_targets[i]]++;
+      c.in_sources[slot] = static_cast<NodeId>(v);
+      c.in_arc_weights[slot] = c.out_arc_weights[i];
+      c.in_probs[slot] = c.out_probs[i];
     }
   }
 
-  return Graph::Bind(type_names_, std::move(c));
+  return Graph::Bind(std::move(type_names), std::move(c));
 }
 
 }  // namespace rtr

@@ -11,6 +11,8 @@
 
 namespace rtr {
 
+struct GraphDelta;
+
 // Mutable staging area for constructing a Graph.
 //
 // Usage:
@@ -21,7 +23,8 @@ namespace rtr {
 //   b.AddUndirectedEdge(p, a, 1.0);       // materialized as two arcs
 //   StatusOr<Graph> g = b.Build();
 //
-// Parallel arcs between the same ordered pair are merged by summing weights.
+// Parallel arcs between the same ordered pair are merged by summing weights
+// in staging order.
 // Self-loops are permitted (they occur in the paper's toy example only via
 // round trips, not arcs, but nothing forbids them structurally).
 class GraphBuilder {
@@ -59,6 +62,22 @@ class GraphBuilder {
   StatusOr<Graph> Build() const;
 
  private:
+  // The one column assembler behind Build(), ApplyDelta() and
+  // UniformWeightCopy(). Takes frozen out-rows — each row's targets strictly
+  // increasing (parallel arcs already merged), every weight positive — and
+  // derives the rest: per-node weight totals summed in target order,
+  // out-probs w / total, and the in-CSR by one counting pass over the
+  // out-rows, so each in-row lists its sources in ascending order and copies
+  // the out-side probability. The input contract is DCHECKed.
+  static Graph Freeze(std::vector<std::string> type_names,
+                      std::vector<NodeTypeId> node_types,
+                      std::vector<size_t> out_offsets,
+                      std::vector<NodeId> out_targets,
+                      std::vector<double> out_arc_weights);
+  friend StatusOr<Graph> ApplyDelta(const Graph& base,
+                                    const GraphDelta& delta);
+  friend Graph UniformWeightCopy(const Graph& g);
+
   struct StagedArc {
     NodeId source;
     NodeId target;

@@ -9,18 +9,20 @@
 // serving path (graph/store.h) both feed on this: arcs arrive while
 // queries are in flight, and each batch of arrivals becomes one delta.
 //
-// The maintenance idiom is "update derived state, don't recompute it":
-// only the CSR rows a delta touches are re-merged and re-normalized
-// (transition probabilities are derived from per-source weight totals, so
-// a changed source invalidates exactly its own out-row and its targets'
-// in-row entries); every untouched row is block-copied verbatim. Applied
-// work is O(|delta| + arcs incident to touched nodes) on top of the
-// unavoidable column copy into the new immutable generation.
+// ApplyDelta makes one pass over the nodes: a row the delta does not touch
+// is copied from the base, a row it touches is merged with its sorted ops.
+// The out-rows then go through GraphBuilder's own column assembler, which
+// derives the weight totals, probabilities and in-CSR. Every generation is
+// a fresh immutable column set, so the cost is O(n + arcs) plus sorting the
+// delta's ops, whatever the delta's size.
 //
 // Bit-identity contract (gtest-enforced): the graph produced by ApplyDelta
 // is column-for-column bit-identical to a from-scratch GraphBuilder build
-// of the same logical graph, so rankings computed on an incrementally
-// built generation match a full rebuild exactly.
+// that stages the base's arcs, then the delta's inserts, so rankings
+// computed on an incrementally built generation match a full rebuild
+// exactly. Both sum an arc's copies in that order: the builder's sort is
+// stable, and ApplyDelta adds inserts to the base weight in added_arcs
+// order.
 
 #include <cstdint>
 #include <iosfwd>

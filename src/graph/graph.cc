@@ -43,15 +43,15 @@ std::vector<NodeId> Graph::NodesOfType(NodeTypeId t) const {
 }
 
 Graph UniformWeightCopy(const Graph& g) {
-  GraphBuilder builder;
-  for (const std::string& name : g.type_names()) builder.AddNodeType(name);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) builder.AddNode(g.node_type(v));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (NodeId target : g.out_targets(v)) {
-      builder.AddDirectedEdge(v, target, 1.0);
-    }
-  }
-  return builder.Build().value();
+  // The out-rows keep their targets (already sorted and merged); only the
+  // weights change. A default-constructed Graph has no offsets at all.
+  std::vector<size_t> out_offsets(g.out_offsets().begin(),
+                                  g.out_offsets().end());
+  if (out_offsets.empty()) out_offsets.push_back(0);
+  return GraphBuilder::Freeze(
+      g.type_names(), {g.node_types().begin(), g.node_types().end()},
+      std::move(out_offsets), {g.out_targets().begin(), g.out_targets().end()},
+      std::vector<double>(g.num_arcs(), 1.0));
 }
 
 size_t Graph::MemoryBytes() const {

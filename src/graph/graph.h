@@ -32,16 +32,18 @@ namespace rtr {
 // (graph/snapshot.h) writes and reads verbatim.
 //
 // Storage: every column is a std::span over immutable bytes that a
-// shared_ptr keeps alive. GraphBuilder::Build() and delta application
-// (graph/delta.h) fill a Columns struct of vectors and move it behind that
-// pointer; the bulk snapshot loader binds the spans in place inside its
-// 8-aligned heap image of the file; LoadGraphMapped() binds them in place
-// inside a MappedSnapshot (a read-only mmap of the rtr-snap file). The
-// accessors cannot tell the three apart, and copying a Graph shares its
-// columns in O(1) whatever their origin. is_mapped() reports whether the
-// bytes are file-backed.
+// shared_ptr keeps alive. GraphBuilder::Build(), delta application
+// (graph/delta.h) and UniformWeightCopy() freeze their out-rows through one
+// column assembler in GraphBuilder, which fills a Columns struct of vectors
+// and moves it behind that pointer; the bulk snapshot loader binds the
+// spans in place inside its 8-aligned heap image of the file;
+// LoadGraphMapped() binds them in place inside a MappedSnapshot (a
+// read-only mmap of the rtr-snap file). The accessors cannot tell the three
+// apart, and copying a Graph shares its columns in O(1) whatever their
+// origin. is_mapped() reports whether the bytes are file-backed.
 //
-// Construct via GraphBuilder::Build(), ApplyDelta() or a snapshot loader.
+// Construct via GraphBuilder::Build(), ApplyDelta(), UniformWeightCopy() or
+// a snapshot loader.
 //
 // Thread safety: a Graph never mutates after construction, and every member
 // function is const and touches only the frozen columns. Any number of
@@ -164,13 +166,12 @@ class Graph {
   }
 
  private:
+  // graph/builder.cc: the one column assembler (GraphBuilder::Freeze) for
+  // built, delta-applied and uniform-weight graphs.
   friend class GraphBuilder;
   // graph/snapshot.cc: binds the spans in place inside a snapshot image
   // (bulk-read or mapped) without a GraphBuilder replay.
   friend class SnapshotCodec;
-  // graph/delta.cc: assembles the next generation's columns from the
-  // previous generation plus a GraphDelta, touching only mutated rows.
-  friend class DeltaOps;
 
   // Freshly assembled columns, before Bind() moves them behind the
   // keep-alive pointer.

@@ -4,6 +4,7 @@
 
 #include "graph/snapshot.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace rtr {
 
@@ -14,11 +15,14 @@ GraphStore::GraphStore(std::shared_ptr<const Graph> initial,
       Generation{generation, std::move(initial)});
   // Lifecycle series for the exposition: the current generation id, how
   // many generations were published here, how many are still pinned by
-  // in-flight readers, and the pin rate. Callbacks take mu_ (registry
-  // mutex -> mu_; nothing takes them in the other order).
+  // in-flight readers, the pin rate and the delta apply time. Callbacks
+  // take mu_ (registry mutex -> mu_; nothing takes them in the other
+  // order).
   auto& registry = obs::MetricsRegistry::Default();
   registrations_.push_back(
       registry.RegisterCounter("rtr_store_pins_total", {}, &pins_));
+  registrations_.push_back(registry.RegisterHistogram(
+      "rtr_store_apply_ms", {}, &apply_latencies_));
   registrations_.push_back(registry.RegisterCallbackGauge(
       "rtr_store_generation", {},
       [this] { return static_cast<double>(this->generation()); }));
@@ -119,11 +123,16 @@ StatusOr<uint64_t> GraphStore::Apply(const GraphDelta& delta) {
   }
   // The expensive part runs with no store lock held: readers keep pinning
   // the old generation while the new columns are assembled.
+  const WallTimer timer;
   StatusOr<Graph> next = ApplyDelta(*base.graph, delta);
   RTR_RETURN_IF_ERROR(next.status());
   const uint64_t next_id = base.generation + 1;
   PublishLocked(Generation{
       next_id, std::make_shared<const Graph>(std::move(next).value())});
+  const double millis = timer.ElapsedMillis();
+  apply_latencies_.Record(millis);
+  LOG(INFO) << "applied delta as generation " << next_id << " in " << millis
+            << " ms";
   return next_id;
 }
 

@@ -38,6 +38,7 @@
 #include "graph/graph.h"
 #include "graph/snapshot.h"
 #include "obs/metrics.h"
+#include "util/latency_histogram.h"
 #include "util/status.h"
 
 namespace rtr {
@@ -85,7 +86,9 @@ class GraphStore {
   // `delta`, then publishes it. Fails with FailedPrecondition when
   // delta.base_generation != generation() (stale or out-of-order delta) and
   // with ApplyDelta's InvalidArgument on malformed ops; the store is
-  // unchanged on any failure. Returns the new generation id.
+  // unchanged on any failure. Returns the new generation id. A successful
+  // apply records its build-plus-publish wall time in rtr_store_apply_ms;
+  // a rejected delta records nothing.
   StatusOr<uint64_t> Apply(const GraphDelta& delta);
 
   // Publishes an externally built graph as generation `generation`, which
@@ -120,6 +123,7 @@ class GraphStore {
   // series of every store in the process. Declared after the state the
   // callback gauges read, before registrations_ (which must die first).
   mutable obs::Counter pins_;
+  LatencyHistogram apply_latencies_;
   std::vector<obs::MetricsRegistry::Registration> registrations_;
 };
 

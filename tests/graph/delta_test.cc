@@ -5,6 +5,7 @@
 // corruption handling.
 #include "graph/delta.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -17,6 +18,7 @@
 
 #include "core/twosbound.h"
 #include "graph/builder.h"
+#include "graph/graph_testing.h"
 #include "util/bytes.h"
 #include "util/mutation_testing.h"
 #include "util/random.h"
@@ -59,33 +61,6 @@ Graph BuildReference(const std::vector<std::string>& extra_types,
   for (NodeTypeId t : node_types) b.AddNode(t);
   for (const Edge& e : edges) b.AddDirectedEdge(e.source, e.target, e.weight);
   return b.Build().value();
-}
-
-template <typename T>
-void ExpectColumnsEq(std::span<const T> a, std::span<const T> b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    // The contract is bit-identity, not approximate equality.
-    ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(T)), 0) << "index " << i;
-  }
-}
-
-void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.num_arcs(), b.num_arcs());
-  EXPECT_EQ(a.type_names(), b.type_names());
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    EXPECT_EQ(a.node_type(v), b.node_type(v));
-    EXPECT_EQ(a.out_weight(v), b.out_weight(v));
-  }
-  ExpectColumnsEq(a.out_offsets(), b.out_offsets());
-  ExpectColumnsEq(a.out_targets(), b.out_targets());
-  ExpectColumnsEq(a.out_arc_weights(), b.out_arc_weights());
-  ExpectColumnsEq(a.out_probs(), b.out_probs());
-  ExpectColumnsEq(a.in_offsets(), b.in_offsets());
-  ExpectColumnsEq(a.in_sources(), b.in_sources());
-  ExpectColumnsEq(a.in_arc_weights(), b.in_arc_weights());
-  ExpectColumnsEq(a.in_probs(), b.in_probs());
 }
 
 // The base graph's edges in GraphBuilder staging order, for composing
@@ -138,6 +113,32 @@ TEST(DeltaTest, InsertOnExistingArcSumsWeights) {
       BuildReference({"paper", "author"}, BaseNodeTypes(), edges);
   ExpectGraphsIdentical(reference, next);
   EXPECT_EQ(next.num_arcs(), base.num_arcs());  // merged, not appended
+}
+
+TEST(DeltaTest, ManyParallelCopiesSumInStagingOrder) {
+  // Dozens of copies of each arc, in the base and in the delta, with
+  // weights whose sum depends on the order it is taken in. A rebuild that
+  // stages every copy separately sums them in staging order, so it matches
+  // ApplyDelta's base total plus inserts in added_arcs order bit for bit.
+  Rng rng(7);
+  const std::vector<NodeTypeId> node_types = {0, 0, 0};
+  std::vector<Edge> edges;
+  auto random_edge = [&rng] {
+    return Edge{static_cast<NodeId>(rng.NextUint64(2)),
+                static_cast<NodeId>(1 + rng.NextUint64(2)),
+                0.1 + rng.NextDouble()};
+  };
+  for (int i = 0; i < 64; ++i) edges.push_back(random_edge());
+  Graph base = BuildReference({}, node_types, edges);
+
+  GraphDelta delta;
+  for (int i = 0; i < 64; ++i) {
+    const Edge edge = random_edge();
+    delta.added_arcs.push_back({edge.source, edge.target, edge.weight});
+    edges.push_back(edge);
+  }
+  Graph next = ApplyDelta(base, delta).value();
+  ExpectGraphsIdentical(BuildReference({}, node_types, edges), next);
 }
 
 TEST(DeltaTest, RemoveArcRenormalizesTouchedRow) {
@@ -196,13 +197,16 @@ TEST(DeltaTest, AppendsNodesAndTypes) {
 }
 
 // The acceptance property behind the whole subsystem: a chain of random
-// deltas produces, at every generation, columns AND rankings bit-identical
-// to a from-scratch rebuild of the same logical graph.
+// deltas (growth, removals and re-weights) produces, at every generation,
+// columns AND rankings bit-identical to a from-scratch rebuild of the same
+// logical graph.
 TEST(DeltaTest, RandomDeltaChainsStayBitIdenticalToRebuilds) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     Rng rng(seed);
     const size_t n0 = 30;
     std::vector<NodeTypeId> node_types;
+    // Every staged arc, repeated inserts as separate copies: the rebuild
+    // merges them the way a from-scratch build of the grown graph would.
     std::vector<Edge> edges;
     for (size_t i = 0; i < n0; ++i) {
       node_types.push_back(rng.NextBernoulli(0.5) ? 1 : 0);
@@ -215,8 +219,32 @@ TEST(DeltaTest, RandomDeltaChainsStayBitIdenticalToRebuilds) {
     Graph current = BuildReference({"x"}, node_types, edges);
 
     for (int step = 0; step < 4; ++step) {
-      // Grow: a couple of nodes plus a batch of arcs over the new range.
       GraphDelta delta;
+      // Remove three existing arcs and re-weight a fourth (remove plus
+      // re-add).
+      while (delta.removed_arcs.size() < 4) {
+        const NodeId s =
+            static_cast<NodeId>(rng.NextUint64(current.num_nodes()));
+        if (current.out_degree(s) == 0) continue;
+        const ArcRemove arc{
+            s, current.out_targets(s)[rng.NextUint64(current.out_degree(s))]};
+        if (std::find(delta.removed_arcs.begin(), delta.removed_arcs.end(),
+                      arc) != delta.removed_arcs.end()) {
+          continue;
+        }
+        delta.removed_arcs.push_back(arc);
+        std::erase_if(edges, [&arc](const Edge& e) {
+          return e.source == arc.source && e.target == arc.target;
+        });
+      }
+      const Edge reweighted{delta.removed_arcs.back().source,
+                            delta.removed_arcs.back().target,
+                            0.1 + rng.NextDouble()};
+      delta.added_arcs.push_back(
+          {reweighted.source, reweighted.target, reweighted.weight});
+      edges.push_back(reweighted);
+
+      // Grow: a couple of nodes plus a batch of arcs over the new range.
       size_t n = current.num_nodes();
       for (int a = 0; a < 2; ++a) {
         NodeTypeId t = rng.NextBernoulli(0.5) ? 1 : 0;

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -21,6 +20,7 @@
 #include "graph/builder.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
+#include "graph/graph_testing.h"
 #include "graph/snapshot.h"
 #include "graph/store.h"
 #include "obs/metrics.h"
@@ -65,31 +65,6 @@ Graph RandomGraph(uint64_t seed, size_t n = 200) {
                       0.1 + rng.NextDouble());
   }
   return b.Build().value();
-}
-
-template <typename T>
-void ExpectColumnsEq(std::span<const T> a, std::span<const T> b) {
-  ASSERT_EQ(a.size(), b.size());
-  if (a.empty()) return;
-  // Bit-identical, not approximately equal: the mapped loader exposes the
-  // file bytes verbatim.
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0);
-}
-
-void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.num_arcs(), b.num_arcs());
-  EXPECT_EQ(a.type_names(), b.type_names());
-  ExpectColumnsEq(a.node_types(), b.node_types());
-  ExpectColumnsEq(a.out_weights(), b.out_weights());
-  ExpectColumnsEq(a.out_offsets(), b.out_offsets());
-  ExpectColumnsEq(a.out_targets(), b.out_targets());
-  ExpectColumnsEq(a.out_arc_weights(), b.out_arc_weights());
-  ExpectColumnsEq(a.out_probs(), b.out_probs());
-  ExpectColumnsEq(a.in_offsets(), b.in_offsets());
-  ExpectColumnsEq(a.in_sources(), b.in_sources());
-  ExpectColumnsEq(a.in_arc_weights(), b.in_arc_weights());
-  ExpectColumnsEq(a.in_probs(), b.in_probs());
 }
 
 std::string WriteSnapshot(const Graph& g, const std::string& name,

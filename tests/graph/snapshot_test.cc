@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
+#include "graph/graph_testing.h"
 #include "graph/io.h"
 #include "util/bytes.h"
 #include "util/mutation_testing.h"
@@ -58,34 +59,6 @@ Graph RandomGraph(uint64_t seed, size_t n = 60) {
                       0.1 + rng.NextDouble());
   }
   return b.Build().value();
-}
-
-template <typename T>
-void ExpectColumnsEq(std::span<const T> a, std::span<const T> b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    // Bit-identical, not approximately equal: the snapshot stores the
-    // column bytes verbatim.
-    ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(T)), 0) << "index " << i;
-  }
-}
-
-void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.num_arcs(), b.num_arcs());
-  EXPECT_EQ(a.type_names(), b.type_names());
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    EXPECT_EQ(a.node_type(v), b.node_type(v));
-    EXPECT_EQ(a.out_weight(v), b.out_weight(v));
-  }
-  ExpectColumnsEq(a.out_offsets(), b.out_offsets());
-  ExpectColumnsEq(a.out_targets(), b.out_targets());
-  ExpectColumnsEq(a.out_arc_weights(), b.out_arc_weights());
-  ExpectColumnsEq(a.out_probs(), b.out_probs());
-  ExpectColumnsEq(a.in_offsets(), b.in_offsets());
-  ExpectColumnsEq(a.in_sources(), b.in_sources());
-  ExpectColumnsEq(a.in_arc_weights(), b.in_arc_weights());
-  ExpectColumnsEq(a.in_probs(), b.in_probs());
 }
 
 // Header field offsets (see the layout in graph/snapshot.h).

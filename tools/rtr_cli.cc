@@ -126,18 +126,15 @@ class Flags {
       }
       // Known boolean flags may stand alone (`serve --mmap`); an explicit
       // value (`--mmap 0`) still works.
-      if (IsBooleanFlag(name) &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        values_[name] = "1";
-        i += 1;
-        continue;
-      }
-      if (i + 1 >= argc) {
+      const bool standalone =
+          IsBooleanFlag(name) &&
+          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0);
+      if (!standalone && i + 1 >= argc) {
         std::fprintf(stderr, "flag '%s' is missing a value\n", argv[i]);
         std::exit(2);
       }
-      values_[name] = argv[i + 1];
-      i += 2;
+      values_[name] = standalone ? "1" : argv[i + 1];
+      i += standalone ? 1 : 2;
     }
   }
 
