@@ -8,9 +8,9 @@
 // measured closed-loop on a Zipf-skewed stream with the overload rows' own
 // options (cache off, so every request runs the engine), then the same
 // stream is offered open-loop at a multiple of that rate, FIFO admission vs
-// the cost-model scheduler (serve/scheduler.h: SJF, deadline shedding,
-// adaptive epsilon). The comparison metric is goodput — completions inside
-// the SLO per second — plus tail latency and shed rate.
+// the cost-model scheduler (serve/scheduler.h: SJF, and a deadline test
+// that widens epsilon or sheds). The comparison metric is goodput —
+// completions inside the SLO per second — plus tail latency and shed rate.
 //
 // Environment knobs (beyond bench_common.h's):
 //   RTR_SERVE_QUERIES      — stream length per configuration    (default 240)
@@ -118,7 +118,8 @@ rtr::serve::ServiceOptions OverloadOptions(int workers, bool scheduler,
   options.enable_cache = false;
   if (scheduler) {
     options.scheduler.enabled = true;
-    // Widen up to 5x the request epsilon when the queue runs hot.
+    // A request predicted to miss its deadline at the request epsilon runs
+    // at 5x that epsilon if this is predicted to meet the deadline.
     options.scheduler.eps_max = epsilon * 5.0;
   }
   return options;
@@ -318,7 +319,8 @@ int main() {
               "late, so overload turns into deep queue waits and SLO\n"
               "misses; the scheduler sheds predicted-late work at\n"
               "admission, serves predicted-cheap work first and widens\n"
-              "epsilon under pressure, converting the same offered load\n"
-              "into completions that still land inside the SLO.\n");
+              "epsilon where that alone meets a deadline, converting the\n"
+              "same offered load into completions that still land inside\n"
+              "the SLO.\n");
   return 0;
 }

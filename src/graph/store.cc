@@ -15,12 +15,14 @@ GraphStore::GraphStore(std::shared_ptr<const Graph> initial,
       Generation{generation, std::move(initial)});
   // Lifecycle series for the exposition: the current generation id, how
   // many generations were published here, how many are still pinned by
-  // in-flight readers, the pin rate and the delta apply time. Callbacks
-  // take mu_ (registry mutex -> mu_; nothing takes them in the other
-  // order).
+  // in-flight readers, the pin rate, and the snapshot load and delta apply
+  // times. Callbacks take mu_ (registry mutex -> mu_; nothing takes them in
+  // the other order).
   auto& registry = obs::MetricsRegistry::Default();
   registrations_.push_back(
       registry.RegisterCounter("rtr_store_pins_total", {}, &pins_));
+  registrations_.push_back(registry.RegisterHistogram(
+      "rtr_store_load_ms", {}, &load_latencies_));
   registrations_.push_back(registry.RegisterHistogram(
       "rtr_store_apply_ms", {}, &apply_latencies_));
   registrations_.push_back(registry.RegisterCallbackGauge(
@@ -40,10 +42,18 @@ GraphStore::GraphStore(Graph initial, uint64_t generation)
 
 StatusOr<std::unique_ptr<GraphStore>> GraphStore::Open(
     const std::string& path, MapMode map_mode) {
+  const WallTimer timer;
   uint64_t generation = 0;
   StatusOr<Graph> loaded = LoadGraphAuto(path, &generation, map_mode);
   RTR_RETURN_IF_ERROR(loaded.status());
-  return std::make_unique<GraphStore>(std::move(loaded).value(), generation);
+  const size_t nodes = loaded->num_nodes();
+  auto store =
+      std::make_unique<GraphStore>(std::move(loaded).value(), generation);
+  const double millis = timer.ElapsedMillis();
+  store->load_latencies_.Record(millis);
+  LOG(INFO) << "loaded generation " << generation << " (" << nodes
+            << " nodes) from " << path << " in " << millis << " ms";
+  return store;
 }
 
 PinnedGraph GraphStore::Pin() const {

@@ -67,7 +67,9 @@ class GraphStore {
   // kNever bulk-reads the file, kPrefer maps it zero-copy.
   // A mapped base generation is safe here: Apply/CatchUp read the base only
   // through its column spans and assemble the next generation's columns
-  // afresh (copy-on-write), never in place.
+  // afresh (copy-on-write), never in place. A successful open records its
+  // load wall time in the new store's rtr_store_load_ms; a failed one
+  // records nothing.
   static StatusOr<std::unique_ptr<GraphStore>> Open(
       const std::string& path, MapMode map_mode = MapMode::kNever);
 
@@ -123,6 +125,7 @@ class GraphStore {
   // series of every store in the process. Declared after the state the
   // callback gauges read, before registrations_ (which must die first).
   mutable obs::Counter pins_;
+  LatencyHistogram load_latencies_;  // Open only: one sample at most
   LatencyHistogram apply_latencies_;
   std::vector<obs::MetricsRegistry::Registration> registrations_;
 };

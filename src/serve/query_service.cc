@@ -67,12 +67,10 @@ QueryService::QueryService(std::shared_ptr<GraphStore> store,
       cluster_(std::move(cluster)),
       backend_(cluster_ != nullptr ? Backend::kDistributed : Backend::kLocal),
       options_(options),
-      admission_(options.scheduler),
       cache_(options.cache_capacity, options.cache_shards) {
   CHECK(store_ != nullptr) << "a query service needs a graph store";
   CHECK_GE(options_.num_workers, 1);
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  if (!admission_.enabled) admission_.eps_max = 0.0;  // FIFO (admission_)
   last_seen_generation_.store(store_->generation(),
                               std::memory_order_relaxed);
   tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
@@ -283,55 +281,78 @@ Status QueryService::SubmitAsync(ServeRequest request, DoneCallback done) {
   Task task;
   task.request = std::move(request);
   task.done = std::move(done);
+  const SchedulerOptions& scheduler = options_.scheduler;
+  const double deadline = task.request.deadline_millis;
+  const bool deadline_test = scheduler.enabled && deadline > 0.0;
   // Admission-time cost estimate against the currently published
   // generation: two offset subtractions per query node, no allocation.
   // Execution may pin a newer generation — the estimate is a scheduling
-  // hint, not a contract.
-  task.features = CostFeaturesOf(*store_->Current(), task.request.query,
-                                 task.request.params);
+  // hint, not a contract. Only a request the deadline test could widen
+  // also pays for the estimate at eps_max.
+  const std::shared_ptr<const Graph> graph = store_->Current();
+  task.features =
+      CostFeaturesOf(*graph, task.request.query, task.request.params);
   task.predicted_millis = cost_model_.PredictMillis(task.features);
+  task.effective_epsilon = task.request.params.epsilon;
+  CostFeatures wide_features;
+  double wide_predicted_millis = 0.0;
+  const bool widenable =
+      deadline_test && scheduler.eps_max > task.request.params.epsilon;
+  if (widenable) {
+    core::TopKParams wide_params = task.request.params;
+    wide_params.epsilon = scheduler.eps_max;
+    wide_features = CostFeaturesOf(*graph, task.request.query, wide_params);
+    wide_predicted_millis = cost_model_.PredictMillis(wide_features);
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       rejected_.Increment();
       return Status::Unavailable("service is shutting down");
     }
-    const size_t depth = queue_.size();
-    if (depth >= options_.queue_capacity) {
+    if (queue_.size() >= options_.queue_capacity) {
       rejected_.Increment();
       shed_overflow_.Increment();
       return Status::Unavailable(
           "admission queue full (capacity " +
           std::to_string(options_.queue_capacity) + ")");
     }
-    // Decayed mean of predictions anchors the cheap/moderate/heavy split.
+    if (deadline_test) {
+      const double backlog = queue_.total_predicted_millis();
+      double completion = PredictedCompletionMillis(
+          backlog, options_.num_workers, task.predicted_millis);
+      // Degrade precision, not availability: a request that misses its
+      // deadline at its own epsilon runs at eps_max if that meets it, and
+      // from here on carries the features and prediction of eps_max.
+      if (completion > deadline && widenable) {
+        completion = PredictedCompletionMillis(backlog, options_.num_workers,
+                                               wide_predicted_millis);
+        if (completion <= deadline) {
+          task.features = wide_features;
+          task.predicted_millis = wide_predicted_millis;
+          task.effective_epsilon = scheduler.eps_max;
+          eps_widened_.Increment();
+        }
+      }
+      if (completion > deadline) {
+        rejected_.Increment();
+        shed_predicted_.Increment();
+        return Status::Unavailable("predicted completion " +
+                                   std::to_string(completion) +
+                                   "ms exceeds deadline " +
+                                   std::to_string(deadline) + "ms");
+      }
+    }
+    // Decayed mean of admitted predictions anchors the
+    // cheap/moderate/heavy split.
     mean_predicted_millis_ =
         mean_predicted_millis_ <= 0.0
             ? task.predicted_millis
             : 0.9 * mean_predicted_millis_ + 0.1 * task.predicted_millis;
     task.cost_class =
         ClassifyCost(task.predicted_millis, mean_predicted_millis_);
-    if (admission_.enabled && task.request.deadline_millis > 0.0) {
-      const double completion = PredictedCompletionMillis(
-          queue_.total_predicted_millis(), options_.num_workers,
-          task.predicted_millis);
-      if (completion > task.request.deadline_millis) {
-        rejected_.Increment();
-        shed_predicted_.Increment();
-        return Status::Unavailable(
-            "predicted completion " + std::to_string(completion) +
-            "ms exceeds deadline " +
-            std::to_string(task.request.deadline_millis) + "ms");
-      }
-    }
-    task.effective_epsilon = EffectiveEpsilon(
-        task.request.params.epsilon, admission_, depth,
-        options_.queue_capacity);
-    if (task.effective_epsilon != task.request.params.epsilon) {
-      eps_widened_.Increment();
-    }
     const double arrival = arrival_clock_.ElapsedMillis();
-    const double key = admission_.enabled
+    const double key = scheduler.enabled
                            ? PriorityKey(task.predicted_millis, arrival)
                            : arrival;
     task.admitted.Restart();
@@ -384,7 +405,9 @@ void QueryService::RunTask(Task& task, core::QueryWorkspace* workspace,
   // Read at dequeue, so the pin below is not part of the wait.
   response.queue_millis = task.admitted.ElapsedMillis();
   response.effective_epsilon = task.effective_epsilon;
-  if (admission_.enabled) response.predicted_millis = task.predicted_millis;
+  if (options_.scheduler.enabled) {
+    response.predicted_millis = task.predicted_millis;
+  }
   class_queue_wait_[static_cast<size_t>(task.cost_class)].Record(
       response.queue_millis);
   const bool traced = tracing_.load(std::memory_order_relaxed);
@@ -392,7 +415,8 @@ void QueryService::RunTask(Task& task, core::QueryWorkspace* workspace,
     trace->BeginQuery(static_cast<int64_t>(
         next_query_id_.fetch_add(1, std::memory_order_relaxed)));
     trace->AddSpan(
-        admission_.enabled ? obs::Phase::kSchedWait : obs::Phase::kQueueWait,
+        options_.scheduler.enabled ? obs::Phase::kSchedWait
+                                   : obs::Phase::kQueueWait,
         static_cast<int64_t>(response.queue_millis * 1e6));
     workspace->trace = trace;
   } else {
@@ -536,7 +560,7 @@ ServiceStats QueryService::stats() const {
   stats.failed = failed_.value();
   stats.slo_violations = slo_violations_.value();
   stats.eps_widened = eps_widened_.value();
-  if (admission_.enabled) {  // one query per wakeup (see ServiceStats)
+  if (options_.scheduler.enabled) {  // one query per wakeup (see ServiceStats)
     stats.batches = stats.batched_queries = latencies_.Count();
   }
   for (size_t c = 0; c < kNumCostClasses; ++c) {

@@ -90,9 +90,10 @@ struct ServiceOptions {
   // How many slowest-query trace dumps to retain for SlowestTraces().
   size_t trace_keep = 8;
   // Cost-model admission scheduling (serve/scheduler.h, DESIGN.md §11):
-  // priority queue ordered by predicted cost, deadline shedding, adaptive
-  // epsilon. Disabled by default, which runs the same queue as FIFO:
-  // arrival order, no shedding, no widening.
+  // priority queue ordered by predicted cost, and a deadline test that
+  // admits at epsilon, widens to eps_max or sheds. Disabled by default,
+  // which runs the same queue as FIFO: arrival order, no shedding, no
+  // widening.
   SchedulerOptions scheduler;
 };
 
@@ -100,9 +101,9 @@ struct ServeRequest {
   Query query;
   core::TopKParams params;
   // Optional completion budget, measured from admission. With the
-  // scheduler on, admission rejects (kUnavailable, counted in
-  // shed_predicted) requests whose predicted completion exceeds this; 0
-  // means no deadline. FIFO admission ignores it.
+  // scheduler on, a request predicted to miss it runs at eps_max if that is
+  // predicted to meet it, and is otherwise rejected (kUnavailable, counted
+  // in shed_predicted); 0 means no deadline. FIFO admission ignores it.
   double deadline_millis = 0.0;
 };
 
@@ -120,11 +121,12 @@ struct ServeResponse {
   double queue_millis = 0.0;
   double total_millis = 0.0;
   // Epsilon the query actually ran (and cached) under. Equals the request
-  // epsilon unless the scheduler widened it under load — clients can tell
-  // precision was degraded instead of availability.
+  // epsilon unless the scheduler widened it to eps_max to meet the
+  // request's deadline — clients can tell precision was degraded instead
+  // of availability.
   double effective_epsilon = 0.0;
-  // The cost model's admission-time latency estimate (scheduler mode; 0
-  // under FIFO admission).
+  // The cost model's admission-time latency estimate at effective_epsilon
+  // (scheduler mode; 0 under FIFO admission).
   double predicted_millis = 0.0;
 };
 
@@ -150,7 +152,7 @@ struct ServiceStats {
   uint64_t cache_insertions = 0;
   uint64_t cache_evictions = 0;      // LRU capacity evictions
   uint64_t cache_invalidations = 0;  // reclaimed after generation swaps
-  // Queries that ran with a widened epsilon (scheduler mode only).
+  // Requests the deadline test admitted at eps_max (scheduler mode only).
   uint64_t eps_widened = 0;
   // Legacy view of the removed batched drains: every worker wakeup now
   // serves one query, so with the scheduler on both read the number of
@@ -270,7 +272,9 @@ class QueryService {
     ServeRequest request;
     DoneCallback done;
     WallTimer admitted;  // started at admission
-    // Admission-time scheduling state (computed in SubmitAsync).
+    // Admission-time scheduling state (computed in SubmitAsync). The
+    // features and prediction are those of effective_epsilon, the epsilon
+    // the engine runs at.
     CostFeatures features;
     double predicted_millis = 0.0;
     double effective_epsilon = 0.0;
@@ -322,10 +326,6 @@ class QueryService {
   std::mutex cluster_mu_;
   Backend backend_;
   ServiceOptions options_;
-  // options_.scheduler resolved at construction. Scheduler off is the
-  // FIFO configuration: arrival-order key, no deadline shedding (enabled
-  // stays false), eps_max 0 (no widening).
-  SchedulerOptions admission_;
   ResultCache cache_;
   LatencyHistogram latencies_;
   // Highest generation any query has pinned; raised with a CAS so exactly
@@ -336,9 +336,10 @@ class QueryService {
   // Held for the whole of Shutdown; see the comment there.
   std::mutex shutdown_mu_;
   std::condition_variable queue_cv_;
-  // Admitted, not yet dequeued tasks, ordered by admission_. Under mu_.
+  // Admitted, not yet dequeued tasks: by PriorityKey with the scheduler
+  // on, by arrival under FIFO. Under mu_.
   AdmissionQueue<Task> queue_;
-  // Decayed mean of admission-time predictions; anchors the
+  // Decayed mean of admitted requests' predictions; anchors the
   // cheap/moderate/heavy class split. Under mu_.
   double mean_predicted_millis_ = 0.0;
   // Common arrival clock for the static priority keys (scheduler.h);

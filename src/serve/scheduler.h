@@ -19,22 +19,19 @@
 //    suffices; an expensive query is overtaken by cheaper arrivals for at
 //    most Δpredicted/kAgeBoost milliseconds before its head start wins.
 //
-//  * PredictedCompletionMillis + deadline shedding: admission rejects a
-//    request whose predicted completion (queued predicted work divided
-//    across the pool, plus its own predicted cost) blows its deadline —
-//    shedding the queries that were going to miss anyway, at admission
-//    time, instead of evicting the queue tail after they soaked up memory
-//    and wait time.
-//
-//  * EffectiveEpsilon: adaptive precision under load. Past a queue-depth
-//    watermark (kQueueWatermark) epsilon widens linearly toward eps_max
-//    (degrade precision, not availability), quantized to a few steps so the
-//    result cache sees a handful of effective epsilons instead of a
-//    continuum of keys.
+//  * PredictedCompletionMillis + the deadline test: admission checks a
+//    request with a deadline against its predicted completion (queued
+//    predicted work divided across the pool, plus its own predicted cost).
+//    If it misses at the request's epsilon but would meet it at
+//    SchedulerOptions::eps_max, the request is admitted at eps_max
+//    (degrade precision, not availability); if it misses at both, it is
+//    shed at admission instead of soaking up memory and wait time. A
+//    request without a deadline always runs at its own epsilon, so the
+//    result cache sees at most two keys per base epsilon.
 //
 //  * AdmissionQueue<TaskT>: a min-key binary heap with FIFO sequence
 //    tie-break and a running sum of queued predicted cost (the backlog
-//    input to deadline shedding). Externally synchronized — QueryService
+//    input to the deadline test). Externally synchronized — QueryService
 //    operates it under its admission mutex.
 
 #include <algorithm>
@@ -50,16 +47,16 @@ struct SchedulerOptions {
   // arrival-order key, no deadline shedding, no widening (eps_max is
   // ignored).
   bool enabled = false;
-  // Upper edge of the adaptive-epsilon band. <= the request's own epsilon
-  // disables widening (the default 0 therefore turns the feature off).
+  // Epsilon a request with a deadline runs at when its own epsilon is
+  // predicted to miss that deadline and eps_max is predicted to meet it.
+  // <= the request's own epsilon disables widening (the default 0
+  // therefore turns the feature off).
   double eps_max = 0.0;
 };
 
 // Predicted milliseconds forgiven per millisecond a request has waited:
 // "a 5ms head start beats a 5ms cost advantage".
 inline constexpr double kAgeBoost = 1.0;
-// Fraction of queue capacity where epsilon starts widening.
-inline constexpr double kQueueWatermark = 0.5;
 
 // Priority classes derived from predicted cost, used to split queue-wait
 // reporting so degradation is observable per class, not inferred from an
@@ -85,13 +82,6 @@ double PriorityKey(double predicted_millis, double arrival_millis);
 // query per worker, which errs on the side of admitting.
 double PredictedCompletionMillis(double queued_predicted_millis,
                                  int num_workers, double own_predicted_millis);
-
-// Epsilon widened for load: base below kQueueWatermark·capacity, ramping
-// linearly to eps_max at a full queue, quantized to kEpsilonSteps levels so
-// cache keys stay few. Returns base whenever eps_max <= base.
-inline constexpr int kEpsilonSteps = 4;
-double EffectiveEpsilon(double base_epsilon, const SchedulerOptions& options,
-                        size_t queue_depth, size_t queue_capacity);
 
 // Min-key binary heap of admitted requests with a FIFO tie-break and a
 // running total of queued predicted cost. Externally synchronized.

@@ -86,14 +86,26 @@ check "rtr_sched_shed_predicted_total agrees with the summary (got $shed)" \
 # --- synthetic stream with scheduler knobs --------------------------------
 
 # No replay file: the synthetic pool honors --deadline-ms and --eps-band.
-# A generous deadline sheds nothing.
+# A generous deadline is met at the requested epsilon, so it sheds and
+# widens nothing.
 "$CLI" serve --scheduler --queries 40 --qps 2000 --workers 2 \
   --eps-band 0.05 --deadline-ms 60000 > "$TMP/synth_out.txt" 2>&1
 check "synthetic stream with scheduler knobs" 0 $?
 grep -q 'admission: accepted 40, rejected 0' "$TMP/synth_out.txt"
 check "generous deadline admits the whole synthetic stream" 0 $?
-grep -Eq '^scheduler: [0-9]+ widened-epsilon queries$' "$TMP/synth_out.txt"
-check "summary reports the widened-epsilon count" 0 $?
+grep -qx 'scheduler: 0 widened-epsilon queries' "$TMP/synth_out.txt"
+check "a deadline met at the requested epsilon widens nothing" 0 $?
+grep -q 'widens only requests that would miss their deadline' \
+  "$TMP/synth_out.txt"
+check "the scheduler banner says --eps-band needs a missed deadline" 0 $?
+
+# --eps-band without any deadline: nothing can miss, nothing is widened,
+# however deep the queue gets.
+"$CLI" serve --scheduler --queries 40 --qps 100000 --workers 1 --queue 8 \
+  --eps-band 0.05 > "$TMP/nodeadline_out.txt" 2>&1
+check "--eps-band without a deadline" 0 $?
+grep -qx 'scheduler: 0 widened-epsilon queries' "$TMP/nodeadline_out.txt"
+check "--eps-band without a deadline widens nothing" 0 $?
 
 # --- error paths ---------------------------------------------------------
 

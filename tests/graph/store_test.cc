@@ -46,15 +46,17 @@ GraphDelta GrowChain(uint64_t base_generation, size_t n) {
   return delta;
 }
 
-// Samples in the process-wide rtr_store_apply_ms histogram, merged over
-// every live store.
-uint64_t ApplySamples() {
+// Samples in a process-wide rtr_store_* histogram, merged over every live
+// store.
+uint64_t Samples(const std::string& histogram) {
   const std::string text = obs::MetricsRegistry::Default().RenderText();
-  const std::string key = "rtr_store_apply_ms_count ";
+  const std::string key = histogram + "_count ";
   const size_t at = text.find(key);
   return at == std::string::npos ? 0
                                  : std::stoull(text.substr(at + key.size()));
 }
+uint64_t ApplySamples() { return Samples("rtr_store_apply_ms"); }
+uint64_t LoadSamples() { return Samples("rtr_store_load_ms"); }
 
 TEST(GraphStoreTest, InitialStateAndPin) {
   GraphStore store(ChainGraph(4), 7);
@@ -171,6 +173,36 @@ TEST(GraphStoreTest, OpenSnapshotAndCatchUpFromDeltaFiles) {
     // Every column, including the rows the deltas left alone, whose
     // probabilities are re-derived from the loaded base.
     ExpectGraphsIdentical(*(*store)->Pin().graph, *reference.Pin().graph);
+  }
+}
+
+// A successful Open, on either backing, leaves exactly one load sample in
+// the new store's rtr_store_load_ms; a failed Open leaves none.
+TEST(GraphStoreTest, OpenTimesOnlySuccessfulLoads) {
+  const std::string dir = testing::TempDir();
+  const std::string path = dir + "/rtr_store_timed.rtrsnap";
+  const std::string truncated_path = dir + "/rtr_store_truncated.rtrsnap";
+  ASSERT_TRUE(SaveGraphSnapshotToFile(ChainGraph(8), path, 3).ok());
+  std::ostringstream bytes;
+  bytes << std::ifstream(path, std::ios::binary).rdbuf();
+  const std::string full = bytes.str();
+  std::ofstream(truncated_path, std::ios::binary | std::ios::trunc)
+      << full.substr(0, full.size() / 2);
+
+  for (const MapMode backing : {MapMode::kNever, MapMode::kPrefer}) {
+    SCOPED_TRACE(backing == MapMode::kPrefer ? "kPrefer" : "kNever");
+    const uint64_t before = LoadSamples();
+    {
+      StatusOr<std::unique_ptr<GraphStore>> store =
+          GraphStore::Open(path, backing);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      EXPECT_EQ(LoadSamples(), before + 1);
+    }
+    EXPECT_EQ(LoadSamples(), before);  // the sample left with its store
+    EXPECT_FALSE(GraphStore::Open(truncated_path, backing).ok());
+    EXPECT_FALSE(GraphStore::Open(dir + "/rtr_store_missing.rtrsnap", backing)
+                     .ok());
+    EXPECT_EQ(LoadSamples(), before);
   }
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <future>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "graph/delta.h"
 #include "graph/graph.h"
 #include "graph/store.h"
+#include "serve/cost_model.h"
 #include "serve/query_service.h"
 #include "util/random.h"
 
@@ -104,31 +104,6 @@ TEST(SchedulerPolicyTest, PredictedCompletionSpreadsBacklogAcrossWorkers) {
   EXPECT_DOUBLE_EQ(PredictedCompletionMillis(0.0, 4, 2.0), 2.0);
   // Degenerate worker counts clamp to one.
   EXPECT_DOUBLE_EQ(PredictedCompletionMillis(10.0, 0, 1.0), 11.0);
-}
-
-TEST(SchedulerPolicyTest, EffectiveEpsilonRampsQuantizedAboveWatermark) {
-  SchedulerOptions options;
-  options.eps_max = 0.09;
-  const double base = 0.01;
-  // At or below the watermark (kQueueWatermark 0.5 of capacity 8): untouched.
-  EXPECT_DOUBLE_EQ(EffectiveEpsilon(base, options, 0, 8), base);
-  EXPECT_DOUBLE_EQ(EffectiveEpsilon(base, options, 4, 8), base);
-  // Above: monotone, quantized to kEpsilonSteps levels, capped at eps_max.
-  const double e5 = EffectiveEpsilon(base, options, 5, 8);
-  const double e6 = EffectiveEpsilon(base, options, 6, 8);
-  const double e8 = EffectiveEpsilon(base, options, 8, 8);
-  EXPECT_GT(e5, base);
-  EXPECT_GE(e6, e5);
-  EXPECT_DOUBLE_EQ(e8, options.eps_max);
-  // Quantization: the whole ramp takes at most kEpsilonSteps + 1 values.
-  std::set<double> values;
-  for (size_t depth = 0; depth <= 8; ++depth) {
-    values.insert(EffectiveEpsilon(base, options, depth, 8));
-  }
-  EXPECT_LE(values.size(), static_cast<size_t>(kEpsilonSteps) + 1);
-  // Disabled band (eps_max below base): always base.
-  options.eps_max = 0.001;
-  EXPECT_DOUBLE_EQ(EffectiveEpsilon(base, options, 8, 8), base);
 }
 
 TEST(AdmissionQueueTest, PopsInKeyOrderWithFifoTieBreak) {
@@ -344,57 +319,178 @@ TEST(SchedulerServiceTest, QueueOverflowCountsAsShedOverflow) {
   service.Shutdown();
 }
 
-// Epsilon widening under queue pressure: depths past the watermark stamp a
-// widened effective epsilon into the response, and the cache keys on the
-// effective value (distinct widened epsilons = distinct insertions).
-TEST(SchedulerServiceTest, AdaptiveEpsilonStampsResponsesAndKeysCache) {
-  const Graph& graph = SharedNet().graph();
-  core::TopKParams params = DefaultParams();
-  NodeId query_node = QueryStream(graph, 1, 1, 5)[0];
+// ---------------------------------------------------------------------------
+// The deadline test: admit at epsilon, widen to eps_max, or shed. Every
+// request below is submitted before Start, so every prediction comes from
+// the cost model's fixed prior and the decisions are deterministic.
+// ---------------------------------------------------------------------------
 
+constexpr double kEpsMax = 0.08;
+
+// The prior's predictions for one query at the default epsilon and at
+// kEpsMax: the exact values a fresh service's admission computes.
+struct PriorPredictions {
+  double at_epsilon;
+  double at_eps_max;
+};
+
+PriorPredictions PredictFromPrior(NodeId q) {
+  const Graph& graph = SharedNet().graph();
+  core::TopKParams wide = DefaultParams();
+  wide.epsilon = kEpsMax;
+  QueryCostModel prior;
+  return {prior.PredictMillis(CostFeaturesOf(graph, {q}, DefaultParams())),
+          prior.PredictMillis(CostFeaturesOf(graph, {q}, wide))};
+}
+
+ServiceOptions WideningOptions() {
   ServiceOptions options;
   options.num_workers = 1;
   options.queue_capacity = 8;
   options.enable_cache = true;
   options.scheduler.enabled = true;
-  options.scheduler.eps_max = 0.08;
-  QueryService service(SharedGraphPtr(), options);
+  options.scheduler.eps_max = kEpsMax;
+  return options;
+}
 
-  // Submit before Start: admission depths are exactly 0..7, so the
-  // effective epsilons are fully deterministic.
-  std::vector<ServeResponse> responses(8);
+// Submits every request to a not-yet-started service (each must be
+// admitted), then starts it and returns the responses in submission order.
+std::vector<ServeResponse> AdmitThenServe(
+    QueryService* service, const std::vector<ServeRequest>& requests) {
+  std::vector<ServeResponse> responses(requests.size());
   std::vector<std::future<void>> futures;
-  for (size_t i = 0; i < 8; ++i) {
+  for (size_t i = 0; i < requests.size(); ++i) {
     auto promise = std::make_shared<std::promise<void>>();
     futures.push_back(promise->get_future());
-    ASSERT_TRUE(service
-                    .SubmitAsync({{query_node}, params},
-                                 [&responses, i, promise](
-                                     const ServeResponse& r) {
-                                   responses[i] = r;
-                                   promise->set_value();
-                                 })
-                    .ok());
+    Status admitted = service->SubmitAsync(
+        requests[i], [&responses, i, promise](const ServeResponse& r) {
+          responses[i] = r;
+          promise->set_value();
+        });
+    EXPECT_TRUE(admitted.ok()) << "request " << i << ": "
+                               << admitted.ToString();
+    if (!admitted.ok()) {
+      service->Shutdown();  // fires the admitted callbacks before returning
+      return {};
+    }
   }
-  ASSERT_TRUE(service.Start().ok());
+  EXPECT_TRUE(service->Start().ok());
   for (auto& f : futures) f.wait();
-  service.Shutdown();
+  service->Shutdown();
+  return responses;
+}
 
-  std::set<double> effective;
-  for (size_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(responses[i].status.ok());
-    EXPECT_GE(responses[i].effective_epsilon, params.epsilon);
-    EXPECT_LE(responses[i].effective_epsilon, options.scheduler.eps_max);
-    effective.insert(responses[i].effective_epsilon);
+// (a) Queue depth alone never widens: eps_max set, a full queue, no
+// deadline — every answer runs at its own epsilon, so the eight identical
+// requests share one cache key.
+TEST(SchedulerServiceTest, FullQueueWithoutDeadlineWidensNothing) {
+  const NodeId q = QueryStream(SharedNet().graph(), 1, 1, 5)[0];
+  QueryService service(SharedGraphPtr(), WideningOptions());
+  std::vector<ServeResponse> responses = AdmitThenServe(
+      &service, std::vector<ServeRequest>(8, {{q}, DefaultParams()}));
+  ASSERT_EQ(responses.size(), 8u);
+  for (const ServeResponse& r : responses) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.effective_epsilon, DefaultParams().epsilon);
   }
-  // Depths 0..4 stay at base; 5, 6, 7 hit three distinct quantized steps.
-  EXPECT_EQ(effective.size(), 4u);
   ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.eps_widened, 3u);
-  // One identical query at four effective epsilons: exactly four engine
-  // runs entered the cache, the other four were hits on the base key.
-  EXPECT_EQ(stats.cache_insertions, 4u);
-  EXPECT_EQ(stats.cache_hits, 4u);
+  EXPECT_EQ(stats.eps_widened, 0u);
+  EXPECT_EQ(stats.cache_insertions, 1u);
+  EXPECT_EQ(stats.cache_hits, 7u);
+}
+
+// (b) A deadline the request meets at its own epsilon admits it there.
+TEST(SchedulerServiceTest, DeadlineMetAtEpsilonAdmitsAtEpsilon) {
+  const NodeId q = QueryStream(SharedNet().graph(), 1, 1, 5)[0];
+  const PriorPredictions prior = PredictFromPrior(q);
+  QueryService service(SharedGraphPtr(), WideningOptions());
+  ServeRequest request{{q}, DefaultParams(), prior.at_epsilon};
+  std::vector<ServeResponse> responses = AdmitThenServe(&service, {request});
+  ASSERT_EQ(responses.size(), 1u);
+  ASSERT_TRUE(responses[0].status.ok());
+  EXPECT_EQ(responses[0].effective_epsilon, DefaultParams().epsilon);
+  EXPECT_EQ(responses[0].predicted_millis, prior.at_epsilon);
+  EXPECT_EQ(service.stats().eps_widened, 0u);
+}
+
+// (c) A deadline missed at epsilon but met at eps_max admits the request
+// at eps_max, carrying eps_max's prediction. The answer is the serial
+// engine's at eps_max, and the cache keys on the effective epsilon: a
+// request that asks for eps_max outright (served next: same prediction,
+// later arrival) hits the widened answer, while the same query at its own
+// epsilon is a separate engine run.
+TEST(SchedulerServiceTest, DeadlineMetOnlyAtEpsMaxAdmitsWidened) {
+  const Graph& graph = SharedNet().graph();
+  const NodeId q = QueryStream(graph, 1, 1, 5)[0];
+  const PriorPredictions prior = PredictFromPrior(q);
+  ASSERT_LT(prior.at_eps_max, prior.at_epsilon);
+  const double deadline = 0.5 * (prior.at_epsilon + prior.at_eps_max);
+  core::TopKParams wide = DefaultParams();
+  wide.epsilon = kEpsMax;
+
+  QueryService service(SharedGraphPtr(), WideningOptions());
+  std::vector<ServeResponse> responses = AdmitThenServe(
+      &service, {{{q}, DefaultParams(), deadline},
+                 {{q}, wide},
+                 {{q}, DefaultParams()}});
+  ASSERT_EQ(responses.size(), 3u);
+  const ServeResponse& widened = responses[0];
+  ASSERT_TRUE(widened.status.ok());
+  EXPECT_EQ(widened.effective_epsilon, kEpsMax);
+  EXPECT_EQ(widened.predicted_millis, prior.at_eps_max);
+  ExpectBitIdentical(widened.topk, core::FreshTopK(graph, {q}, wide).value(),
+                     q);
+  EXPECT_EQ(responses[1].effective_epsilon, kEpsMax);
+  EXPECT_EQ(responses[2].effective_epsilon, DefaultParams().epsilon);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.eps_widened, 1u);
+  EXPECT_EQ(stats.shed_predicted, 0u);
+  EXPECT_EQ(stats.cache_insertions, 2u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_FALSE(responses[0].cache_hit);
+  EXPECT_TRUE(responses[1].cache_hit);
+  EXPECT_FALSE(responses[2].cache_hit);
+}
+
+// (d) A deadline missed even at eps_max is shed, not widened.
+TEST(SchedulerServiceTest, DeadlineMissedAtEpsMaxIsShed) {
+  const NodeId q = QueryStream(SharedNet().graph(), 1, 1, 5)[0];
+  const PriorPredictions prior = PredictFromPrior(q);
+  QueryService service(SharedGraphPtr(), WideningOptions());
+  Status shed = service.SubmitAsync(
+      {{q}, DefaultParams(), 0.5 * prior.at_eps_max}, nullptr);
+  EXPECT_EQ(shed.code(), StatusCode::kUnavailable);
+  EXPECT_NE(shed.ToString().find("deadline"), std::string::npos);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.shed_predicted, 1u);
+  EXPECT_EQ(stats.eps_widened, 0u);
+  EXPECT_EQ(stats.accepted, 0u);
+  service.Shutdown();
+}
+
+// (e) FIFO ignores deadlines and eps_max: every request is admitted and
+// runs at its own epsilon, without a prediction.
+TEST(SchedulerServiceTest, FifoNeverWidensOrSheds) {
+  const NodeId q = QueryStream(SharedNet().graph(), 1, 1, 5)[0];
+  const PriorPredictions prior = PredictFromPrior(q);
+  ServiceOptions options = WideningOptions();
+  options.scheduler.enabled = false;
+  QueryService service(SharedGraphPtr(), options);
+  std::vector<ServeResponse> responses = AdmitThenServe(
+      &service,
+      {{{q}, DefaultParams(), 0.5 * (prior.at_epsilon + prior.at_eps_max)},
+       {{q}, DefaultParams(), 0.5 * prior.at_eps_max},
+       {{q}, DefaultParams()}});
+  ASSERT_EQ(responses.size(), 3u);
+  for (const ServeResponse& r : responses) {
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.effective_epsilon, DefaultParams().epsilon);
+    EXPECT_EQ(r.predicted_millis, 0.0);
+  }
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.eps_widened, 0u);
+  EXPECT_EQ(stats.shed_predicted, 0u);
+  EXPECT_EQ(stats.cache_insertions, 1u);
 }
 
 // Each query pins the generation current when a worker picks it up, not

@@ -46,9 +46,11 @@
 //
 // Scheduling (DESIGN.md §11): `serve --scheduler` turns on cost-model
 // admission — shortest-predicted-job-first (each worker wakeup serves one
-// request), deadline shedding (--deadline-ms gives every request a
-// completion budget; 0 = none), and adaptive epsilon up to --eps-band under
-// queue pressure. `--replay file` replaces the synthetic stream with
+// request) and a deadline test (--deadline-ms gives every request a
+// completion budget; 0 = none). A request predicted to miss its deadline
+// runs at --eps-band instead if that is predicted to meet it, and is shed
+// otherwise; --eps-band widens only such requests, never one without a
+// deadline. `--replay file` replaces the synthetic stream with
 // a recorded one: one record per line, `node [deadline_ms]`, `#` comments
 // and blank lines skipped. The deadline column is optional per record —
 // old node-only logs parse unchanged (records without it fall back to
@@ -899,7 +901,8 @@ int CmdServe(int argc, char** argv) {
               options.enable_cache ? "on" : "off", backend.c_str(),
               delta_paths.size());
   if (options.scheduler.enabled) {
-    std::printf("scheduler on: deadline %.1fms, eps band [%.4f, %.4f]%s\n",
+    std::printf("scheduler on: deadline %.1fms, eps band [%.4f, %.4f] "
+                "(widens only requests that would miss their deadline)%s\n",
                 default_deadline_ms, params.epsilon,
                 std::max(options.scheduler.eps_max, params.epsilon),
                 replay.empty() ? "" : ", replayed stream");
@@ -1154,9 +1157,11 @@ void PrintUsage(std::FILE* out) {
                "       rtr serve --scheduler [--deadline-ms D]\n"
                "                 [--eps-band MAX] [--replay stream.rtrq]\n"
                "                                (cost-model admission: "
-               "SJF, deadline\n"
-               "                                 shedding, adaptive "
-               "epsilon)\n"
+               "SJF; a request that\n"
+               "                                 would miss its deadline "
+               "runs at --eps-band\n"
+               "                                 if that meets it, else "
+               "is shed)\n"
                "       rtr gp-serve --graph <snapshot> --shard k/N "
                "[--port P] [--mmap]\n"
                "                                (host one graph-processor "
