@@ -30,7 +30,8 @@ namespace rtr::net {
 
 enum class FaultOp : uint8_t {
   kNone = 0,
-  // Sleep delay_ms, then write the frame normally (slow GP).
+  // Sleep delay_ms, then write the frame normally (slow GP: the server's
+  // one loop thread sleeps, so every connection to that shard waits).
   kDelayWrite,
   // Flip one byte of the frame's checksum field before writing; the client
   // must reject the reply and re-fetch on a fresh connection.
@@ -59,10 +60,11 @@ struct ConnectionScript {
   std::vector<WriteFault> write_faults;
 };
 
-// Thread-safe FIFO of per-connection scripts, consumed by the server's
-// accept loop. An empty injector (or one that has run out of scripts)
-// yields default scripts — connections behave normally, so a test can
-// script fault connection #1 and let the recovery connection #2 run clean.
+// Thread-safe FIFO of per-connection scripts, consumed by the server's loop
+// thread as it accepts. An empty injector (or one that has run out of
+// scripts) yields default scripts — connections behave normally, so a test
+// can script fault connection #1 and let the recovery connection #2 run
+// clean.
 class FaultInjector {
  public:
   // Script for the next accepted connection.
@@ -98,6 +100,7 @@ class FaultyTransport : public Transport {
   Status WriteAll(std::span<const uint8_t> frame, int timeout_ms) override;
   void Close() override;
   bool closed() const override { return inner_->closed(); }
+  int fd() const override { return inner_->fd(); }
   const std::string& peer() const override { return inner_->peer(); }
 
  private:

@@ -1,5 +1,6 @@
 #include "net/gp_server.h"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <string>
@@ -10,8 +11,11 @@
 namespace rtr::net {
 
 namespace {
-// Accept/read poll slice: how promptly Stop() is honored.
+// Poll slice of the loop: how promptly Stop() is honored.
 constexpr int kIdleSliceMs = 100;
+// Budget for finishing a frame once its first byte arrived, and for
+// writing one reply.
+constexpr int kFrameTimeoutMs = 5000;
 }  // namespace
 
 GpServer::GpServer(std::shared_ptr<const Graph> graph, int shard, int num_gps,
@@ -42,132 +46,126 @@ StatusOr<std::unique_ptr<GpServer>> GpServer::Start(
   StatusOr<uint16_t> port = ListenerPort(*fd);
   RTR_RETURN_IF_ERROR(port.status());
   server->port_ = *port;
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
+  server->loop_thread_ = std::thread([s = server.get()] { s->Loop(); });
   return server;
 }
 
 GpServer::~GpServer() { Stop(); }
 
 void GpServer::Stop() {
-  bool was_stopped = stop_.exchange(true, std::memory_order_acq_rel);
-  if (was_stopped) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::weak_ptr<Transport>& weak : live_connections_) {
-      if (std::shared_ptr<Transport> t = weak.lock()) t->Close();
-    }
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    handlers.swap(handlers_);
-  }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  stop_.store(true, std::memory_order_release);
+  if (loop_thread_.joinable()) loop_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
 }
 
-void GpServer::AcceptLoop() {
+void GpServer::Loop() {
+  // Owned by the loop alone; they close when it returns.
+  std::vector<std::unique_ptr<Transport>> connections;
+  std::vector<pollfd> fds;
   while (!stop_.load(std::memory_order_acquire)) {
-    StatusOr<std::unique_ptr<Transport>> accepted =
-        AcceptConnection(listen_fd_, kIdleSliceMs);
-    if (!accepted.ok()) {
-      if (accepted.status().code() == StatusCode::kDeadlineExceeded) continue;
-      if (!stop_.load(std::memory_order_acquire)) {
-        LOG(WARNING) << "gp " << shard_
-                     << " accept: " << accepted.status().ToString();
-      }
-      continue;
+    // The listener is polled first, so a connection that closed before a
+    // new one arrived is dropped in the same turn, before the accept.
+    fds.assign(1, pollfd{listen_fd_, POLLIN, 0});
+    for (const std::unique_ptr<Transport>& c : connections) {
+      fds.push_back(pollfd{c->fd(), POLLIN, 0});
     }
-    connections_.Increment();
-    std::unique_ptr<Transport> owned = std::move(*accepted);
-    if (options_.fault_injector != nullptr) {
-      ConnectionScript script = options_.fault_injector->Next();
-      if (options_.fault_injector->dead() || script.refuse) {
-        owned->Close();
+    if (::poll(fds.data(), fds.size(), kIdleSliceMs) <= 0) continue;
+    size_t kept = 0;
+    for (size_t i = 0; i < connections.size(); ++i) {
+      if (fds[i + 1].revents != 0 && !ServeFrame(*connections[i])) {
+        connections[i].reset();  // closes the socket
         continue;
       }
-      owned = std::make_unique<FaultyTransport>(std::move(owned),
-                                                std::move(script));
+      connections[kept++] = std::move(connections[i]);
     }
-    std::shared_ptr<Transport> transport = std::move(owned);
-    std::lock_guard<std::mutex> lock(mu_);
-    live_connections_.push_back(transport);
-    handlers_.emplace_back(
-        [this, transport]() mutable { ServeConnection(std::move(transport)); });
+    connections.resize(kept);
+    if (fds[0].revents != 0) Accept(&connections);
   }
 }
 
-void GpServer::ServeConnection(std::shared_ptr<Transport> transport) {
-  FrameHeader header;
-  std::vector<uint8_t> payload;
-  std::vector<uint8_t> reply;
-  std::vector<uint8_t> scratch;
-  std::vector<NodeId> nodes;
-  std::vector<dist::NodeRecord> records;
-  while (!stop_.load(std::memory_order_acquire)) {
-    Status read = ReadFrame(*transport, kIdleSliceMs,
-                            options_.frame_timeout_ms, &header, &payload);
-    if (!read.ok()) {
-      if (read.code() == StatusCode::kDeadlineExceeded) continue;  // idle
-      break;  // peer gone or stream poisoned; the client reconnects
+void GpServer::Accept(std::vector<std::unique_ptr<Transport>>* connections) {
+  StatusOr<std::unique_ptr<Transport>> accepted =
+      AcceptConnection(listen_fd_, 0);
+  if (!accepted.ok()) {
+    if (accepted.status().code() != StatusCode::kDeadlineExceeded) {
+      LOG(WARNING) << "gp " << shard_
+                   << " accept: " << accepted.status().ToString();
     }
-    frames_received_.Increment();
-    bytes_received_.Add(kFrameHeaderBytes + payload.size());
-    FrameType reply_type = FrameType::kErrorReply;
-    reply.clear();
-    switch (header.type) {
-      case FrameType::kHello: {
-        // Always ack with the server's actual identity; the client decides
-        // whether the shard matches what it expects.
-        HelloPayload ignored;
-        Status s = DecodeHello(payload, &ignored);
-        if (!s.ok()) {
-          EncodeErrorReply(s, &reply);
-          break;
-        }
-        HelloPayload mine;
-        mine.shard = static_cast<uint32_t>(shard_);
-        mine.num_gps = static_cast<uint32_t>(num_gps_);
-        mine.num_nodes = graph_->num_nodes();
-        mine.generation = generation_;
-        EncodeHello(mine, &reply);
-        reply_type = FrameType::kHelloAck;
-        break;
-      }
-      case FrameType::kFetch: {
-        nodes.clear();
-        records.clear();
-        Status s = DecodeFetchRequest(payload, &nodes);
-        if (s.ok()) s = gp_.Fetch(nodes, &records);
-        if (!s.ok()) {
-          EncodeErrorReply(s, &reply);
-          break;
-        }
-        EncodeFetchReply(records, &reply);
-        reply_type = FrameType::kFetchReply;
-        break;
-      }
-      default:
-        EncodeErrorReply(
-            Status::InvalidArgument("unexpected frame type on a gp server"),
-            &reply);
-        break;
-    }
-    size_t wire_bytes = 0;
-    Status written =
-        WriteFrame(*transport, reply_type, header.request_id, reply,
-                   options_.frame_timeout_ms, &scratch, &wire_bytes);
-    if (!written.ok()) break;  // connection cut (possibly by a fault script)
-    frames_sent_.Increment();
-    bytes_sent_.Add(wire_bytes);
+    return;
   }
-  transport->Close();
+  std::unique_ptr<Transport> transport = std::move(*accepted);
+  if (connections->size() >= kMaxConnections) {
+    refused_.Increment();
+    return;  // the transport closes as it goes out of scope
+  }
+  connections_.Increment();
+  if (options_.fault_injector != nullptr) {
+    ConnectionScript script = options_.fault_injector->Next();
+    if (options_.fault_injector->dead() || script.refuse) return;
+    transport = std::make_unique<FaultyTransport>(std::move(transport),
+                                                  std::move(script));
+  }
+  connections->push_back(std::move(transport));
+}
+
+bool GpServer::ServeFrame(Transport& transport) {
+  Status read = ReadFrame(transport, /*idle_timeout_ms=*/0, kFrameTimeoutMs,
+                          &header_, &payload_);
+  // Woken without a byte to read: still a good connection.
+  if (read.code() == StatusCode::kDeadlineExceeded) return true;
+  if (!read.ok()) return false;  // peer gone or stream poisoned
+  frames_received_.Increment();
+  bytes_received_.Add(kFrameHeaderBytes + payload_.size());
+  FrameType reply_type = FrameType::kErrorReply;
+  reply_.clear();
+  switch (header_.type) {
+    case FrameType::kHello: {
+      // Always ack with the server's actual identity; the client decides
+      // whether the shard matches what it expects.
+      HelloPayload ignored;
+      Status s = DecodeHello(payload_, &ignored);
+      if (!s.ok()) {
+        EncodeErrorReply(s, &reply_);
+        break;
+      }
+      HelloPayload mine;
+      mine.shard = static_cast<uint32_t>(shard_);
+      mine.num_gps = static_cast<uint32_t>(num_gps_);
+      mine.num_nodes = graph_->num_nodes();
+      mine.generation = generation_;
+      EncodeHello(mine, &reply_);
+      reply_type = FrameType::kHelloAck;
+      break;
+    }
+    case FrameType::kFetch: {
+      nodes_.clear();
+      records_.clear();
+      Status s = DecodeFetchRequest(payload_, &nodes_);
+      if (s.ok()) s = gp_.Fetch(nodes_, &records_);
+      if (!s.ok()) {
+        EncodeErrorReply(s, &reply_);
+        break;
+      }
+      EncodeFetchReply(records_, &reply_);
+      reply_type = FrameType::kFetchReply;
+      break;
+    }
+    default:
+      EncodeErrorReply(
+          Status::InvalidArgument("unexpected frame type on a gp server"),
+          &reply_);
+      break;
+  }
+  size_t wire_bytes = 0;
+  Status written = WriteFrame(transport, reply_type, header_.request_id,
+                              reply_, kFrameTimeoutMs, &scratch_, &wire_bytes);
+  if (!written.ok()) return false;  // cut, possibly by a fault script
+  frames_sent_.Increment();
+  bytes_sent_.Add(wire_bytes);
+  return true;
 }
 
 std::vector<obs::MetricsRegistry::Registration> GpServer::RegisterMetrics(
@@ -176,6 +174,8 @@ std::vector<obs::MetricsRegistry::Registration> GpServer::RegisterMetrics(
   std::vector<obs::MetricsRegistry::Registration> regs;
   regs.push_back(registry->RegisterCounter("rtr_net_server_connections_total",
                                            labels, &connections_));
+  regs.push_back(registry->RegisterCounter("rtr_net_server_refused_total",
+                                           labels, &refused_));
   regs.push_back(registry->RegisterCounter(
       "rtr_net_server_frames_received_total", labels, &frames_received_));
   regs.push_back(registry->RegisterCounter("rtr_net_server_frames_sent_total",

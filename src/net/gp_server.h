@@ -9,9 +9,13 @@
 // acked with the server's actual identity (the client compares and
 // refuses to proceed on mismatch), kFetch batches are answered with
 // kFetchReply or — when the shard-level Fetch fails — a kErrorReply
-// carrying the typed Status across the wire. One handler thread per
-// accepted connection; requests on a connection are served in order, and
-// independent AP connections proceed in parallel.
+// carrying the typed Status across the wire.
+//
+// One loop thread owns the listener and every connection: each turn it
+// polls them all, answers one frame per readable connection, and accepts
+// one pending connection (refused while kMaxConnections are live). An AP
+// multiplexes its workers over one connection per shard
+// (net/rpc_client.h), so serving connections in turn costs no parallelism.
 //
 // The options' FaultInjector (tests only) wraps each accepted connection in
 // a net::FaultyTransport so tests/net/fault_test.cc can script delays,
@@ -19,9 +23,9 @@
 // sets it.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -34,13 +38,13 @@
 
 namespace rtr::net {
 
+// Live connections one server holds; the next accepted one is refused.
+inline constexpr size_t kMaxConnections = 16;
+
 struct GpServerOptions {
   // TCP port to listen on; 0 picks an ephemeral port (read it back via
   // port() — the CLI prints it so scripts can connect).
   uint16_t port = 0;
-  // Budget for finishing a frame once its first byte arrived, and for
-  // writing one reply.
-  int frame_timeout_ms = 5000;
   // Test hook: scripts faults on accepted connections. Not owned; must
   // outlive the server. nullptr (the default) serves faithfully.
   FaultInjector* fault_injector = nullptr;
@@ -48,7 +52,7 @@ struct GpServerOptions {
 
 class GpServer {
  public:
-  // Sets up the shard's GraphProcessor and starts listening + accepting.
+  // Sets up the shard's GraphProcessor, listens, and starts the loop thread.
   static StatusOr<std::unique_ptr<GpServer>> Start(
       std::shared_ptr<const Graph> graph, int shard, int num_gps,
       uint64_t generation, GpServerOptions options = {});
@@ -58,7 +62,9 @@ class GpServer {
   GpServer(const GpServer&) = delete;
   GpServer& operator=(const GpServer&) = delete;
 
-  // Stops accepting, cuts live connections, joins all threads. Idempotent.
+  // Stops the loop (within one idle slice, or within the frame budget when
+  // a peer stalls mid-frame), which closes every connection, then closes
+  // the listener. Idempotent.
   void Stop();
 
   // Actual listening port (resolves an ephemeral request).
@@ -69,8 +75,10 @@ class GpServer {
   // The served stripe (record-level traffic counters live here).
   const dist::GraphProcessor& gp() const { return gp_; }
 
-  // Wire-level totals across all connections this server handled.
+  // Wire-level totals across all connections this server handled; a
+  // connection refused at the kMaxConnections cap counts only as refused.
   uint64_t connections_accepted() const { return connections_.value(); }
+  uint64_t connections_refused() const { return refused_.value(); }
   uint64_t frames_received() const { return frames_received_.value(); }
   uint64_t frames_sent() const { return frames_sent_.value(); }
   uint64_t bytes_received() const { return bytes_received_.value(); }
@@ -86,8 +94,10 @@ class GpServer {
   GpServer(std::shared_ptr<const Graph> graph, int shard, int num_gps,
            uint64_t generation, GpServerOptions options);
 
-  void AcceptLoop();
-  void ServeConnection(std::shared_ptr<Transport> transport);
+  void Loop();
+  void Accept(std::vector<std::unique_ptr<Transport>>* connections);
+  // Reads one frame and writes its reply; false drops the connection.
+  bool ServeFrame(Transport& transport);
 
   std::shared_ptr<const Graph> graph_;
   int shard_ = 0;
@@ -99,15 +109,18 @@ class GpServer {
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
+  std::thread loop_thread_;
 
-  std::mutex mu_;  // guards handlers_ and live_connections_
-  // Handler threads accumulate until Stop joins them — fine for the
-  // bounded connection counts of one AP per shard plus fault-retry churn.
-  std::vector<std::thread> handlers_;
-  std::vector<std::weak_ptr<Transport>> live_connections_;
+  // ServeFrame's buffers, reused across frames (loop thread only).
+  FrameHeader header_;
+  std::vector<uint8_t> payload_;
+  std::vector<uint8_t> reply_;
+  std::vector<uint8_t> scratch_;
+  std::vector<NodeId> nodes_;
+  std::vector<dist::NodeRecord> records_;
 
   obs::Counter connections_;
+  obs::Counter refused_;
   obs::Counter frames_received_;
   obs::Counter frames_sent_;
   obs::Counter bytes_received_;

@@ -44,6 +44,9 @@ class Transport {
 
   virtual bool closed() const = 0;
 
+  // The connected socket, for poll(2); the transport keeps ownership.
+  virtual int fd() const = 0;
+
   // "host:port" of the peer, for error messages.
   virtual const std::string& peer() const = 0;
 };
@@ -62,6 +65,7 @@ class SocketTransport : public Transport {
   Status WriteAll(std::span<const uint8_t> frame, int timeout_ms) override;
   void Close() override;
   bool closed() const override { return closed_.load(std::memory_order_acquire); }
+  int fd() const override { return fd_; }
   const std::string& peer() const override { return peer_; }
 
  private:

@@ -1,8 +1,10 @@
 // RPC layer happy paths: frame codec, listener + client round-trips,
-// shard-identity handshake, and multiplexed concurrent fetches. Every suite
-// name matches the CI TSan filter (Rpc|Transport|RemoteGraphProcessor) so
-// the concurrency in here runs under TSan too. The scripted failure paths
-// live in tests/net/fault_test.cc.
+// shard-identity handshake, multiplexed concurrent fetches, and the GP
+// server's one loop (connection cap, reconnect churn, prompt Stop). Every
+// suite name matches the CI TSan filter
+// (Rpc|Transport|RemoteGraphProcessor|GpServer) so the concurrency in here
+// runs under TSan too. The scripted failure paths live in
+// tests/net/fault_test.cc.
 
 #include <atomic>
 #include <memory>
@@ -20,6 +22,7 @@
 #include "net/rpc_client.h"
 #include "net/transport.h"
 #include "util/bytes.h"
+#include "util/timer.h"
 
 namespace rtr {
 namespace {
@@ -283,6 +286,115 @@ TEST(RpcClientTest, ConcurrentFetchesMultiplexOneConnection) {
   EXPECT_EQ(w.reconnects, 0u);
   EXPECT_EQ((*server)->connections_accepted(), 1u);
   EXPECT_EQ(w.frames_sent, 1u + kThreads * kFetchesPerThread);  // + hello
+}
+
+// Client budgets tight enough that a stopped server fails a call in
+// milliseconds.
+net::RpcClientOptions FastOptions() {
+  net::RpcClientOptions options;
+  options.connect_timeout_ms = 1000;
+  options.call_timeout_ms = 400;
+  options.max_attempts = 3;
+  options.backoff_initial_ms = 1;
+  options.backoff_max_ms = 5;
+  return options;
+}
+
+// Sends a hello on a raw connection and reads the server's answer.
+Status HelloExchange(net::Transport& transport, const net::HelloPayload& hello,
+                     net::HelloPayload* ack) {
+  std::vector<uint8_t> payload;
+  std::vector<uint8_t> scratch;
+  net::EncodeHello(hello, &payload);
+  RTR_RETURN_IF_ERROR(net::WriteFrame(transport, net::FrameType::kHello,
+                                      /*request_id=*/1, payload, 1000,
+                                      &scratch));
+  net::FrameHeader header;
+  RTR_RETURN_IF_ERROR(net::ReadFrame(transport, 2000, 2000, &header,
+                                     &payload));
+  if (header.type != net::FrameType::kHelloAck) {
+    return Status::IoError("expected a hello ack");
+  }
+  return net::DecodeHello(payload, ack);
+}
+
+TEST(GpServerTest, ConnectionsPastTheCapAreRefusedThenChurnIsPruned) {
+  auto graph = std::make_shared<const Graph>(SmallRandomishGraph());
+  auto server = net::GpServer::Start(graph, 0, 1, 0);
+  ASSERT_TRUE(server.ok());
+  const net::HelloPayload identity = IdentityFor(*graph, 0, 1, 0);
+
+  // (a) kMaxConnections + 2 held open: the listener queues them in order,
+  // so the first kMaxConnections are served and the last 2 are refused.
+  std::vector<std::unique_ptr<net::Transport>> held;
+  for (size_t i = 0; i < net::kMaxConnections + 2; ++i) {
+    auto dialed = net::ConnectTo("127.0.0.1", (*server)->port(), 1000);
+    ASSERT_TRUE(dialed.ok()) << dialed.status().ToString();
+    held.push_back(std::move(*dialed));
+  }
+  for (size_t i = 0; i < held.size(); ++i) {
+    net::HelloPayload ack;
+    Status s = HelloExchange(*held[i], identity, &ack);
+    if (i < net::kMaxConnections) {
+      ASSERT_TRUE(s.ok()) << "connection " << i << ": " << s.ToString();
+      EXPECT_EQ(ack.num_nodes, graph->num_nodes());
+    } else {
+      EXPECT_FALSE(s.ok()) << "connection " << i << " was served";
+    }
+  }
+  EXPECT_EQ((*server)->connections_refused(), 2u);
+  EXPECT_EQ((*server)->connections_accepted(), net::kMaxConnections);
+
+  // (b) Close them all, then churn: every connection that closes must leave
+  // the loop's set, or the cap would refuse the later cycles.
+  held.clear();
+  dist::GraphProcessor local(graph, 0, 1);
+  constexpr int kCycles = 50;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    const std::vector<NodeId> wanted = {
+        static_cast<NodeId>(cycle % graph->num_nodes()),
+        static_cast<NodeId>((cycle * 7 + 3) % graph->num_nodes())};
+    net::RpcClient client("127.0.0.1", (*server)->port(), identity);
+    std::vector<dist::NodeRecord> got;
+    std::vector<dist::NodeRecord> want;
+    ASSERT_TRUE(client.Fetch(wanted, &got).ok()) << "cycle " << cycle;
+    ASSERT_TRUE(local.Fetch(wanted, &want).ok());
+    dist::ExpectSameRecords(got, want);
+    EXPECT_EQ(client.wire().retries, 0u) << "cycle " << cycle;
+  }
+  EXPECT_EQ((*server)->connections_refused(), 2u);
+  EXPECT_EQ((*server)->connections_accepted(),
+            net::kMaxConnections + kCycles);
+}
+
+TEST(GpServerTest, StopWithIdleClientsIsPromptAndFailsTheirCalls) {
+  auto graph = std::make_shared<const Graph>(SmallRandomishGraph());
+  auto server = net::GpServer::Start(graph, 0, 1, 0);
+  ASSERT_TRUE(server.ok());
+  const std::vector<NodeId> wanted = {0, 5, 10};
+
+  std::vector<std::unique_ptr<net::RpcClient>> clients;
+  for (int i = 0; i < 2; ++i) {
+    clients.push_back(std::make_unique<net::RpcClient>(
+        "127.0.0.1", (*server)->port(), IdentityFor(*graph, 0, 1, 0),
+        FastOptions()));
+    std::vector<dist::NodeRecord> out;
+    ASSERT_TRUE(clients.back()->Fetch(wanted, &out).ok());
+  }
+
+  // Both connections idle: the loop notices the flag within one poll slice.
+  WallTimer stop_timer;
+  (*server)->Stop();
+  EXPECT_LT(stop_timer.ElapsedMillis(), 500.0);
+
+  for (std::unique_ptr<net::RpcClient>& client : clients) {
+    std::vector<dist::NodeRecord> out;
+    WallTimer timer;
+    Status status = client->Fetch(wanted, &out);
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+    EXPECT_LT(timer.ElapsedMillis(), 5000.0);
+    EXPECT_TRUE(out.empty());
+  }
 }
 
 TEST(RemoteGraphProcessorTest, ConnectRemoteClusterRejectsBadEndpoints) {

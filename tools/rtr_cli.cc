@@ -1076,8 +1076,8 @@ int CmdServe(int argc, char** argv) {
 }
 
 // gp-serve shutdown flag, set by SIGTERM/SIGINT so the shard can stop its
-// listener, join its connection handlers, and exit 0 (the CLI net test
-// asserts exactly this).
+// loop thread, close its listener and connections, and exit 0 (the CLI net
+// test asserts exactly this).
 volatile std::sig_atomic_t g_gp_serve_signal = 0;
 
 void GpServeSignalHandler(int signum) { g_gp_serve_signal = signum; }
@@ -1132,12 +1132,15 @@ int CmdGpServe(int argc, char** argv) {
   }
   (*server)->Stop();
   std::printf("gp-serve shard %d/%d: clean shutdown (signal %d; served "
-              "%llu fetches / %llu records over %llu connections)\n",
+              "%llu fetches / %llu records over %llu connections "
+              "(%llu refused))\n",
               shard, num_gps, static_cast<int>(g_gp_serve_signal),
               static_cast<unsigned long long>((*server)->gp().fetch_requests()),
               static_cast<unsigned long long>((*server)->gp().records_served()),
               static_cast<unsigned long long>(
-                  (*server)->connections_accepted()));
+                  (*server)->connections_accepted()),
+              static_cast<unsigned long long>(
+                  (*server)->connections_refused()));
   return 0;
 }
 
