@@ -71,9 +71,10 @@ struct WireTraffic {
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;
   uint64_t retries = 0;     // re-sent attempts after timeout/transport loss
-  uint64_t reconnects = 0;  // connection (re-)establishments
+  uint64_t reconnects = 0;  // dials past the most connections open at once
   uint64_t timeouts = 0;    // attempts abandoned at the per-request timeout
-  uint64_t sheds = 0;       // fetches refused by per-peer backpressure
+  uint64_t sheds = 0;       // fetches that found every pooled connection
+                            // busy past the call deadline
 
   WireTraffic& operator+=(const WireTraffic& other) {
     frames_sent += other.frames_sent;
@@ -149,7 +150,7 @@ class GraphProcessor : public RecordSource {
                std::vector<NodeRecord>* out) const override;
 
   // Cumulative traffic served by this GP since construction (the per-shard
-  // series net-tier backpressure and the serve metrics read). A serving
+  // series the serve metrics read). A serving
   // layer that restripes per generation must accumulate these before
   // dropping the cluster (serve::QueryService does).
   uint64_t fetch_requests() const override { return fetch_requests_.value(); }

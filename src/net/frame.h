@@ -17,7 +17,7 @@
 //        4     1  protocol version (kProtocolVersion)
 //        5     1  frame type (FrameType)
 //        6     2  reserved, must be zero
-//        8     8  request id — echoed by the reply, multiplexing key
+//        8     8  request id — echoed by the reply, checked by the caller
 //       16     4  payload length (<= kMaxPayloadBytes)
 //       20     4  reserved, must be zero
 //       24     8  FNV-1a 64 checksum of the payload bytes (byte-wise,

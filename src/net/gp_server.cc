@@ -1,6 +1,7 @@
 #include "net/gp_server.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -11,7 +12,8 @@
 namespace rtr::net {
 
 namespace {
-// Poll slice of the loop: how promptly Stop() is honored.
+// Poll slice of the loop: a bound on noticing Stop() where shutting the
+// listener down does not wake poll(2) (Linux wakes it at once).
 constexpr int kIdleSliceMs = 100;
 // Budget for finishing a frame once its first byte arrived, and for
 // writing one reply.
@@ -54,6 +56,8 @@ GpServer::~GpServer() { Stop(); }
 
 void GpServer::Stop() {
   stop_.store(true, std::memory_order_release);
+  // A listener shut down polls as hung up, which wakes the loop at once.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (loop_thread_.joinable()) loop_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -72,7 +76,10 @@ void GpServer::Loop() {
     for (const std::unique_ptr<Transport>& c : connections) {
       fds.push_back(pollfd{c->fd(), POLLIN, 0});
     }
-    if (::poll(fds.data(), fds.size(), kIdleSliceMs) <= 0) continue;
+    if (::poll(fds.data(), fds.size(), kIdleSliceMs) <= 0 ||
+        stop_.load(std::memory_order_acquire)) {
+      continue;
+    }
     size_t kept = 0;
     for (size_t i = 0; i < connections.size(); ++i) {
       if (fds[i + 1].revents != 0 && !ServeFrame(*connections[i])) {

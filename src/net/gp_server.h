@@ -14,8 +14,8 @@
 // One loop thread owns the listener and every connection: each turn it
 // polls them all, answers one frame per readable connection, and accepts
 // one pending connection (refused while kMaxConnections are live). An AP
-// multiplexes its workers over one connection per shard
-// (net/rpc_client.h), so serving connections in turn costs no parallelism.
+// holds up to min(callers, kMaxConnections) connections per shard, one per
+// call in flight (net/rpc_client.h); they are served in turn.
 //
 // The options' FaultInjector (tests only) wraps each accepted connection in
 // a net::FaultyTransport so tests/net/fault_test.cc can script delays,
@@ -38,9 +38,6 @@
 
 namespace rtr::net {
 
-// Live connections one server holds; the next accepted one is refused.
-inline constexpr size_t kMaxConnections = 16;
-
 struct GpServerOptions {
   // TCP port to listen on; 0 picks an ephemeral port (read it back via
   // port() — the CLI prints it so scripts can connect).
@@ -62,9 +59,9 @@ class GpServer {
   GpServer(const GpServer&) = delete;
   GpServer& operator=(const GpServer&) = delete;
 
-  // Stops the loop (within one idle slice, or within the frame budget when
-  // a peer stalls mid-frame), which closes every connection, then closes
-  // the listener. Idempotent.
+  // Stops the loop (at once, or within the frame budget when a peer stalls
+  // mid-frame), which closes every connection, then closes the listener.
+  // Idempotent.
   void Stop();
 
   // Actual listening port (resolves an ephemeral request).

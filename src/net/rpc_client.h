@@ -3,38 +3,37 @@
 
 // AP-side RPC endpoint for one GP peer (DESIGN.md §12).
 //
-// One RpcClient per (host, port) peer. Calls from any number of AP worker
-// threads are multiplexed over a single connection: each in-flight request
-// carries a unique request id, a dedicated reader thread dispatches reply
-// frames to the waiting callers by that id, and a caller only ever blocks
-// on its own bounded condition wait — so a slow reply for one query never
-// serializes the others, and nothing waits without a deadline.
+// One RpcClient per (host, port) peer, shared by every AP worker thread.
+// The client keeps a pool of at most kMaxConnections connections and each
+// call has one to itself: it checks a connection out, writes its request,
+// reads its own reply off the same socket, and checks the connection back
+// in. No thread of the client's own runs, and every wait is bounded.
 //
 // Failure policy (exercised fault-by-fault in tests/net/fault_test.cc):
-//  * per-attempt timeout — a reply not arriving in call_timeout_ms poisons
-//    the connection (late replies must not be mis-matched to a retry) and
-//    counts a timeout;
+//  * per-attempt timeout — a reply not starting within call_timeout_ms
+//    counts a timeout; like every transport failure it closes the
+//    connection (a late reply must never be matched to a later call);
 //  * bounded retry — transport loss, timeouts, and refused connections
 //    (kIoError / kDeadlineExceeded / kUnavailable) are retried up to
 //    max_attempts with doubling backoff on a fresh connection; anything
 //    else (a remote kInvalidArgument, a handshake kFailedPrecondition) is
 //    returned immediately — re-sending cannot fix it;
-//  * reconnect — connections are dialed lazily and redialed after poison;
-//    the Hello/HelloAck handshake re-verifies the peer's shard identity
-//    every time, so a restarted peer serving the wrong stripe is caught
-//    before any record is trusted;
-//  * backpressure — when the peer already holds max_outstanding_bytes of
-//    un-replied request bytes, new fetches are shed locally with
-//    kUnavailable (not retried: retrying a shed would defeat its purpose).
+//  * reconnect — connections are dialed on demand, and a failed one drops
+//    the idle ones with it (they most likely share its fate, e.g. a
+//    restarted peer); the Hello/HelloAck handshake re-verifies the peer's
+//    shard identity on every dial, so a restarted peer serving the wrong
+//    stripe is caught before any record is trusted;
+//  * shed — when all kMaxConnections connections stay checked out for
+//    call_timeout_ms, the call fails with kUnavailable (not retried:
+//    retrying a shed would defeat its purpose).
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "dist/distributed_topk.h"
@@ -47,15 +46,14 @@ namespace rtr::net {
 
 struct RpcClientOptions {
   int connect_timeout_ms = 2000;
-  // Per-attempt budget for one request/reply exchange.
+  // Per-attempt budget for the reply to start, and again for it to finish;
+  // also how long a call waits for a pooled connection.
   int call_timeout_ms = 5000;
   // Total tries per Fetch (first attempt + retries).
   int max_attempts = 4;
   // Doubling backoff between attempts, capped.
   int backoff_initial_ms = 5;
   int backoff_max_ms = 100;
-  // Per-peer backpressure: un-replied request bytes beyond this are shed.
-  size_t max_outstanding_bytes = 8u << 20;
 };
 
 class RpcClient {
@@ -66,14 +64,15 @@ class RpcClient {
             RpcClientOptions options = {});
 
   // Requires no Fetch in flight on other threads.
-  ~RpcClient();
+  ~RpcClient() = default;
 
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
   // Eagerly dials and verifies the handshake (kFailedPrecondition on a
-  // shard-identity mismatch). Fetch does this lazily; cluster bring-up
-  // calls it to fail fast on misconfiguration.
+  // shard-identity mismatch), leaving the connection in the pool. Fetch
+  // dials on demand; cluster bring-up calls this to fail fast on
+  // misconfiguration.
   Status Connect();
 
   // One batched record fetch, with the full retry/reconnect policy above.
@@ -89,32 +88,29 @@ class RpcClient {
   const std::string& endpoint() const { return endpoint_; }
 
  private:
+  // One pooled connection and the buffers its calls reuse.
   struct Connection {
     std::unique_ptr<Transport> transport;
-    std::thread reader;
-    std::atomic<bool> broken{false};
-    std::mutex write_mu;  // frame writes on one connection are atomic
-  };
-
-  struct PendingCall {
-    bool done = false;
-    Status status;
+    // Set by a failed exchange: the connection is closed, not pooled.
+    bool broken = false;
     FrameHeader header;
-    std::vector<uint8_t> payload;
+    std::vector<uint8_t> reply;
+    std::vector<uint8_t> scratch;
   };
 
-  // Returns the healthy current connection, dialing (and handshaking) a
-  // fresh one if needed. Serialized so concurrent callers share one dial.
-  StatusOr<std::shared_ptr<Connection>> EnsureConnected();
-  Status Handshake(Transport& transport);
-  // One attempt: write the request, wait for its reply, decode. Appends
-  // exactly num_nodes records to `out` on success and leaves it as it was
-  // on failure.
-  Status TryFetch(const std::vector<uint8_t>& request, size_t num_nodes,
-                  std::vector<dist::NodeRecord>* out);
-  void ReaderLoop(Connection* conn);
-  // Closes and joins retired connections (never called from a reader).
-  void ReapGraveyard();
+  // Takes an idle connection, or dials one while fewer than kMaxConnections
+  // are open, or waits up to call_timeout_ms for one to come back. When
+  // none does the call is shed: *shed is set and kUnavailable returned. On
+  // any failure *conn is null and no slot is held.
+  Status Checkout(std::unique_ptr<Connection>* conn, bool* shed);
+  // Pools a healthy connection; closes a broken one, with every idle one.
+  void Release(std::unique_ptr<Connection> conn);
+  Status Handshake(Connection& conn);
+  // One attempt on `conn`: write the request, read its reply, decode.
+  // Appends exactly num_nodes records to `out` on success and leaves it as
+  // it was on failure.
+  Status Call(Connection& conn, const std::vector<uint8_t>& request,
+              size_t num_nodes, std::vector<dist::NodeRecord>* out);
 
   const std::string host_;
   const uint16_t port_;
@@ -122,22 +118,20 @@ class RpcClient {
   const HelloPayload expected_;
   const RpcClientOptions options_;
 
-  std::mutex mu_;  // pending_, conn_, graveyard_
-  std::condition_variable cv_;
-  std::unordered_map<uint64_t, PendingCall*> pending_;
-  std::shared_ptr<Connection> conn_;
-  std::vector<std::shared_ptr<Connection>> graveyard_;
-  std::mutex connect_mu_;  // serializes dial attempts
+  std::mutex mu_;  // idle_, open_
+  std::condition_variable released_;
+  std::vector<std::unique_ptr<Connection>> idle_;
+  // Connections checked out, pooled, or being dialed.
+  size_t open_ = 0;
   std::atomic<uint64_t> next_request_id_{1};  // 0 is the handshake
-  std::atomic<bool> stopping_{false};
 
-  std::atomic<size_t> outstanding_bytes_{0};
   std::atomic<uint64_t> frames_sent_{0};
   std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
   std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> reconnects_{0};
+  std::atomic<uint64_t> dials_{0};
+  std::atomic<uint64_t> peak_open_{0};
   std::atomic<uint64_t> timeouts_{0};
   std::atomic<uint64_t> sheds_{0};
 };

@@ -11,6 +11,7 @@
 // past its timeout and Close() from another thread unblocks a sleeping peer.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -21,6 +22,10 @@
 #include "util/status.h"
 
 namespace rtr::net {
+
+// Live connections one GP server holds (the next accepted one is refused),
+// and connections one RpcClient pools per peer.
+inline constexpr size_t kMaxConnections = 16;
 
 class Transport {
  public:

@@ -67,7 +67,8 @@ QueryService::QueryService(std::shared_ptr<GraphStore> store,
       cluster_(std::move(cluster)),
       backend_(cluster_ != nullptr ? Backend::kDistributed : Backend::kLocal),
       options_(options),
-      cache_(options.cache_capacity, options.cache_shards) {
+      cache_(options.cache_capacity,
+             std::min<size_t>(8, options.cache_capacity)) {
   CHECK(store_ != nullptr) << "a query service needs a graph store";
   CHECK_GE(options_.num_workers, 1);
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);

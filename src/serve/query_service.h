@@ -77,8 +77,9 @@ struct ServiceOptions {
   // repo conventions).
   size_t queue_capacity = 256;
   bool enable_cache = true;
+  // Split over min(8, cache_capacity) shards of ceil(capacity / shards)
+  // entries each, so a capacity below 8 holds exactly that many.
   size_t cache_capacity = 1024;
-  size_t cache_shards = 8;
   // Queries slower than this (end-to-end, admission to completion) count as
   // SLO violations in ServiceStats.
   double slo_millis = 100.0;

@@ -8,6 +8,7 @@
 // (Rpc|Transport|RemoteGraphProcessor).
 
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -208,21 +209,41 @@ TEST_F(RpcFaultTest, DeadGpIsACleanTypedErrorNotAHang) {
   ExpectFetchMatchesLocal(client, wanted_);
 }
 
-TEST_F(RpcFaultTest, BackpressureShedsWithUnavailable) {
-  net::RpcClientOptions options = FastOptions();
-  // A cap below one request frame: admission must shed locally without
-  // touching the wire and without retrying (retrying a shed is pointless).
-  options.max_outstanding_bytes = 8;
+TEST_F(RpcFaultTest, RestartedGpCostsOneRetryWhateverThePoolHolds) {
+  // Three concurrent callers each hold a connection while the GP sleeps on
+  // their first reply, so the pool ends up holding three: as many as
+  // FastOptions' max_attempts, enough to fail a call tried stale by stale.
+  constexpr int kCallers = 3;
+  for (int i = 0; i < kCallers; ++i) {
+    net::ConnectionScript script;
+    script.write_faults = {{net::FaultOp::kNone, 0},
+                           {net::FaultOp::kDelayWrite, 50}};
+    injector_.Enqueue(std::move(script));
+  }
   net::RpcClient client("127.0.0.1", server_->port(),
-                        IdentityFor(*graph_, 0, 1, 0), options);
-  std::vector<dist::NodeRecord> out;
-  Status status = client.Fetch(wanted_, &out);
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(status.message().find("backpressure"), std::string::npos);
+                        IdentityFor(*graph_, 0, 1, 0), FastOptions());
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&] { ExpectFetchMatchesLocal(client, wanted_); });
+  }
+  for (std::thread& t : callers) t.join();
+  ASSERT_EQ(server_->connections_accepted(), static_cast<uint64_t>(kCallers));
+
+  // The GP restarts on the same port: every pooled connection is stale.
+  const uint16_t port = server_->port();
+  server_.reset();
+  net::GpServerOptions options;
+  options.port = port;
+  auto restarted = net::GpServer::Start(graph_, 0, 1, 0, options);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  server_ = std::move(*restarted);
+
+  // The first stale connection fails and takes the idle ones with it, so
+  // the retry dials the new GP instead of the next stale connection.
+  ExpectFetchMatchesLocal(client, wanted_);
   dist::WireTraffic w = client.wire();
-  EXPECT_EQ(w.sheds, 1u);
-  EXPECT_EQ(w.retries, 0u);
-  EXPECT_EQ(w.frames_sent, 0u);  // shed before any wire traffic
+  EXPECT_EQ(w.retries, 1u);
+  EXPECT_EQ(w.reconnects, 1u);
 }
 
 TEST_F(RpcFaultTest, FaultsExhaustOnlyAfterMaxAttempts) {

@@ -1,6 +1,7 @@
 // RPC layer happy paths: frame codec, listener + client round-trips,
-// shard-identity handshake, multiplexed concurrent fetches, and the GP
-// server's one loop (connection cap, reconnect churn, prompt Stop). Every
+// shard-identity handshake, concurrent fetches over the client's pool (and
+// its shed when the pool stays busy), and the GP server's one loop
+// (connection cap, reconnect churn, prompt Stop). Every
 // suite name matches the CI TSan filter
 // (Rpc|Transport|RemoteGraphProcessor|GpServer) so the concurrency in here
 // runs under TSan too. The scripted failure paths live in
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "dist/distributed_topk.h"
 #include "dist/record_testing.h"
@@ -247,7 +249,7 @@ TEST(RemoteGraphProcessorTest, HandshakeRejectsWrongShardIdentity) {
   EXPECT_TRUE(right.Connect().ok());
 }
 
-TEST(RpcClientTest, ConcurrentFetchesMultiplexOneConnection) {
+TEST(RpcClientTest, ConcurrentFetchesSharePooledConnections) {
   auto graph = std::make_shared<const Graph>(SmallRandomishGraph());
   auto server = net::GpServer::Start(graph, 0, 1, 0);
   ASSERT_TRUE(server.ok());
@@ -256,7 +258,10 @@ TEST(RpcClientTest, ConcurrentFetchesMultiplexOneConnection) {
                         IdentityFor(*graph, 0, 1, 0));
   dist::GraphProcessor local(graph, 0, 1);
 
-  constexpr int kThreads = 8;
+  // More callers than the pool holds connections: the surplus waits for
+  // one to come back instead of dialing past the server's cap.
+  constexpr int kThreads = 20;
+  static_assert(kThreads > static_cast<int>(net::kMaxConnections));
   constexpr int kFetchesPerThread = 20;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -279,13 +284,66 @@ TEST(RpcClientTest, ConcurrentFetchesMultiplexOneConnection) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // All of it multiplexed over the one connection: no retries, no
-  // reconnects, and the server accepted exactly one peer.
+  // No retries, no reconnects, nothing refused, at most a pool's worth of
+  // connections, and one hello per connection on top of the fetches.
   dist::WireTraffic w = client.wire();
   EXPECT_EQ(w.retries, 0u);
   EXPECT_EQ(w.reconnects, 0u);
-  EXPECT_EQ((*server)->connections_accepted(), 1u);
-  EXPECT_EQ(w.frames_sent, 1u + kThreads * kFetchesPerThread);  // + hello
+  EXPECT_EQ(w.sheds, 0u);
+  EXPECT_EQ((*server)->connections_refused(), 0u);
+  const uint64_t accepted = (*server)->connections_accepted();
+  EXPECT_GE(accepted, 1u);
+  EXPECT_LE(accepted, net::kMaxConnections);
+  EXPECT_EQ(w.frames_sent, accepted + kThreads * kFetchesPerThread);
+}
+
+TEST(RpcClientTest, AllConnectionsBusyPastTheDeadlineSheds) {
+  // A peer that accepts but never answers: every dial holds its pool slot
+  // for the whole handshake budget.
+  StatusOr<int> listener = net::ListenOn(0);
+  ASSERT_TRUE(listener.ok());
+  StatusOr<uint16_t> port = net::ListenerPort(*listener);
+  ASSERT_TRUE(port.ok());
+  net::RpcClientOptions options;
+  options.connect_timeout_ms = 10000;
+  options.call_timeout_ms = 100;
+  net::RpcClient client("127.0.0.1", *port, net::HelloPayload{}, options);
+
+  std::vector<std::thread> dialers;
+  std::atomic<int> dial_failures{0};
+  for (size_t i = 0; i < net::kMaxConnections; ++i) {
+    dialers.emplace_back([&] {
+      if (!client.Connect().ok()) dial_failures.fetch_add(1);
+    });
+  }
+  // Once the peer holds every connection, every slot is taken.
+  std::vector<std::unique_ptr<net::Transport>> accepted;
+  for (size_t i = 0; i < net::kMaxConnections; ++i) {
+    auto conn = net::AcceptConnection(*listener, 5000);
+    if (!conn.ok()) {  // no ASSERT: the dialers must still be joined
+      ADD_FAILURE() << conn.status().ToString();
+      break;
+    }
+    accepted.push_back(std::move(*conn));
+  }
+
+  std::vector<dist::NodeRecord> out;
+  WallTimer timer;
+  Status status = client.Fetch({0}, &out);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_GE(timer.ElapsedMillis(), 90.0);
+  EXPECT_LT(timer.ElapsedMillis(), 5000.0);
+  EXPECT_TRUE(out.empty());
+
+  // Hanging up on the handshakes fails every dial, promptly.
+  accepted.clear();
+  for (std::thread& t : dialers) t.join();
+  EXPECT_EQ(dial_failures.load(), static_cast<int>(net::kMaxConnections));
+  dist::WireTraffic w = client.wire();
+  EXPECT_EQ(w.sheds, 1u);
+  EXPECT_EQ(w.retries, 0u);  // a shed is not retried
+  EXPECT_EQ(w.frames_sent, net::kMaxConnections);  // the hellos only
+  ::close(*listener);
 }
 
 // Client budgets tight enough that a stopped server fails a call in
@@ -382,10 +440,10 @@ TEST(GpServerTest, StopWithIdleClientsIsPromptAndFailsTheirCalls) {
     ASSERT_TRUE(clients.back()->Fetch(wanted, &out).ok());
   }
 
-  // Both connections idle: the loop notices the flag within one poll slice.
+  // Both connections idle: shutting the listener down wakes the loop.
   WallTimer stop_timer;
   (*server)->Stop();
-  EXPECT_LT(stop_timer.ElapsedMillis(), 500.0);
+  EXPECT_LT(stop_timer.ElapsedMillis(), 50.0);
 
   for (std::unique_ptr<net::RpcClient>& client : clients) {
     std::vector<dist::NodeRecord> out;

@@ -224,7 +224,6 @@ TEST(QueryServiceTest, RepeatQueryHitsCacheThenEvicts) {
   ServiceOptions options;
   options.num_workers = 1;
   options.cache_capacity = 1;
-  options.cache_shards = 1;
   QueryService service(SharedGraphPtr(), options);
   ASSERT_TRUE(service.Start().ok());
 
