@@ -30,7 +30,6 @@ void Bca::AddResidual(NodeId v, double amount) {
   residual += amount;
   total_residual_ += amount;
   ws_->benefit_heap.Update(v, Benefit(v));
-  ws_->residual_heap.Update(v, residual);
 }
 
 void Bca::Process(NodeId v) {
@@ -39,7 +38,6 @@ void Bca::Process(NodeId v) {
   if (residual <= 0.0) return;
   ws_->mu[v] = 0.0;
   ws_->benefit_heap.Remove(v);
-  ws_->residual_heap.Remove(v);
   total_residual_ -= residual;
 
   ws_->rho[v] += alpha_ * residual;
@@ -66,6 +64,12 @@ int Bca::ProcessBest(int m) {
     ++processed;
   }
   return processed;
+}
+
+double Bca::MaxResidual() const {
+  double max_mu = 0.0;
+  for (NodeId v : ws_->mu_touched) max_mu = std::max(max_mu, ws_->mu[v]);
+  return max_mu;
 }
 
 double Bca::UnseenUpperBound() const {

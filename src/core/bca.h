@@ -16,11 +16,12 @@ namespace rtr::core {
 // bound of f(q, v) that tightens as residual is pushed (Eq. 20), and the
 // remaining residual mass bounds everything unseen (Prop. 4).
 //
-// Node selection and the max-residual query use the workspace's
-// position-tracked 4-ary heaps (core::NodeHeap): every residual update
-// re-keys the node in place, so — unlike the former lazy duplicate-push
-// priority_queues — the heaps hold at most one entry per node, pops never
-// skip stale entries, and no periodic compaction is needed.
+// Node selection uses the workspace's position-tracked 4-ary benefit heap
+// (core::NodeHeap): every residual update re-keys the node in place, so the
+// heap holds at most one entry per node and pops never skip stale entries.
+// The maximum residual, which only the unseen bound reads (once per Stage
+// II check, not per push), is a scan of mu over mu_touched instead of a
+// second heap that every push would have to sift.
 //
 // All dense per-query state (rho, mu, seen flags, heap storage) lives in
 // the caller's QueryWorkspace, which the Bca borrows.
@@ -54,11 +55,9 @@ class Bca {
 
   // Total outstanding residual (kept incrementally; asymptotically -> 0).
   double total_residual() const { return total_residual_; }
-  // Maximum single-node residual (heap top; exact, O(1)).
-  double MaxResidual() const {
-    return ws_->residual_heap.empty() ? 0.0
-                                      : ws_->residual_heap.top_priority();
-  }
+  // Maximum single-node residual (exact; O(|mu_touched|), a scan of every
+  // node that ever held residual this query).
+  double MaxResidual() const;
 
   // Nodes with rho > 0 — the f-neighborhood S_f. Stable insertion order.
   const std::vector<NodeId>& seen() const { return ws_->bca_seen; }

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
-#include "util/dense_kernels.h"
 #include "util/logging.h"
 
+namespace rtr::core {
 namespace {
-
-// Prefetch distance for the Stage-II refinement sweeps: the seen-node order
-// is query-dependent (BCA discovery order), so the hardware prefetcher
-// cannot predict the adjacency rows; software prefetch of the row ~8 nodes
-// ahead hides the column-load latency. The offsets array itself is dense
-// and hot, so reading offsets[w] up front costs nothing.
-constexpr size_t kRefinePrefetchDistance = 8;
 
 // Stage II stops after this many sweeps per Refine (the fixpoint usually
 // converges much earlier), or once a sweep's summed bound change falls
@@ -21,9 +15,93 @@ constexpr size_t kRefinePrefetchDistance = 8;
 constexpr int kMaxRefineSweeps = 30;
 constexpr double kRefineTolerance = 1e-15;
 
-}  // namespace
+// Gathers the rows of `nodes` into the workspace's local CSR (workspace.h)
+// together with their teleport mass and current bounds. `row(v)` returns
+// v's (endpoints, probs) spans in the sweep's direction. An arc to a node
+// outside `nodes` points at the sentinel, whose lower bound is 0 and whose
+// upper bound is `unseen_upper`: adding prob * 0 leaves a non-negative sum
+// unchanged, so the sweeps below add exactly what a seen/unseen branch per
+// arc would. ScatterLocalBounds must follow before the next gather.
+template <typename RowFn>
+void GatherLocalCsr(const std::vector<NodeId>& nodes, RowFn row,
+                    const std::vector<double>& lower,
+                    const std::vector<double>& upper, double unseen_upper,
+                    QueryWorkspace& ws) {
+  const uint32_t sentinel = static_cast<uint32_t>(nodes.size());
+  ws.local_offsets.resize(nodes.size() + 1);
+  ws.local_teleport.resize(nodes.size());
+  ws.local_lower.resize(nodes.size() + 1);
+  ws.local_upper.resize(nodes.size() + 1);
+  ws.local_offsets[0] = 0;
+  for (uint32_t j = 0; j < sentinel; ++j) {
+    const NodeId v = nodes[j];
+    ws.local_id[v] = j;
+    ws.local_offsets[j + 1] = ws.local_offsets[j] + row(v).first.size();
+    ws.local_teleport[j] = ws.teleport[v];
+    ws.local_lower[j] = lower[v];
+    ws.local_upper[j] = upper[v];
+  }
+  ws.local_lower[sentinel] = 0.0;
+  ws.local_upper[sentinel] = unseen_upper;
+  ws.local_arcs.resize(ws.local_offsets[sentinel]);
+  ws.local_probs.resize(ws.local_offsets[sentinel]);
+  for (uint32_t j = 0; j < sentinel; ++j) {
+    const auto [ends, probs] = row(nodes[j]);
+    const size_t first = ws.local_offsets[j];
+    for (size_t i = 0; i < ends.size(); ++i) {
+      // Unset ids (kNoLocalId) clamp to the sentinel.
+      ws.local_arcs[first + i] = std::min(ws.local_id[ends[i]], sentinel);
+    }
+    std::copy(probs.begin(), probs.end(), ws.local_probs.begin() + first);
+  }
+}
 
-namespace rtr::core {
+// One Gauss-Seidel sweep of Eqs. 17-18 over the local CSR, in seen-list and
+// arc order; returns the summed bound change.
+double SweepLocalCsr(double one_minus_alpha, QueryWorkspace& ws) {
+  const size_t count = ws.local_teleport.size();
+  const size_t* offsets = ws.local_offsets.data();
+  const uint32_t* arcs = ws.local_arcs.data();
+  const double* probs = ws.local_probs.data();
+  const double* teleport = ws.local_teleport.data();
+  double* lower = ws.local_lower.data();
+  double* upper = ws.local_upper.data();
+  double change = 0.0;
+  for (size_t j = 0; j < count; ++j) {
+    double lo_sum = 0.0;
+    double up_sum = 0.0;
+    for (size_t a = offsets[j]; a < offsets[j + 1]; ++a) {
+      lo_sum += probs[a] * lower[arcs[a]];
+      up_sum += probs[a] * upper[arcs[a]];
+    }
+    const double lo = teleport[j] + one_minus_alpha * lo_sum;
+    const double up = teleport[j] + one_minus_alpha * up_sum;
+    if (lo > lower[j]) {
+      change += lo - lower[j];
+      lower[j] = lo;
+    }
+    if (up < upper[j]) {
+      change += upper[j] - up;
+      upper[j] = up;
+    }
+    if (upper[j] < lower[j]) upper[j] = lower[j];  // fp guard
+  }
+  return change;
+}
+
+// Writes the local bounds of `nodes` back to the dense arrays and unsets
+// their local ids.
+void ScatterLocalBounds(const std::vector<NodeId>& nodes, QueryWorkspace& ws,
+                        std::vector<double>& lower,
+                        std::vector<double>& upper) {
+  for (size_t j = 0; j < nodes.size(); ++j) {
+    lower[nodes[j]] = ws.local_lower[j];
+    upper[nodes[j]] = ws.local_upper[j];
+    ws.local_id[nodes[j]] = QueryWorkspace::kNoLocalId;
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // FRankBounder
@@ -76,51 +154,22 @@ void FRankBounder::InitializeBounds() {
 }
 
 void FRankBounder::RefineStage2() {
-  const double one_minus_alpha = 1.0 - options_.alpha;
+  // The local CSR treats exactly the BCA-seen nodes as seen, which is what
+  // IsSeen (lower > 0) says here: after InitializeBounds every seen node
+  // has lower >= rho > 0 (BCA moves alpha * mu > 0 into rho), every other
+  // node has lower 0, and the sweeps only raise seen lowers.
   const std::vector<NodeId>& nodes = bca_.seen();
-  const std::vector<double>& teleport = ws_->teleport;
-  std::vector<double>& lower = ws_->f_lower;
-  std::vector<double>& upper = ws_->f_upper;
-  const size_t* in_off = graph_.in_offsets().data();
-  const NodeId* in_src = graph_.in_sources().data();
-  const double* in_probs = graph_.in_probs().data();
+  GatherLocalCsr(
+      nodes,
+      [this](NodeId v) {
+        return std::pair(graph_.in_sources(v), graph_.in_probs(v));
+      },
+      ws_->f_lower, ws_->f_upper, unseen_upper_, *ws_);
+  const double one_minus_alpha = 1.0 - options_.alpha;
   for (int sweep = 0; sweep < kMaxRefineSweeps; ++sweep) {
-    double change = 0.0;
-    for (size_t j = 0; j < nodes.size(); ++j) {
-      if (j + kRefinePrefetchDistance < nodes.size()) {
-        const NodeId w = nodes[j + kRefinePrefetchDistance];
-        const size_t row = in_off[w];
-        util::PrefetchRead(in_src + row);
-        util::PrefetchRead(in_probs + row);
-        util::PrefetchRead(&lower[w]);
-      }
-      const NodeId v = nodes[j];
-      double lo_sum = 0.0;
-      double up_sum = 0.0;
-      auto sources = graph_.in_sources(v);
-      auto probs = graph_.in_probs(v);
-      for (size_t i = 0; i < sources.size(); ++i) {
-        if (IsSeen(sources[i])) {
-          lo_sum += probs[i] * lower[sources[i]];
-          up_sum += probs[i] * upper[sources[i]];
-        } else {
-          up_sum += probs[i] * unseen_upper_;
-        }
-      }
-      double lo = teleport[v] + one_minus_alpha * lo_sum;
-      double up = teleport[v] + one_minus_alpha * up_sum;
-      if (lo > lower[v]) {
-        change += lo - lower[v];
-        lower[v] = lo;
-      }
-      if (up < upper[v]) {
-        change += upper[v] - up;
-        upper[v] = up;
-      }
-      if (upper[v] < lower[v]) upper[v] = lower[v];  // fp guard
-    }
-    if (change < kRefineTolerance) break;
+    if (SweepLocalCsr(one_minus_alpha, *ws_) < kRefineTolerance) break;
   }
+  ScatterLocalBounds(nodes, *ws_, ws_->f_lower, ws_->f_upper);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,67 +286,48 @@ void TRankBounder::Refine() {
 }
 
 void TRankBounder::RefineSweeps(int sweeps) {
-  const double one_minus_alpha = 1.0 - options_.alpha;
   const std::vector<NodeId>& nodes = ws_->t_seen;
-  const std::vector<double>& teleport = ws_->teleport;
-  const std::vector<uint8_t>& in_seen = ws_->t_in_seen;
-  std::vector<double>& lower = ws_->t_lower;
-  std::vector<double>& upper = ws_->t_upper;
-  const size_t* out_off = graph_.out_offsets().data();
-  const NodeId* out_tgt = graph_.out_targets().data();
-  const double* out_probs = graph_.out_probs().data();
+  GatherLocalCsr(
+      nodes,
+      [this](NodeId v) {
+        return std::pair(graph_.out_targets(v), graph_.out_probs(v));
+      },
+      ws_->t_lower, ws_->t_upper, unseen_upper_, *ws_);
+  std::vector<uint32_t>& border = ws_->local_border;
+  border.clear();
+  for (NodeId v : ws_->t_border) {
+    if (ws_->t_unseen_in[v] > 0) border.push_back(ws_->local_id[v]);
+  }
+  const double one_minus_alpha = 1.0 - options_.alpha;
   for (int sweep = 0; sweep < sweeps; ++sweep) {
-    double change = 0.0;
-    for (size_t j = 0; j < nodes.size(); ++j) {
-      if (j + kRefinePrefetchDistance < nodes.size()) {
-        const NodeId w = nodes[j + kRefinePrefetchDistance];
-        const size_t row = out_off[w];
-        util::PrefetchRead(out_tgt + row);
-        util::PrefetchRead(out_probs + row);
-        util::PrefetchRead(&lower[w]);
-      }
-      const NodeId v = nodes[j];
-      double lo_sum = 0.0;
-      double up_sum = 0.0;
-      auto targets = graph_.out_targets(v);
-      auto probs = graph_.out_probs(v);
-      for (size_t i = 0; i < targets.size(); ++i) {
-        if (in_seen[targets[i]]) {
-          lo_sum += probs[i] * lower[targets[i]];
-          up_sum += probs[i] * upper[targets[i]];
-        } else {
-          up_sum += probs[i] * unseen_upper_;
-        }
-      }
-      double lo = teleport[v] + one_minus_alpha * lo_sum;
-      double up = teleport[v] + one_minus_alpha * up_sum;
-      if (lo > lower[v]) {
-        change += lo - lower[v];
-        lower[v] = lo;
-      }
-      if (up < upper[v]) {
-        change += upper[v] - up;
-        upper[v] = up;
-      }
-      if (upper[v] < lower[v]) upper[v] = lower[v];  // fp guard
-    }
-    RecomputeUnseenUpper();
+    const double change = SweepLocalCsr(one_minus_alpha, *ws_);
+    // RecomputeUnseenUpper over the local bounds, which the sentinel then
+    // carries into the next sweep.
+    double best = 0.0;
+    for (uint32_t j : border) best = std::max(best, ws_->local_upper[j]);
+    LowerUnseenUpper(best);
+    ws_->local_upper[nodes.size()] = unseen_upper_;
     if (change < kRefineTolerance) break;
   }
+  ScatterLocalBounds(nodes, *ws_, ws_->t_lower, ws_->t_upper);
 }
 
 void TRankBounder::RecomputeUnseenUpper() {
+  double best = 0.0;
+  for (NodeId v : ws_->t_border) {
+    if (ws_->t_unseen_in[v] > 0) best = std::max(best, ws_->t_upper[v]);
+  }
+  LowerUnseenUpper(best);
+}
+
+void TRankBounder::LowerUnseenUpper(double border_max_upper) {
   // Eq. 22: reaching q from outside must first enter through a border node,
   // costing at least one non-teleporting step.
   if (border_count_ == 0) {
     unseen_upper_ = 0.0;
     return;
   }
-  double best = 0.0;
-  for (NodeId v : ws_->t_border) {
-    if (ws_->t_unseen_in[v] > 0) best = std::max(best, ws_->t_upper[v]);
-  }
-  double fresh = (1.0 - options_.alpha) * best;
+  double fresh = (1.0 - options_.alpha) * border_max_upper;
   unseen_upper_ = std::min(unseen_upper_, fresh);
 }
 

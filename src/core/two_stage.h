@@ -20,12 +20,16 @@ namespace rtr::core {
 //    (Eqs. 17-18) to a fixpoint. Costs O(|neighborhood|); the 2SBound driver
 //    therefore calls it only when it is about to evaluate the top-K
 //    conditions. Bounds are valid at all times — skipping refinement only
-//    leaves them looser (never wrong).
+//    leaves them looser (never wrong). Stage II first gathers the seen
+//    set's rows into a local CSR whose sentinel slot stands for every
+//    unseen endpoint, sweeps that, and writes the bounds back
+//    (DESIGN.md §7).
 //
 // All dense per-query state (teleport, lower/upper bound arrays, seen
-// flags, the border list) lives in the caller's QueryWorkspace. Both
-// bounders of one query borrow the same workspace (their arrays are
-// disjoint, the teleport vector is shared).
+// flags, the border list, the Stage II local CSR) lives in the caller's
+// QueryWorkspace. Both bounders of one query borrow the same workspace
+// (their bound arrays are disjoint; the teleport vector and the local CSR
+// scratch, used by one refine at a time, are shared).
 //
 // The baseline schemes of Fig. 11 are expressed through the options:
 //  * Gupta  — F-side: first-visit residual bound instead of Prop. 4, and no
@@ -157,7 +161,10 @@ class TRankBounder {
   void AddNode(NodeId v, double upper_init);
   void CompactBorderList();
   void RefineSweeps(int sweeps);
+  // Eq. 22 from the border's bounds: RecomputeUnseenUpper reads the dense
+  // arrays, and LowerUnseenUpper takes the border maximum already found.
   void RecomputeUnseenUpper();
+  void LowerUnseenUpper(double border_max_upper);
 
   const Graph& graph_;
   TBounderOptions options_;

@@ -7,46 +7,43 @@ namespace rtr::core {
 // ---------------------------------------------------------------------------
 
 void NodeHeap::Reset(size_t n) {
-  for (NodeId v : node_) pos_[v] = kNotInHeap;
-  node_.clear();
-  prio_.clear();
+  for (const Slot& entry : heap_) pos_[entry.node] = kNotInHeap;
+  heap_.clear();
   if (pos_.size() != n) pos_.assign(n, kNotInHeap);
 }
 
 void NodeHeap::RemoveSlot(uint32_t slot) {
-  DCHECK_LT(slot, node_.size());
-  pos_[node_[slot]] = kNotInHeap;
-  const uint32_t last = static_cast<uint32_t>(node_.size()) - 1;
-  if (slot != last) {
-    node_[slot] = node_[last];
-    prio_[slot] = prio_[last];
-    pos_[node_[slot]] = slot;
-    node_.pop_back();
-    prio_.pop_back();
-    // The replacement came from the bottom: usually it sinks. If SiftDown
-    // leaves it in place it may still need to rise (when the removed entry
-    // was not an ancestor of the last slot); SiftUp is a no-op otherwise.
-    SiftDown(slot);
-    SiftUp(slot);
-  } else {
-    node_.pop_back();
-    prio_.pop_back();
-  }
+  DCHECK_LT(slot, heap_.size());
+  pos_[heap_[slot].node] = kNotInHeap;
+  const Slot last = heap_.back();
+  heap_.pop_back();
+  if (slot == heap_.size()) return;
+  // The replacement came from the bottom: usually it sinks. If it stays in
+  // the hole it may still need to rise (when the removed entry was not an
+  // ancestor of the last slot).
+  if (SiftDown(slot, last) == slot) SiftUp(slot, last);
 }
 
-void NodeHeap::SiftDown(uint32_t slot) {
-  const uint32_t count = static_cast<uint32_t>(node_.size());
+uint32_t NodeHeap::SiftDown(uint32_t slot, Slot entry) {
+  const uint32_t count = static_cast<uint32_t>(heap_.size());
   for (;;) {
+    // The first child strictly greater than the best seen so far.
     uint32_t best = slot;
+    double best_priority = entry.priority;
     const uint32_t first_child = slot * 4 + 1;
     const uint32_t last_child = std::min<uint32_t>(first_child + 4, count);
     for (uint32_t c = first_child; c < last_child; ++c) {
-      if (prio_[c] > prio_[best]) best = c;
+      if (heap_[c].priority > best_priority) {
+        best = c;
+        best_priority = heap_[c].priority;
+      }
     }
-    if (best == slot) return;
-    SwapSlots(slot, best);
+    if (best == slot) break;
+    Place(slot, heap_[best]);
     slot = best;
   }
+  Place(slot, entry);
+  return slot;
 }
 
 // ---------------------------------------------------------------------------
@@ -65,6 +62,7 @@ void QueryWorkspace::BeginQuery(size_t n) {
     t_lower.assign(n, 0.0);
     t_upper.assign(n, 1.0);
     t_unseen_in.assign(n, 0);
+    local_id.assign(n, kNoLocalId);
     num_nodes_ = n;
   } else {
     for (NodeId v : mu_touched) mu[v] = 0.0;
@@ -93,7 +91,6 @@ void QueryWorkspace::BeginQuery(size_t n) {
   candidates.clear();
   active_scratch.clear();
   benefit_heap.Reset(n);
-  residual_heap.Reset(n);
   t_pending.Reset(n);
 }
 

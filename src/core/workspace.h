@@ -4,7 +4,8 @@
 // Per-query workspace arena for the online top-K path (DESIGN.md §7).
 //
 // A QueryWorkspace owns every piece of O(num_nodes) per-query state of the
-// 2SBound engine (teleport/score vectors, seen-flag arrays, BCA's heaps)
+// 2SBound engine (teleport/score vectors, seen-flag arrays, BCA's heap,
+// the Stage II local CSR)
 // once — per worker thread in serve::QueryService — and readies it for the
 // next query in O(state touched by the previous query). It is the one way
 // to run the engine: TopKRoundTripRank, dist::DistributedTopK, Bca and the
@@ -18,8 +19,10 @@
 //  * sets with no natural touched list use generation stamps
 //    (StampedFlags): an epoch bump invalidates every entry in O(1), and
 //    the stamp array is only hard-cleared on growth or u32 epoch wrap;
-//  * BCA's node selection uses position-tracked 4-ary heaps (NodeHeap)
-//    whose storage persists across queries.
+//  * BCA's node selection uses one position-tracked 4-ary heap (NodeHeap)
+//    whose storage persists across queries;
+//  * the Stage II local CSR needs no reset: each refine overwrites the
+//    arrays it reads and unsets the local ids it set.
 //
 // After one warm-up query at a given graph size, a steady-state 2SBound
 // query performs zero heap allocations (asserted by bench_micro's
@@ -87,12 +90,15 @@ class StampedFlags {
 
 // Position-tracked 4-ary max-heap over (priority, node) with at most one
 // entry per node. Update() inserts or re-keys in place (sift up on grown
-// priorities — the common case, BCA residuals only grow between
-// processings — sift down on shrunk ones), so unlike the old lazy
-// duplicate-push priority_queues there are no stale entries to skip on pop
-// and no periodic compaction. 4-ary: half the cache-missing levels of a
-// binary heap on the mostly-sift-up push pattern. Storage persists across
-// queries; Reset is O(live entries).
+// priorities — the common case, BCA benefits only grow between processings
+// — sift down on shrunk ones), so there are no stale entries to skip on pop
+// and no periodic compaction. Entries are one array of {priority, node}
+// slots, and a sift moves a hole instead of swapping: each level it passes
+// costs one slot copy and one pos_ write. 4-ary: half the cache-missing
+// levels of a binary heap on the mostly-sift-up push pattern. Ties resolve
+// deterministically: an entry rises past a parent only when strictly
+// greater, and sinks to the first strictly greater of its children.
+// Storage persists across queries; Reset is O(live entries).
 class NodeHeap {
  public:
   static constexpr uint32_t kNotInHeap = 0xffffffffu;
@@ -100,44 +106,40 @@ class NodeHeap {
   // O(live entries) + O(1) amortized; storage is kept.
   void Reset(size_t n);
 
-  bool empty() const { return node_.empty(); }
-  size_t size() const { return node_.size(); }
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
   bool Contains(NodeId v) const {
     DCHECK_LT(v, pos_.size());
     return pos_[v] != kNotInHeap;
   }
   double Priority(NodeId v) const {
     DCHECK(Contains(v));
-    return prio_[pos_[v]];
+    return heap_[pos_[v]].priority;
   }
 
   NodeId top() const {
     DCHECK(!empty());
-    return node_[0];
+    return heap_[0].node;
   }
   double top_priority() const {
     DCHECK(!empty());
-    return prio_[0];
+    return heap_[0].priority;
   }
 
   // Inserts v or re-keys it to `priority`.
   void Update(NodeId v, double priority) {
     DCHECK_LT(v, pos_.size());
-    uint32_t slot = pos_[v];
+    const uint32_t slot = pos_[v];
     if (slot == kNotInHeap) {
-      slot = static_cast<uint32_t>(node_.size());
-      node_.push_back(v);
-      prio_.push_back(priority);
-      pos_[v] = slot;
-      SiftUp(slot);
+      heap_.push_back({priority, v});
+      SiftUp(static_cast<uint32_t>(heap_.size()) - 1, {priority, v});
       return;
     }
-    const double old = prio_[slot];
-    prio_[slot] = priority;
+    const double old = heap_[slot].priority;
     if (priority > old) {
-      SiftUp(slot);
+      SiftUp(slot, {priority, v});
     } else if (priority < old) {
-      SiftDown(slot);
+      SiftDown(slot, {priority, v});
     }
   }
 
@@ -150,27 +152,32 @@ class NodeHeap {
   }
 
  private:
-  void RemoveSlot(uint32_t slot);
-  void SiftDown(uint32_t slot);
+  struct Slot {
+    double priority;
+    NodeId node;
+  };
 
-  void SiftUp(uint32_t slot) {
+  void RemoveSlot(uint32_t slot);
+  // Both sifts treat `slot` as a hole that `entry` will fill. SiftDown
+  // returns the slot where `entry` landed.
+  uint32_t SiftDown(uint32_t slot, Slot entry);
+
+  void SiftUp(uint32_t slot, Slot entry) {
     while (slot != 0) {
       const uint32_t parent = (slot - 1) / 4;
-      if (prio_[parent] >= prio_[slot]) break;
-      SwapSlots(slot, parent);
+      if (heap_[parent].priority >= entry.priority) break;
+      Place(slot, heap_[parent]);
       slot = parent;
     }
+    Place(slot, entry);
   }
 
-  void SwapSlots(uint32_t a, uint32_t b) {
-    std::swap(node_[a], node_[b]);
-    std::swap(prio_[a], prio_[b]);
-    pos_[node_[a]] = a;
-    pos_[node_[b]] = b;
+  void Place(uint32_t slot, Slot entry) {
+    heap_[slot] = entry;
+    pos_[entry.node] = slot;
   }
 
-  std::vector<double> prio_;   // heap order, parallel to node_
-  std::vector<NodeId> node_;
+  std::vector<Slot> heap_;
   std::vector<uint32_t> pos_;  // node -> slot; persists across queries
 };
 
@@ -203,7 +210,6 @@ class QueryWorkspace {
   std::vector<NodeId> mu_touched;    // every node whose mu went 0 -> +
   std::vector<uint8_t> bca_in_seen;  // byte array, not vector<bool>
   NodeHeap benefit_heap;
-  NodeHeap residual_heap;
 
   // --- shared teleport (via Teleport() above) ---------------------------
   std::vector<double> teleport;
@@ -223,6 +229,24 @@ class QueryWorkspace {
   std::vector<NodeId> t_picked;
   std::vector<NodeId> t_fresh;
   StampedFlags t_pending;        // per-Expand in-neighbor dedup
+
+  // --- Stage II local CSR (two_stage.cc) --------------------------------
+  // Each Stage II refine gathers its seen set's rows here and sweeps them
+  // instead of the graph. Local ids are positions in the seen list; local
+  // id = seen size is the sentinel that stands for every unseen endpoint
+  // (lower 0, upper = the unseen bound). The two bounders refine one after
+  // the other, so they share these arrays; every gather rewrites them.
+  static constexpr uint32_t kNoLocalId = 0xffffffffu;
+  // node -> local id. kNoLocalId outside a refine: the refine that sets an
+  // entry unsets it again when it writes its bounds back.
+  std::vector<uint32_t> local_id;
+  std::vector<size_t> local_offsets;  // seen size + 1
+  std::vector<uint32_t> local_arcs;   // arc endpoints as local ids
+  std::vector<double> local_probs;
+  std::vector<double> local_teleport;
+  std::vector<double> local_lower;     // seen size + 1 (sentinel last)
+  std::vector<double> local_upper;     // seen size + 1 (sentinel last)
+  std::vector<uint32_t> local_border;  // T side: local ids of border nodes
 
   // --- 2SBound driver (twosbound.cc) ------------------------------------
   struct Candidate {

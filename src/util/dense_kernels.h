@@ -38,17 +38,6 @@ inline double GatherDot(const uint32_t* idx, const double* probs, size_t n,
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-// Read-prefetch hint with low temporal locality; no-op where unsupported.
-// Used by the Stage-II refinement sweeps to hide the adjacency-column
-// latency of the next few nodes.
-inline void PrefetchRead(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
-
 }  // namespace rtr::util
 
 #endif  // RTR_UTIL_DENSE_KERNELS_H_
