@@ -16,6 +16,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -32,6 +33,8 @@
 #include "graph/delta.h"
 #include "graph/snapshot.h"
 #include "net/frame.h"
+#include "net/gp_server.h"
+#include "net/rpc_client.h"
 #include "ranking/pagerank.h"
 #include "util/dense_kernels.h"
 #include "util/parallel_for.h"
@@ -284,6 +287,67 @@ void BM_TopKNaiveExact(benchmark::State& state) {
   state.counters["threads"] = rtr::util::NumThreads();
 }
 BENCHMARK(BM_TopKNaiveExact);
+
+// The AP<->GP fetch leg on its own (DESIGN.md §12): one caller fetching one
+// perfbench-sized batch from an in-process GpServer over localhost TCP
+// through RpcClient. The batch is GP 0's share (of 3) of a default-QLog
+// 2SBound active set: the first 27 such nodes of the first phrase query
+// that has that many, a reply of about 3.2 KB.
+constexpr size_t kFetchLegNodes = 27;
+
+void BM_RpcFetchRoundTrip(benchmark::State& state) {
+  static const auto* leg = [] {
+    rtr::StatusOr<rtr::datasets::QLog> log =
+        rtr::datasets::QLog::Generate(rtr::datasets::QLogConfig{});
+    CHECK(log.ok()) << log.status().ToString();
+    auto* out = new std::pair<std::shared_ptr<const Graph>,
+                              std::vector<NodeId>>(
+        std::make_shared<const Graph>(log->graph()), std::vector<NodeId>{});
+    const Graph& g = *out->first;
+    rtr::core::TopKParams params;
+    params.k = 10;
+    params.epsilon = 0.01;
+    rtr::core::QueryWorkspace ws;
+    rtr::core::TopKResult result;
+    for (NodeId q : g.NodesOfType(log->phrase_type())) {
+      CHECK(rtr::core::TopKRoundTripRank(g, {q}, params, ws, &result).ok());
+      std::vector<NodeId>& batch = out->second;
+      batch.clear();
+      for (NodeId v : result.active_node_ids) {
+        if (v % 3 == 0) batch.push_back(v);
+      }
+      if (batch.size() >= kFetchLegNodes) {
+        batch.resize(kFetchLegNodes);
+        break;
+      }
+    }
+    CHECK_EQ(out->second.size(), kFetchLegNodes);
+    return out;
+  }();
+  const std::shared_ptr<const Graph>& graph = leg->first;
+  auto server = rtr::net::GpServer::Start(graph, 0, 3, 0);
+  CHECK(server.ok()) << server.status().ToString();
+  rtr::net::HelloPayload identity;
+  identity.shard = 0;
+  identity.num_gps = 3;
+  identity.num_nodes = graph->num_nodes();
+  rtr::net::RpcClient client("127.0.0.1", (*server)->port(), identity);
+  CHECK(client.Connect().ok());
+  std::vector<rtr::dist::NodeRecord> records;
+  const rtr::dist::WireTraffic before = client.wire();
+  for (auto _ : state) {
+    records.clear();
+    const rtr::Status status = client.Fetch(leg->second, &records);
+    CHECK(status.ok()) << status.ToString();
+    benchmark::DoNotOptimize(records.data());
+  }
+  const rtr::dist::WireTraffic after = client.wire();
+  state.counters["nodes"] = static_cast<double>(leg->second.size());
+  state.counters["reply_bytes"] = benchmark::Counter(
+      static_cast<double>(after.bytes_received - before.bytes_received),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_RpcFetchRoundTrip)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // The dist-live restripe (DESIGN.md §4): a loopback Cluster of 3 GPs over
 // the default QLog graph (17420 nodes, 47932 arcs), the graph perfbench

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -32,6 +33,11 @@ static_assert(sizeof(HelloPayload) == 24 &&
 
 }  // namespace
 
+uint64_t FrameChecksum(std::span<const uint8_t> payload) {
+  return Fnv1a64Words(std::string_view(
+      reinterpret_cast<const char*>(payload.data()), payload.size()));
+}
+
 void EncodeFrame(FrameType type, uint64_t request_id,
                  std::span<const uint8_t> payload, std::vector<uint8_t>* out) {
   out->clear();
@@ -39,7 +45,7 @@ void EncodeFrame(FrameType type, uint64_t request_id,
   ByteWriter w(out);
   w.Pod(WireHeader{kFrameMagic, kProtocolVersion, static_cast<uint8_t>(type),
                    0, request_id, static_cast<uint32_t>(payload.size()), 0,
-                   Fnv1a64Bytes(payload)});
+                   FrameChecksum(payload)});
   w.Items(payload);
 }
 
@@ -72,7 +78,7 @@ Status DecodeFrameHeader(const uint8_t* buf, FrameHeader* header) {
 
 Status VerifyFramePayload(const FrameHeader& header,
                           std::span<const uint8_t> payload) {
-  if (Fnv1a64Bytes(payload) != header.checksum) {
+  if (FrameChecksum(payload) != header.checksum) {
     return Status::IoError("frame payload checksum mismatch");
   }
   return Status::OK();

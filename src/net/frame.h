@@ -6,11 +6,11 @@
 // Every message is one frame: a fixed 32-byte header followed by a typed
 // payload. The header carries the payload length (so a reader always knows
 // how many bytes to expect — no sentinels, no in-band escapes) and an
-// FNV-1a checksum over the payload, verified before any payload byte is
-// interpreted. A frame that fails validation (magic, version, type,
-// length, reserved bytes, checksum) is a transport-level error: the
-// connection is considered poisoned and the client re-sends on a fresh one
-// (net/rpc_client.h).
+// FNV-1a checksum over the payload (FrameChecksum), verified before any
+// payload byte is interpreted. A frame that fails validation (magic,
+// version, type, length, reserved bytes, checksum) is a transport-level
+// error: the connection is considered poisoned and the client re-sends on
+// a fresh one (net/rpc_client.h).
 //
 //   offset  size  field
 //        0     4  magic "RTRF"
@@ -20,8 +20,9 @@
 //        8     8  request id — echoed by the reply, checked by the caller
 //       16     4  payload length (<= kMaxPayloadBytes)
 //       20     4  reserved, must be zero
-//       24     8  FNV-1a 64 checksum of the payload bytes (byte-wise,
-//                 util/bytes.h Fnv1a64Bytes)
+//       24     8  FNV-1a 64 checksum of the payload (FrameChecksum: 64-bit
+//                 words, then a 0-7 byte tail byte by byte; util/bytes.h
+//                 Fnv1a64Words from kFnv1aWordsStart)
 //
 // Integers are little-endian host order (the project already writes
 // snapshots this way; x86-64 and AArch64 both qualify). Every field is
@@ -51,7 +52,9 @@
 namespace rtr::net {
 
 inline constexpr uint32_t kFrameMagic = 0x46525452;  // "RTRF"
-inline constexpr uint8_t kProtocolVersion = 2;
+// Version 3: the word-wise checksum. A v2 peer (byte-wise checksum) or a v1
+// peer (six-column kFetchReply) is refused at the header.
+inline constexpr uint8_t kProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 32;
 // Hard cap on a single frame's payload; a header announcing more is treated
 // as corrupt (it would otherwise make a reader allocate unboundedly).
@@ -75,6 +78,9 @@ struct FrameHeader {
   uint32_t payload_len = 0;
   uint64_t checksum = 0;
 };
+
+// The header's checksum of `payload` (the rule in the table above).
+uint64_t FrameChecksum(std::span<const uint8_t> payload);
 
 // Encodes header + payload into `out` (replacing its contents): one frame,
 // ready for a single Transport::WriteAll call.

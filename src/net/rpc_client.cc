@@ -1,5 +1,7 @@
 #include "net/rpc_client.h"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -8,6 +10,8 @@
 namespace rtr::net {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 bool Retryable(const Status& s) {
   switch (s.code()) {
@@ -182,11 +186,26 @@ Status RpcClient::Call(Connection& conn, const std::vector<uint8_t>& request,
   RTR_RETURN_IF_ERROR(WriteFrame(*conn.transport, FrameType::kFetch, id,
                                  request, options_.call_timeout_ms,
                                  &conn.scratch, &wire_bytes));
+  const Clock::time_point sent = Clock::now();
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
   bytes_sent_.fetch_add(wire_bytes, std::memory_order_relaxed);
 
-  Status read = ReadFrame(*conn.transport, options_.call_timeout_ms,
-                          options_.call_timeout_ms, &conn.header, &conn.reply);
+  // Spin, then park. The spin counts against the deadline; the park waits
+  // out the rest, rounded up to poll(2)'s whole milliseconds.
+  const Clock::time_point deadline =
+      sent + std::chrono::milliseconds(options_.call_timeout_ms);
+  const Clock::time_point spin_until =
+      std::min(deadline, sent + std::chrono::nanoseconds(kSpinNanos));
+  // A zero-timeout poll(2) neither blocks nor allocates. It also reports a
+  // closed or failed socket as ready, and the read then surfaces that.
+  pollfd pfd{conn.transport->fd(), POLLIN, 0};
+  while (::poll(&pfd, 1, 0) == 0 && Clock::now() < spin_until) {
+  }
+  const int park_ms = static_cast<int>(std::max<int64_t>(
+      0, std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+             .count()));
+  Status read = ReadFrame(*conn.transport, park_ms, options_.call_timeout_ms,
+                          &conn.header, &conn.reply);
   if (read.code() == StatusCode::kDeadlineExceeded) {
     timeouts_.fetch_add(1, std::memory_order_relaxed);
     return Status::DeadlineExceeded("no reply from " + endpoint_ +

@@ -26,6 +26,12 @@
 //  * shed — when all kMaxConnections connections stay checked out for
 //    call_timeout_ms, the call fails with kUnavailable (not retried:
 //    retrying a shed would defeat its purpose).
+//
+// Spin, then park: once its request is written, a call polls its socket
+// with a zero timeout for up to kSpinNanos, and only then parks in poll(2)
+// for the rest of its deadline. A reply that comes inside the spin saves
+// the park and the wake-up, about half of a fast round trip. The handshake
+// reads its HelloAck without a spin.
 
 #include <atomic>
 #include <condition_variable>
@@ -55,6 +61,9 @@ struct RpcClientOptions {
   int backoff_initial_ms = 5;
   int backoff_max_ms = 100;
 };
+
+// How long a call polls for its reply before it parks.
+inline constexpr int64_t kSpinNanos = 150'000;
 
 class RpcClient {
  public:

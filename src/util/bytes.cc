@@ -9,18 +9,15 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 }  // namespace
 
 uint64_t Fnv1a64Words(std::string_view bytes, uint64_t state) {
-  DCHECK_EQ(bytes.size() % 8, 0u);
-  for (size_t i = 0; i < bytes.size(); i += 8) {
+  const size_t words_end = bytes.size() & ~size_t{7};
+  for (size_t i = 0; i < words_end; i += 8) {
     uint64_t word;
     std::memcpy(&word, bytes.data() + i, sizeof(word));
     state = (state ^ word) * kFnvPrime;
   }
-  return state;
-}
-
-uint64_t Fnv1a64Bytes(std::span<const uint8_t> bytes) {
-  uint64_t state = 0xcbf29ce484222325ull;
-  for (uint8_t byte : bytes) state = (state ^ byte) * kFnvPrime;
+  for (size_t i = words_end; i < bytes.size(); ++i) {
+    state = (state ^ static_cast<uint8_t>(bytes[i])) * kFnvPrime;
+  }
   return state;
 }
 

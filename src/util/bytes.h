@@ -22,17 +22,17 @@ namespace rtr {
 
 constexpr size_t PadTo8(size_t n) { return (n + 7) & ~size_t{7}; }
 
-// FNV-1a 64 over `bytes` read as 64-bit words (the size must be a multiple
-// of 8), continuing from `state` so one checksum can span two ranges. The
-// file formats hash word-wise, which keeps the integrity pass an order of
-// magnitude cheaper than byte-wise FNV on multi-GB snapshots, and start from
-// 1469598103934665603: the FNV offset basis short of its last digit, kept
-// because every rtr-snap file ever written is sealed with it.
+// FNV-1a 64 over `bytes` read as 64-bit words, then any 0-7 tail bytes
+// folded in one at a time, continuing from `state` so one checksum can span
+// two ranges. Word-wise hashing keeps the integrity pass an order of
+// magnitude cheaper than byte-wise FNV, on multi-GB snapshots and on every
+// RPC frame alike. The snapshot and delta files hash 8-aligned ranges (no
+// tail) and start from 1469598103934665603: the FNV offset basis short of
+// its last digit, kept because every rtr-snap file ever written is sealed
+// with it. Frames (net/frame.h) hash any length from the same start.
 inline constexpr uint64_t kFnv1aWordsStart = 1469598103934665603ull;
 uint64_t Fnv1a64Words(std::string_view bytes,
                       uint64_t state = kFnv1aWordsStart);
-// Byte-wise FNV-1a 64 from the standard offset basis (frame payloads).
-uint64_t Fnv1a64Bytes(std::span<const uint8_t> bytes);
 
 // Up to `max_bytes` from the start of the file at `path`; IoError if it
 // cannot be opened.

@@ -112,6 +112,30 @@ TEST_F(RpcFaultTest, SlowGpUnderTimeoutSucceedsWithoutRetry) {
   EXPECT_EQ(w.reconnects, 0u);
 }
 
+TEST_F(RpcFaultTest, ReplySlowerThanTheSpinStillAnswersInTime) {
+  // The fetch reply is delayed far past the spin, so the caller spins out,
+  // parks, and is woken by the reply inside the call deadline, without a
+  // retry.
+  static_assert(net::kSpinNanos < 20'000'000,
+                "the reply delay must outlast the spin");
+  net::ConnectionScript script;
+  script.write_faults = {{net::FaultOp::kNone, 0},
+                         {net::FaultOp::kDelayWrite, 20}};
+  injector_.Enqueue(std::move(script));
+
+  net::RpcClient client("127.0.0.1", server_->port(),
+                        IdentityFor(*graph_, 0, 1, 0), FastOptions());
+  WallTimer timer;
+  ExpectFetchMatchesLocal(client, wanted_);
+  EXPECT_GE(timer.ElapsedMillis(), 20.0);
+  EXPECT_LT(timer.ElapsedMillis(), FastOptions().call_timeout_ms);
+  dist::WireTraffic w = client.wire();
+  EXPECT_EQ(w.retries, 0u);
+  EXPECT_EQ(w.timeouts, 0u);
+  EXPECT_EQ(w.reconnects, 0u);
+  EXPECT_EQ(injector_.connections(), 1u);
+}
+
 TEST_F(RpcFaultTest, SlowGpOverTimeoutRetriesOnFreshConnection) {
   // The first fetch reply is swallowed outright — from the client's side a
   // GP that stopped answering. The per-call deadline must fire, poison the

@@ -158,11 +158,12 @@ TEST(TransportFrameTest, DecodeAppendsAfterExistingRecords) {
 // payload decoder must give OK or kIoError on each mutant, and no decoder
 // may allocate more than its payload could back.
 
+// Seals with the frame rule (net::FrameChecksum), as EncodeFrame does.
 void ResealFrame(std::string* frame) {
   const std::span<const uint8_t> payload(
       reinterpret_cast<const uint8_t*>(frame->data()) + net::kFrameHeaderBytes,
       frame->size() - net::kFrameHeaderBytes);
-  WriteWord(frame, net::kChecksumOffset, Fnv1a64Bytes(payload));
+  WriteWord(frame, net::kChecksumOffset, net::FrameChecksum(payload));
 }
 
 // Offsets of a fetch reply's counts: the record count, then each record's
@@ -279,6 +280,15 @@ TEST(TransportFrameTest, SeededFrameMutantsGiveOkOrIoError) {
     std::vector<uint8_t> frame;
     net::EncodeFrame(c.type, 77, c.payload, &frame);
     const std::string original(frame.begin(), frame.end());
+    // Resealing an unmutated frame must change nothing, or every resealed
+    // mutant would fail the checksum and never reach a payload decoder.
+    std::string resealed = original;
+    ResealFrame(&resealed);
+    ASSERT_EQ(resealed, original) << "frame type "
+                                  << static_cast<int>(c.type);
+    net::FrameHeader sealed_header;
+    ASSERT_TRUE(net::DecodeFrameHeader(frame.data(), &sealed_header).ok());
+    ASSERT_TRUE(net::VerifyFramePayload(sealed_header, c.payload).ok());
     MutationFormat format = {
         .header_bytes = net::kFrameHeaderBytes,
         .count_offsets = {kPayloadLengthAt},

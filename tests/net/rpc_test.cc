@@ -8,7 +8,9 @@
 // tests/net/fault_test.cc.
 
 #include <atomic>
+#include <cstring>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -158,7 +160,43 @@ TEST(TransportFrameTest, FetchReplyEncodingIsByteStable) {
   std::vector<uint8_t> payload;
   net::EncodeFetchReply(records, &payload);
   EXPECT_EQ(payload.size(), 9076u);
-  EXPECT_EQ(Fnv1a64Bytes(payload), 0x0b50106211837a11ull);
+  // Byte-wise FNV-1a 64 from the standard offset basis: the pin predates
+  // the word-wise frame checksum and guards the payload bytes alone.
+  uint64_t fnv = 0xcbf29ce484222325ull;
+  for (uint8_t byte : payload) fnv = (fnv ^ byte) * 1099511628211ull;
+  EXPECT_EQ(fnv, 0x0b50106211837a11ull);
+}
+
+TEST(TransportFrameTest, VersionTwoHeaderIsRefused) {
+  // A v2 peer seals frames with the byte-wise checksum; it is refused at
+  // the header, before its checksum could read as a corrupt payload.
+  std::vector<uint8_t> frame;
+  net::EncodeFrame(net::FrameType::kFetch, 5, std::vector<uint8_t>{1, 2, 3},
+                   &frame);
+  ASSERT_EQ(net::kProtocolVersion, 3);
+  frame[4] = 2;
+  net::FrameHeader header;
+  const Status status = net::DecodeFrameHeader(frame.data(), &header);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_EQ(status.message(), "unsupported protocol version 2");
+}
+
+TEST(TransportFrameTest, ChecksumIsWordWiseWithAByteTail) {
+  // 11 bytes: one 64-bit word, then three tail bytes folded in one by one.
+  std::vector<uint8_t> payload(11);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 37 + 1);
+  }
+  const uint64_t checksum = net::FrameChecksum(payload);
+  EXPECT_EQ(checksum, Fnv1a64Words(std::string_view(
+                          reinterpret_cast<const char*>(payload.data()),
+                          payload.size())));
+  EXPECT_EQ(checksum, 0x1f1130c76f8439aeull);
+  std::vector<uint8_t> frame;
+  net::EncodeFrame(net::FrameType::kFetch, 5, payload, &frame);
+  uint64_t sealed = 0;
+  std::memcpy(&sealed, frame.data() + net::kChecksumOffset, sizeof(sealed));
+  EXPECT_EQ(sealed, checksum);
 }
 
 TEST(TransportFrameTest, ErrorReplyCarriesStatus) {
