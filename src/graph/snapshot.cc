@@ -382,6 +382,23 @@ StatusOr<bool> IsSnapshotFile(const std::string& path) {
   return *head == std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic));
 }
 
+namespace {
+
+// Bulk reads after a failed map, process-wide. Leaked with its registration,
+// so rtr_store_mmap_fallbacks appears on the first fallback and stays.
+obs::Counter& MmapFallbacks() {
+  struct Fallbacks {
+    obs::Counter count;
+    obs::MetricsRegistry::Registration registration =
+        obs::MetricsRegistry::Default().RegisterCounter(
+            "rtr_store_mmap_fallbacks", {}, &count);
+  };
+  static Fallbacks* fallbacks = new Fallbacks();
+  return fallbacks->count;
+}
+
+}  // namespace
+
 StatusOr<Graph> LoadGraphAuto(const std::string& path, uint64_t* generation,
                               MapMode map_mode) {
   StatusOr<bool> is_snapshot = IsSnapshotFile(path);
@@ -393,9 +410,7 @@ StatusOr<Graph> LoadGraphAuto(const std::string& path, uint64_t* generation,
       LOG(WARNING) << "mmap load of " << path << " failed ("
                    << mapped.status().ToString()
                    << "); falling back to bulk read";
-      obs::MetricsRegistry::Default()
-          .GetCounter("rtr_store_mmap_fallbacks")
-          ->Increment();
+      MmapFallbacks().Increment();
     }
     return LoadGraphSnapshotFromFile(path, generation);
   }

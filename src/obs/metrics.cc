@@ -9,15 +9,15 @@
 namespace rtr::obs {
 namespace {
 
-// Shortest-ish round-trippable double formatting shared by both renderers.
+// Shortest-ish round-trippable double formatting.
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
 }
 
-// Escapes a label value for the text exposition / JSON string contexts
-// (both use backslash escapes for quote and backslash).
+// Escapes a label value for the text exposition: backslash escapes for
+// quote, backslash and newline.
 std::string EscapeValue(const std::string& value) {
   std::string out;
   out.reserve(value.size());
@@ -92,114 +92,32 @@ void MetricsRegistry::Remove(uint64_t id) {
   std::erase_if(entries_, [id](const Entry& e) { return e.id == id; });
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name, Labels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& e : entries_) {
-    if (e.kind == Kind::kCounter && e.name == name && e.labels == labels) {
-      return const_cast<Counter*>(e.counter);
-    }
-  }
-  owned_counters_.emplace_back();
-  Entry entry;
-  entry.id = next_id_++;
-  entry.name = name;
-  entry.labels = std::move(labels);
-  entry.kind = Kind::kCounter;
-  entry.counter = &owned_counters_.back();
-  entries_.push_back(std::move(entry));
-  return &owned_counters_.back();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name, Labels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& e : entries_) {
-    if (e.kind == Kind::kGauge && e.name == name && e.labels == labels) {
-      return const_cast<Gauge*>(e.gauge);
-    }
-  }
-  owned_gauges_.emplace_back();
-  Entry entry;
-  entry.id = next_id_++;
-  entry.name = name;
-  entry.labels = std::move(labels);
-  entry.kind = Kind::kGauge;
-  entry.gauge = &owned_gauges_.back();
-  entries_.push_back(std::move(entry));
-  return &owned_gauges_.back();
-}
-
-LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                                Labels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& e : entries_) {
-    if (e.kind == Kind::kHistogram && e.name == name && e.labels == labels) {
-      return const_cast<LatencyHistogram*>(e.histogram);
-    }
-  }
-  owned_histograms_.emplace_back();
-  Entry entry;
-  entry.id = next_id_++;
-  entry.name = name;
-  entry.labels = std::move(labels);
-  entry.kind = Kind::kHistogram;
-  entry.histogram = &owned_histograms_.back();
-  entries_.push_back(std::move(entry));
-  return &owned_histograms_.back();
-}
-
 MetricsRegistry::Registration MetricsRegistry::RegisterCounter(
     const std::string& name, Labels labels, const Counter* metric) {
   CHECK(metric != nullptr);
-  Entry entry;
-  entry.name = name;
-  entry.labels = std::move(labels);
-  entry.kind = Kind::kCounter;
-  entry.counter = metric;
-  return Add(std::move(entry));
-}
-
-MetricsRegistry::Registration MetricsRegistry::RegisterGauge(
-    const std::string& name, Labels labels, const Gauge* metric) {
-  CHECK(metric != nullptr);
-  Entry entry;
-  entry.name = name;
-  entry.labels = std::move(labels);
-  entry.kind = Kind::kGauge;
-  entry.gauge = metric;
-  return Add(std::move(entry));
+  return RegisterCallbackCounter(name, std::move(labels),
+                                 [metric] { return metric->value(); });
 }
 
 MetricsRegistry::Registration MetricsRegistry::RegisterHistogram(
     const std::string& name, Labels labels, const LatencyHistogram* metric) {
   CHECK(metric != nullptr);
-  Entry entry;
-  entry.name = name;
-  entry.labels = std::move(labels);
-  entry.kind = Kind::kHistogram;
-  entry.histogram = metric;
-  return Add(std::move(entry));
+  return Add({.name = name, .labels = std::move(labels),
+              .kind = Kind::kHistogram, .histogram = metric});
 }
 
 MetricsRegistry::Registration MetricsRegistry::RegisterCallbackGauge(
     const std::string& name, Labels labels, std::function<double()> fn) {
   CHECK(fn != nullptr);
-  Entry entry;
-  entry.name = name;
-  entry.labels = std::move(labels);
-  entry.kind = Kind::kCallbackGauge;
-  entry.gauge_fn = std::move(fn);
-  return Add(std::move(entry));
+  return Add({.name = name, .labels = std::move(labels), .kind = Kind::kGauge,
+              .gauge_fn = std::move(fn)});
 }
 
 MetricsRegistry::Registration MetricsRegistry::RegisterCallbackCounter(
     const std::string& name, Labels labels, std::function<uint64_t()> fn) {
   CHECK(fn != nullptr);
-  Entry entry;
-  entry.name = name;
-  entry.labels = std::move(labels);
-  entry.kind = Kind::kCallbackCounter;
-  entry.counter_fn = std::move(fn);
-  return Add(std::move(entry));
+  return Add({.name = name, .labels = std::move(labels),
+              .kind = Kind::kCounter, .counter_fn = std::move(fn)});
 }
 
 size_t MetricsRegistry::NumSeries() const {
@@ -214,26 +132,16 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::Collect() const {
   std::map<std::pair<std::string, Labels>, Sample> merged;
   for (const Entry& e : entries_) {
     Sample& sample = merged[{e.name, e.labels}];
-    const bool fresh = sample.name.empty();
-    if (fresh) {
+    if (sample.name.empty()) {
       sample.name = e.name;
       sample.labels = e.labels;
-      // Callback series render as their plain kind.
-      sample.kind = e.kind == Kind::kCallbackGauge    ? Kind::kGauge
-                    : e.kind == Kind::kCallbackCounter ? Kind::kCounter
-                                                       : e.kind;
+      sample.kind = e.kind;
     }
     switch (e.kind) {
       case Kind::kCounter:
-        sample.counter_value += e.counter->value();
-        break;
-      case Kind::kCallbackCounter:
         sample.counter_value += e.counter_fn();
         break;
       case Kind::kGauge:
-        sample.gauge_value += e.gauge->value();
-        break;
-      case Kind::kCallbackGauge:
         sample.gauge_value += e.gauge_fn();
         break;
       case Kind::kHistogram:
@@ -260,12 +168,10 @@ std::string MetricsRegistry::RenderText() const {
     }
     switch (s.kind) {
       case Kind::kCounter:
-      case Kind::kCallbackCounter:
         out += s.name + RenderLabels(s.labels) + " " +
                std::to_string(s.counter_value) + "\n";
         break;
       case Kind::kGauge:
-      case Kind::kCallbackGauge:
         out += s.name + RenderLabels(s.labels) + " " +
                FormatDouble(s.gauge_value) + "\n";
         break;
@@ -293,67 +199,6 @@ std::string MetricsRegistry::RenderText() const {
       }
     }
   }
-  return out;
-}
-
-std::string MetricsRegistry::RenderJson() const {
-  std::string out = "{\"metrics\":[";
-  bool first = true;
-  for (const Sample& s : Collect()) {
-    if (!first) out.push_back(',');
-    first = false;
-    // Appended piece by piece: a `"literal" + temporary` chain trips
-    // GCC 12's -Wrestrict in Release builds.
-    out += "{\"name\":\"";
-    out += EscapeValue(s.name);
-    out += "\",\"labels\":{";
-    for (size_t i = 0; i < s.labels.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      out += '"';
-      out += EscapeValue(s.labels[i].first);
-      out += "\":\"";
-      out += EscapeValue(s.labels[i].second);
-      out += '"';
-    }
-    out += "},";
-    switch (s.kind) {
-      case Kind::kCounter:
-      case Kind::kCallbackCounter:
-        out += "\"kind\":\"counter\",\"value\":" +
-               std::to_string(s.counter_value);
-        break;
-      case Kind::kGauge:
-      case Kind::kCallbackGauge:
-        out += "\"kind\":\"gauge\",\"value\":" + FormatDouble(s.gauge_value);
-        break;
-      case Kind::kHistogram: {
-        const LatencyHistogram::Snapshot& h = s.histogram_value;
-        out += "\"kind\":\"histogram\",\"count\":" + std::to_string(h.count) +
-               ",\"sum_ms\":" + FormatDouble(h.sum_millis) +
-               ",\"max_ms\":" + FormatDouble(h.max_millis) +
-               ",\"p50_ms\":" + FormatDouble(h.P50()) +
-               ",\"p95_ms\":" + FormatDouble(h.P95()) +
-               ",\"p99_ms\":" + FormatDouble(h.P99()) + ",\"buckets\":[";
-        uint64_t cumulative = 0;
-        bool first_bucket = true;
-        for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-          if (h.buckets[i] == 0) continue;
-          cumulative += h.buckets[i];
-          if (!first_bucket) out.push_back(',');
-          first_bucket = false;
-          out += '[';
-          out += FormatDouble(LatencyHistogram::BucketLowerEdge(i + 1));
-          out += ',';
-          out += std::to_string(cumulative);
-          out += ']';
-        }
-        out += "]";
-        break;
-      }
-    }
-    out.push_back('}');
-  }
-  out += "]}";
   return out;
 }
 

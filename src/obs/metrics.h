@@ -3,32 +3,25 @@
 
 // Process-wide metrics registry (DESIGN.md §9).
 //
-// The serving tier used to expose counters through bespoke structs
-// (ServiceStats, CacheStats) that every consumer printed its own way. This
-// registry is the one place those signals meet: subsystems register named
+// The one place the serving tier's signals meet: subsystems register named
 // metrics once at setup time, keep writing them lock-free on their hot
 // paths, and any reader renders a consistent-enough snapshot of everything
-// at once — as a Prometheus-style text exposition (RenderText) or as JSON
-// (RenderJson).
+// at once as a Prometheus-style text exposition (RenderText).
 //
-// Three metric shapes:
+// Two metric shapes:
 //  * Counter   — monotonic u64, one relaxed fetch_add per bump;
-//  * Gauge     — settable f64 (atomic store / CAS add);
 //  * Histogram — util::LatencyHistogram (wait-free bucketed samples).
+// Gauges are callbacks sampled at render time (generation ids, cache
+// occupancy, QPS, the kernel pool's width): a derived value, never stored.
 //
-// Two registration styles:
-//  * registry-owned, get-or-create (`GetCounter(name, labels)`): the metric
-//    lives as long as the registry and the same (name, labels, kind) always
-//    returns the same pointer — the right shape for process-global
-//    subsystems like the util::ParallelFor pool;
-//  * borrowed (`RegisterCounter(name, labels, &my_counter)`): the caller
-//    owns the metric as an ordinary member and the returned RAII
-//    Registration unregisters it on destruction — the right shape for
-//    components with their own lifetime (serve::QueryService registers its
-//    per-service counters this way and keeps ServiceStats as a snapshot
-//    view over them). Callback gauges/counters sample a closure at render
-//    time for values that are derived rather than stored (generation ids,
-//    cache occupancy, QPS).
+// One registration style: the component owns its metrics as ordinary
+// members, registers each one (`RegisterCounter(name, labels, &counter)`)
+// and keeps the returned RAII Registration, which unregisters the series on
+// destruction, so a component's series leave the exposition exactly when
+// the component does. Process-global components (the util::ParallelFor
+// pool, the snapshot loader's mmap-fallback counter) are leaked, so their
+// series stay for the life of the process. serve::QueryService keeps
+// ServiceStats as a snapshot view over its registered counters.
 //
 // Duplicate series (same name + labels, e.g. two QueryServices in one test
 // process) are legal at registration and merged at render time: counters
@@ -38,12 +31,12 @@
 // Thread safety: metric writes are lock-free and may race renders freely
 // (the TSan job covers many writers + a rendering reader). Registration,
 // unregistration, and rendering serialize on one mutex. Render-time
-// callbacks run under that mutex and therefore must not call back into the
-// registry.
+// callbacks run under that mutex, so the lock order is always registry →
+// component: a callback must not call back into the registry, nor wait on
+// a lock its component holds while registering.
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -74,33 +67,12 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-// Last-write-wins double gauge; Add is a CAS loop (gauges are not hot-path
-// metrics — hot paths use counters and histograms).
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta) {
-    double seen = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(seen, seen + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 class MetricsRegistry {
  public:
-  // RAII handle for a borrowed registration: unregisters on destruction,
-  // so a component's metrics disappear from the exposition exactly when
-  // the component does. Movable, not copyable; a default-constructed
-  // handle is empty.
+  // RAII handle for one registered series: unregisters on destruction, so
+  // a component's metrics disappear from the exposition exactly when the
+  // component does. Movable, not copyable; a default-constructed handle is
+  // empty.
   class Registration {
    public:
     Registration() = default;
@@ -132,19 +104,10 @@ class MetricsRegistry {
   // writable from worker threads that may outlive static destruction).
   static MetricsRegistry& Default();
 
-  // Registry-owned metrics, get-or-create by (name, labels): the same key
-  // always returns the same pointer, valid for the registry's lifetime.
-  Counter* GetCounter(const std::string& name, Labels labels = {});
-  Gauge* GetGauge(const std::string& name, Labels labels = {});
-  LatencyHistogram* GetHistogram(const std::string& name, Labels labels = {});
-
-  // Borrowed metrics: `metric` must outlive the returned Registration.
+  // `metric` must outlive the returned Registration.
   [[nodiscard]] Registration RegisterCounter(const std::string& name,
                                              Labels labels,
                                              const Counter* metric);
-  [[nodiscard]] Registration RegisterGauge(const std::string& name,
-                                           Labels labels,
-                                           const Gauge* metric);
   [[nodiscard]] Registration RegisterHistogram(
       const std::string& name, Labels labels,
       const LatencyHistogram* metric);
@@ -165,27 +128,22 @@ class MetricsRegistry {
   // deterministic for a given set of values.
   std::string RenderText() const;
 
-  // The same snapshot as a JSON document: {"metrics": [...]}, histograms
-  // with count/sum/max/p50/p95/p99 and sparse cumulative buckets.
-  std::string RenderJson() const;
-
   // Registered series count (before duplicate merging); test hook.
   size_t NumSeries() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kCallbackGauge,
-                    kCallbackCounter };
+  // How a series renders. A borrowed Counter is sampled through a counter
+  // callback, so an entry holds one of: counter_fn, gauge_fn, histogram.
+  enum class Kind { kCounter, kGauge, kHistogram };
 
   struct Entry {
     uint64_t id = 0;
     std::string name;
     Labels labels;
     Kind kind = Kind::kCounter;
-    const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
+    std::function<uint64_t()> counter_fn = nullptr;
+    std::function<double()> gauge_fn = nullptr;
     const LatencyHistogram* histogram = nullptr;
-    std::function<double()> gauge_fn;
-    std::function<uint64_t()> counter_fn;
   };
 
   // One merged series, sampled under the mutex.
@@ -207,10 +165,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
-  // Stable storage for registry-owned metrics (deques never relocate).
-  std::deque<Counter> owned_counters_;
-  std::deque<Gauge> owned_gauges_;
-  std::deque<LatencyHistogram> owned_histograms_;
   uint64_t next_id_ = 1;
 };
 

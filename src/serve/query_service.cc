@@ -74,7 +74,6 @@ QueryService::QueryService(std::shared_ptr<GraphStore> store,
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
   last_seen_generation_.store(store_->generation(),
                               std::memory_order_relaxed);
-  tracing_.store(options_.enable_tracing, std::memory_order_relaxed);
   RegisterMetrics();
 }
 

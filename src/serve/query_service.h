@@ -83,12 +83,8 @@ struct ServiceOptions {
   // Queries slower than this (end-to-end, admission to completion) count as
   // SLO violations in ServiceStats.
   double slo_millis = 100.0;
-  // Per-query phase tracing (obs/trace.h). Off by default: workers then
-  // never touch a TraceRecorder and the engine's trace pointer stays null
-  // (zero overhead beyond one branch per instrumentation site). Togglable
-  // at runtime with SetTracing.
-  bool enable_tracing = false;
-  // How many slowest-query trace dumps to retain for SlowestTraces().
+  // How many slowest-query trace dumps to retain for SlowestTraces() once
+  // SetTracing(true) turns tracing on.
   size_t trace_keep = 8;
   // Cost-model admission scheduling (serve/scheduler.h, DESIGN.md §11):
   // priority queue ordered by predicted cost, and a deadline test that
@@ -247,10 +243,12 @@ class QueryService {
   const LatencyHistogram& latencies() const { return latencies_; }
   const ResultCache& cache() const { return cache_; }
 
-  // Runtime switch for per-query phase tracing; affects queries picked up
-  // after the call. When on, every served query feeds the per-phase
-  // histograms (rtr_query_phase_ms{phase=...}) and competes for a slot in
-  // the slowest-trace ring.
+  // The one switch for per-query phase tracing (obs/trace.h); affects
+  // queries picked up after the call. Off by default: workers then never
+  // touch a TraceRecorder and the engine's trace pointer stays null (one
+  // branch per instrumentation site). When on, every served query feeds
+  // the per-phase histograms (rtr_query_phase_ms{phase=...}) and competes
+  // for a slot in the slowest-trace ring.
   void SetTracing(bool enabled) {
     tracing_.store(enabled, std::memory_order_relaxed);
   }

@@ -1,6 +1,7 @@
 #include "util/parallel_for.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -31,21 +32,6 @@ int DefaultNumThreads() {
 // the pool is trivially race-free (the CI TSan job covers it); workers
 // check in exactly once per job generation, and the caller returns only
 // after every worker has checked in, so job state never outlives a Run.
-// Pool-wide registry series (DESIGN.md §9): job/chunk throughput plus a
-// utilization ratio derivable as participants_total / (jobs_total * threads).
-struct PoolMetrics {
-  obs::Counter* jobs = obs::MetricsRegistry::Default().GetCounter(
-      "rtr_pool_jobs_total");
-  obs::Counter* inline_jobs = obs::MetricsRegistry::Default().GetCounter(
-      "rtr_pool_inline_jobs_total");
-  obs::Counter* chunks = obs::MetricsRegistry::Default().GetCounter(
-      "rtr_pool_chunks_total");
-  obs::Counter* participants = obs::MetricsRegistry::Default().GetCounter(
-      "rtr_pool_participants_total");
-  obs::Gauge* threads = obs::MetricsRegistry::Default().GetGauge(
-      "rtr_pool_threads");
-};
-
 class Pool {
  public:
   static Pool& Instance() {
@@ -67,8 +53,8 @@ class Pool {
     if (n == team_) return;
     StopWorkers();
     team_ = n;
+    threads_.store(n, std::memory_order_relaxed);
     StartWorkers();
-    metrics_.threads->Set(static_cast<double>(team_));
   }
 
   void Run(const size_t* bounds, size_t num_chunks, internal::ChunkFn fn,
@@ -78,11 +64,11 @@ class Pool {
     // the inline shortcut keeps the team_ read ordered after any resize.
     std::unique_lock<std::mutex> job_lock(job_mu_);
     const size_t team = static_cast<size_t>(team_);
-    metrics_.jobs->Increment();
-    metrics_.chunks->Add(num_chunks);
+    jobs_.Increment();
+    chunks_.Add(num_chunks);
     if (team <= 1 || num_chunks <= 1) {
-      metrics_.inline_jobs->Increment();
-      metrics_.participants->Increment();  // the caller alone
+      inline_jobs_.Increment();
+      participants_.Increment();  // the caller alone
       job_lock.unlock();
       // Same chunk-by-chunk execution as the parallel path: bit-identical.
       for (size_t c = 0; c < num_chunks; ++c) {
@@ -94,7 +80,7 @@ class Pool {
     // but neither execute nor check in, so the caller's completion wait
     // never depends on threads that own no work.
     const size_t participants = std::min(team, num_chunks);
-    metrics_.participants->Add(participants);
+    participants_.Add(participants);
     {
       std::lock_guard<std::mutex> lock(mu_);
       job_bounds_ = bounds;
@@ -116,9 +102,25 @@ class Pool {
   }
 
  private:
-  explicit Pool(int team) : team_(std::max(1, team)) {
+  // Registers the pool-wide series (DESIGN.md §9): job/chunk throughput
+  // plus a utilization ratio derivable as
+  // participants_total / (jobs_total * threads). The pool is leaked, so
+  // they are never released.
+  explicit Pool(int team) : team_(std::max(1, team)), threads_(team_) {
     StartWorkers();
-    metrics_.threads->Set(static_cast<double>(team_));
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+    registrations_.push_back(
+        registry.RegisterCounter("rtr_pool_jobs_total", {}, &jobs_));
+    registrations_.push_back(registry.RegisterCounter(
+        "rtr_pool_inline_jobs_total", {}, &inline_jobs_));
+    registrations_.push_back(
+        registry.RegisterCounter("rtr_pool_chunks_total", {}, &chunks_));
+    registrations_.push_back(registry.RegisterCounter(
+        "rtr_pool_participants_total", {}, &participants_));
+    registrations_.push_back(
+        registry.RegisterCallbackGauge("rtr_pool_threads", {}, [this] {
+          return static_cast<double>(threads_.load(std::memory_order_relaxed));
+        }));
   }
 
   void StartWorkers() {
@@ -178,7 +180,11 @@ class Pool {
 
   std::mutex job_mu_;  // serializes Run/SetNumThreads; held for a whole job
   int team_;
-  PoolMetrics metrics_;  // registry-owned pointers, never unregistered
+  // Copy of team_ for the rtr_pool_threads gauge: a render runs it under the
+  // registry mutex and must not wait on job_mu_, held for a whole job.
+  std::atomic<int> threads_;
+  obs::Counter jobs_, inline_jobs_, chunks_, participants_;
+  std::vector<obs::MetricsRegistry::Registration> registrations_;
   std::vector<std::thread> workers_;
 
   std::mutex mu_;  // guards everything below

@@ -4,7 +4,8 @@
 # series names are unique, whose counters are monotone across dumps, and
 # whose final dump agrees with the summary printed to stdout; its error
 # paths include the strict flag parser (an unknown flag or a value that does
-# not parse exits 2). Registered with ctest by the root CMakeLists; $1 is
+# not parse exits 2). A distributed replay's `# TYPE` lines are compared
+# with the committed list in serve_dist_metric_types.txt. Registered with ctest by the root CMakeLists; $1 is
 # the path to the rtr_cli binary.
 set -u
 
@@ -127,6 +128,20 @@ test "$traces" -le 3
 check "--trace 3 prints at most 3 traces (got $traces)" 0 $?
 grep -q '"stage1_expand"' "$TMP/stdout.txt"
 check "traces include engine phase spans" 0 $?
+
+# --- exposition inventory ------------------------------------------------
+
+# A distributed, traced replay renders exactly the committed set of series
+# names, each with its committed `# TYPE`: a registry change that renames a
+# series, drops one or changes its type fails here.
+INVENTORY="$(dirname "$0")/serve_dist_metric_types.txt"
+"$CLI" serve --backend dist --gps 2 --tracing 1 --queries 40 --qps 500 \
+  --workers 2 --metrics-out "$TMP/dist.txt" > /dev/null 2>&1
+check "serve --backend dist --gps 2 --tracing 1" 0 $?
+grep '^# TYPE ' "$TMP/dist.txt" | sed 's/^# TYPE //' | sort -u |
+  diff "$INVENTORY" - > "$TMP/inventory.diff"
+check "dist exposition matches the committed # TYPE inventory" 0 $?
+if [ -s "$TMP/inventory.diff" ]; then cat "$TMP/inventory.diff"; fi
 
 # --- structured logging --------------------------------------------------
 

@@ -627,10 +627,10 @@ TEST(QueryServiceTest, ScheduledRestripePinIsTracedOnce) {
   ServiceOptions options;
   options.num_workers = 1;
   options.enable_cache = false;
-  options.enable_tracing = true;
   options.trace_keep = 2;
   options.scheduler.enabled = true;
   QueryService service(store, /*num_gps=*/2, options);
+  service.SetTracing(true);
   ASSERT_TRUE(service.Start().ok());
 
   NodeId query = 0;
@@ -740,9 +740,9 @@ TEST(QueryServiceTest, TracedPhasesSumToAtMostTotalLatency) {
   options.queue_capacity = stream.size();
   options.enable_cache = true;
   options.cache_capacity = 64;
-  options.enable_tracing = true;
   options.trace_keep = 5;
   QueryService service(SharedGraphPtr(), options);
+  service.SetTracing(true);
   ASSERT_TRUE(service.Start().ok());
   EXPECT_TRUE(service.tracing());
 

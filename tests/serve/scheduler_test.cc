@@ -243,8 +243,8 @@ TEST(SchedulerServiceTest, FifoEngineRunsTrainTheCostModel) {
   ServiceOptions options;
   options.num_workers = 2;
   options.queue_capacity = stream.size();
-  options.enable_tracing = true;
   QueryService service(SharedGraphPtr(), options);
+  service.SetTracing(true);
   ASSERT_TRUE(service.Start().ok());
   for (NodeId q : stream) {
     StatusOr<ServeResponse> response = service.Call({{q}, params});

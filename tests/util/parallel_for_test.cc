@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -10,6 +12,7 @@
 
 #include "core/round_trip_rank.h"
 #include "graph/builder.h"
+#include "obs/metrics.h"
 #include "ranking/pagerank.h"
 #include "util/random.h"
 
@@ -187,6 +190,42 @@ TEST(ParallelForTest, ConcurrentCallersSerializeSafely) {
   }
   for (std::thread& c : callers) c.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// The value of an unlabeled series in the process-wide exposition; -1 when
+// the series is absent.
+double SeriesValue(const std::string& name) {
+  const std::string text = obs::MetricsRegistry::Default().RenderText();
+  const std::string line = "\n" + name + " ";
+  const size_t at = text.find(line);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(text.c_str() + at + line.size(), nullptr);
+}
+
+// The pool registers its own series: a gauge that follows every resize and
+// counters that grow by exactly one job's worth. A second thread renders
+// throughout, so the TSan job runs the gauge's read against the resize.
+TEST(ParallelForTest, PoolMetricsFollowResizesAndJobs) {
+  ScopedNumThreads restore(NumThreads());
+  std::atomic<bool> stop{false};
+  std::thread renderer([&stop] {
+    while (!stop.load()) obs::MetricsRegistry::Default().RenderText();
+  });
+  for (int n : {1, 3}) {
+    SetNumThreads(n);
+    EXPECT_EQ(SeriesValue("rtr_pool_threads"), NumThreads()) << n;
+
+    const double jobs = SeriesValue("rtr_pool_jobs_total");
+    const double chunks = SeriesValue("rtr_pool_chunks_total");
+    const size_t n_items = 10007, grain = 64;
+    ParallelFor(n_items, grain, [](size_t, size_t, size_t) {});
+    EXPECT_EQ(SeriesValue("rtr_pool_jobs_total"), jobs + 1) << n;
+    EXPECT_EQ(SeriesValue("rtr_pool_chunks_total"),
+              chunks + static_cast<double>(ChunkCount(n_items, grain)))
+        << n;
+  }
+  stop.store(true);
+  renderer.join();
 }
 
 TEST(ParallelForTest, SetNumThreadsResizesPool) {

@@ -13,7 +13,8 @@
 //                   [--delta d1.rtrdelta,d2.rtrdelta]
 //                   [--queries 200] [--qps 200] [--workers 4] [--queue 256]
 //                   [--cache 1] [--cache-capacity 1024]
-//                   [--backend local|dist] [--gps 4] [--k 10] [--eps 0.01]
+//                   [--backend local|dist|remote] [--gps 4|host:port,...]
+//                   [--k 10] [--eps 0.01]
 //                   [--slo-ms 50] [--repeat 0.5] [--seed 7]
 //                   [--metrics-out metrics.txt] [--metrics-interval-ms 1000]
 //                   [--trace N] [--tracing 0|1]
@@ -42,7 +43,11 @@
 // loaded graph) at a target QPS through the concurrent serve::QueryService
 // and reports throughput, tail latency, and cache behavior; with --delta, a
 // writer thread applies the listed delta files mid-replay, exercising the
-// live generation-swap path while queries are in flight.
+// live generation-swap path while queries are in flight. The backend is
+// `local` (one engine on the whole graph), `dist` (the graph striped over
+// --gps N in-process GPs) or `remote` (the default when --gps lists
+// host:port endpoints: `gp-serve` shards over TCP, DESIGN.md §12; no
+// --delta).
 //
 // Scheduling (DESIGN.md §11): `serve --scheduler` turns on cost-model
 // admission — shortest-predicted-job-first (each worker wakeup serves one
@@ -729,7 +734,7 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "--trace must be >= 0\n");
     return 2;
   }
-  options.enable_tracing = trace_n > 0 || flags.GetInt("tracing", 0) != 0;
+  const bool tracing = trace_n > 0 || flags.GetInt("tracing", 0) != 0;
   if (trace_n > 0) options.trace_keep = static_cast<size_t>(trace_n);
 
   // Metrics exposition dump: appended to --metrics-out periodically during
@@ -908,6 +913,7 @@ int CmdServe(int argc, char** argv) {
                 replay.empty() ? "" : ", replayed stream");
   }
 
+  service->SetTracing(tracing);
   rtr::Status status = service->Start();
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
